@@ -2,9 +2,8 @@
 // enumeration, centralized matching and the LEC pruning and assembly
 // joins at 1/2/4/8 worker slots (same LUBM-3/LQ7 fixture as
 // bench_micro_core, plus the join-heavy LQ1 triangle for the join rows),
-// and indexed vs all-pairs group join graph construction — over LPMs for
-// assembly and over LEC features for pruning — with the probe counts
-// surfaced as benchmark counters.
+// and the crossing-index group join graph construction over LPMs, with
+// the probe counts surfaced as benchmark counters.
 //
 // The thread counts request worker *slots*; on a machine with fewer cores
 // the pool still exercises the parallel code path but cannot show wall-clock
@@ -21,6 +20,7 @@
 
 #include "core/assembly.h"
 #include "core/engine.h"
+#include "core/join_graph.h"
 #include "core/lec_feature.h"
 #include "core/local_partial_match.h"
 #include "core/pruning.h"
@@ -57,7 +57,7 @@ struct ScalingFixture {
           EnumerateLocalPartialMatches(f, *stores.back(), rq_lq1);
       lpms_lq1.insert(lpms_lq1.end(), lq1_lpms.begin(), lq1_lpms.end());
     }
-    groups = GroupLpmsBySign(lpms);
+    groups = GroupBySign(lpms);
     features = ComputeLecFeatures(lpms);
     features_lq1 = ComputeLecFeatures(lpms_lq1);
   }
@@ -111,33 +111,19 @@ BENCHMARK(BM_CentralizedMatchThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_GroupJoinGraphIndexed(benchmark::State& state) {
   ScalingFixture& f = Fixture();
-  AssemblyStats stats;
+  JoinGraphStats stats;
   for (auto _ : state) {
-    stats = AssemblyStats();
-    auto adjacency = BuildGroupJoinGraph(f.lpms, f.groups, &stats);
+    stats = JoinGraphStats();
+    auto adjacency =
+        CrossingIndex<LocalPartialMatch>(f.lpms, f.groups).JoinGraph(&stats);
     benchmark::DoNotOptimize(adjacency);
   }
   state.counters["join_attempts"] =
       static_cast<double>(stats.join_attempts);
-  state.counters["edges"] = static_cast<double>(stats.num_join_graph_edges);
+  state.counters["edges"] = static_cast<double>(stats.num_edges);
   state.counters["groups"] = static_cast<double>(f.groups.size());
 }
 BENCHMARK(BM_GroupJoinGraphIndexed);
-
-void BM_GroupJoinGraphAllPairs(benchmark::State& state) {
-  ScalingFixture& f = Fixture();
-  AssemblyStats stats;
-  for (auto _ : state) {
-    stats = AssemblyStats();
-    auto adjacency = BuildGroupJoinGraphAllPairs(f.lpms, f.groups, &stats);
-    benchmark::DoNotOptimize(adjacency);
-  }
-  state.counters["join_attempts"] =
-      static_cast<double>(stats.join_attempts);
-  state.counters["edges"] = static_cast<double>(stats.num_join_graph_edges);
-  state.counters["groups"] = static_cast<double>(f.groups.size());
-}
-BENCHMARK(BM_GroupJoinGraphAllPairs);
 
 void BM_LecAssemblyIndexed(benchmark::State& state) {
   ScalingFixture& f = Fixture();
@@ -201,6 +187,7 @@ void RunLecPruningThreads(benchmark::State& state,
   }
   state.counters["features"] = static_cast<double>(features.features.size());
   state.counters["groups"] = static_cast<double>(prune.num_groups);
+  state.counters["edges"] = static_cast<double>(prune.num_join_graph_edges);
   state.counters["surviving"] =
       static_cast<double>(prune.surviving_features);
   state.counters["join_attempts"] = static_cast<double>(prune.join_attempts);
@@ -217,36 +204,6 @@ void BM_LecPruningThreadsLQ1(benchmark::State& state) {
   RunLecPruningThreads(state, f.features_lq1, f.query_lq1.num_vertices());
 }
 BENCHMARK(BM_LecPruningThreadsLQ1)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-/// Serial pruning with the indexed vs all-pairs group join graph; the
-/// join_attempts counters surface the probe reduction of the crossing-
-/// mapping inverted index (the expansion-phase probes are identical, so
-/// the delta is exactly the graph-construction saving).
-void RunLecPruningGraphMode(benchmark::State& state, bool indexed) {
-  ScalingFixture& f = Fixture();
-  PruneOptions options;
-  options.use_indexed_join_graph = indexed;
-  PruneResult prune;
-  for (auto _ : state) {
-    prune =
-        LecFeaturePruning(f.features.features, f.query.num_vertices(), options);
-    benchmark::DoNotOptimize(prune);
-  }
-  state.counters["join_attempts"] = static_cast<double>(prune.join_attempts);
-  state.counters["edges"] =
-      static_cast<double>(prune.num_join_graph_edges);
-  state.counters["groups"] = static_cast<double>(prune.num_groups);
-}
-
-void BM_LecPruningIndexedGraph(benchmark::State& state) {
-  RunLecPruningGraphMode(state, /*indexed=*/true);
-}
-BENCHMARK(BM_LecPruningIndexedGraph);
-
-void BM_LecPruningAllPairsGraph(benchmark::State& state) {
-  RunLecPruningGraphMode(state, /*indexed=*/false);
-}
-BENCHMARK(BM_LecPruningAllPairsGraph);
 
 void BM_FullEngineExecuteThreads(benchmark::State& state) {
   ScalingFixture& f = Fixture();

@@ -3,12 +3,16 @@
 
 Compares benchmark JSON results against a committed baseline and fails
 (exit 1) when any gated benchmark regresses by more than the threshold.
-Three row kinds are gated:
+Four row kinds are gated:
 
   * cpu_time rows (lower is better): regression when
       current > baseline * (1 + threshold)
   * qps rows (higher is better, emitted by bench_serving_throughput):
       regression when current < baseline / (1 + threshold)
+  * count rows ("join_attempts", the FeaturesJoinable probe counter that
+      bench_micro_core attaches to its chain-join rows; lower is better):
+      regression when current > baseline. Counts are exact and do not
+      depend on the machine, so they take no threshold slack.
   * ratio rows ({"numerator", "denominator", "min_ratio"}): regression
       when numerator/denominator (wall time by default, cpu time with
       "metric": "cpu", CPU-time QPS with "metric": "qps", search-tree
@@ -29,7 +33,8 @@ Usage:
 
 Regenerate the cpu_time baseline rows by running bench_micro_core with
 --benchmark_format=json on a quiet machine and copying each cpu_time into
-cpu_time_ns; regenerate the qps rows from bench_serving_throughput --json.
+cpu_time_ns (and each join_attempts counter as is); regenerate the qps rows
+from bench_serving_throughput --json.
 """
 
 import argparse
@@ -73,6 +78,10 @@ def load_metrics(path):
             entry["real_ns"] = min(real_ns, entry.get("real_ns", float("inf")))
         if "qps" in bench:
             entry["qps"] = max(float(bench["qps"]), entry.get("qps", 0.0))
+        if "join_attempts" in bench:
+            entry["join_attempts"] = min(
+                float(bench["join_attempts"]),
+                entry.get("join_attempts", float("inf")))
         if "nodes" in bench:
             # Search-tree node counts (bench_ablation_ordering): exact and
             # deterministic, so min/max merging is moot; min keeps the shape
@@ -116,34 +125,41 @@ def main():
             if "nodes" in entry:
                 merged["nodes"] = min(entry["nodes"],
                                       merged.get("nodes", float("inf")))
+            if "join_attempts" in entry:
+                merged["join_attempts"] = min(
+                    entry["join_attempts"],
+                    merged.get("join_attempts", float("inf")))
 
     failures = []
     limit = 1.0 + args.threshold
     print(f"{'benchmark':<28} {'metric':>6} {'baseline':>12} {'current':>12} "
           f"{'ratio':>8}")
     for name, base in sorted(baseline.items()):
-        # Each baseline row gates the metrics it declares.
-        for metric, unit, better_high in (("cpu_ns", "ns", False),
-                                          ("qps", "q/s", True)):
+        # Each baseline row gates the metrics it declares; exact counts get
+        # no slack.
+        for metric, label, unit, better_high, allowed in (
+                ("cpu_ns", "cpu_ns", "ns", False, limit),
+                ("qps", "qps", "q/s", True, limit),
+                ("join_attempts", "probes", "", False, 1.0)):
             if metric not in base:
                 continue
             base_v = base[metric]
             cur = results.get(name, {})
             if metric not in cur:
                 failures.append(f"{name} [{metric}]: missing from results")
-                print(f"{name:<28} {metric[:6]:>6} {base_v:>10.0f}{unit:<2} "
+                print(f"{name:<28} {label:>6} {base_v:>10.0f}{unit:<2} "
                       f"{'MISSING':>12}")
                 continue
             cur_v = cur[metric]
             # Normalize so ratio > limit always means "regressed".
             ratio = (base_v / cur_v) if better_high else (cur_v / base_v)
-            verdict = "" if ratio <= limit else "  REGRESSED"
-            print(f"{name:<28} {metric[:6]:>6} {base_v:>10.0f}{unit:<2} "
+            verdict = "" if ratio <= allowed else "  REGRESSED"
+            print(f"{name:<28} {label:>6} {base_v:>10.0f}{unit:<2} "
                   f"{cur_v:>10.0f}{unit:<2} {ratio:>8.2f}{verdict}")
-            if ratio > limit:
+            if ratio > allowed:
                 failures.append(
                     f"{name} [{metric}]: {cur_v:.0f}{unit} vs baseline "
-                    f"{base_v:.0f}{unit} ({ratio:.2f}x > {limit:.2f}x)")
+                    f"{base_v:.0f}{unit} ({ratio:.2f}x > {allowed:.2f}x)")
 
     for row in load_ratio_rows(args.baseline):
         metric = {"cpu": "cpu_ns", "qps": "qps",

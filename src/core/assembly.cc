@@ -76,6 +76,7 @@ bool TryJoin(const PartialJoin& partial, const LocalPartialMatch& pm,
 struct AssemblyContext {
   const std::vector<LocalPartialMatch>* lpms;
   std::vector<std::vector<uint32_t>> groups;
+  const CrossingIndex<LocalPartialMatch>* index = nullptr;  // over `groups`
   std::vector<std::vector<uint32_t>> adjacency;
   // Mutated only between vmin iterations, on the coordinator thread; frozen
   // while seed DFS walks run.
@@ -107,6 +108,7 @@ struct SlotScratch {
   std::vector<std::vector<PartialJoin>> frontier_arena;
   std::vector<bool> visited;
   std::vector<PartialJoin> seed_frontier;  // always exactly one element
+  std::vector<uint32_t> candidates;  // index candidates of one join step
   AssemblyStats stats;
 
   explicit SlotScratch(size_t num_groups)
@@ -116,7 +118,10 @@ struct SlotScratch {
 /// The recursive expansion of Alg. 3's ComParJoin: joins the chains in
 /// `frontier` with every LPM of every active group adjacent to the visited
 /// set; complete (all-ones) chains emit their binding to `out` in DFS
-/// order, incomplete fresh ones recurse.
+/// order, incomplete fresh ones recurse. Only the crossing index's
+/// candidates are tried, in ascending LPM order, and a group whose sign
+/// overlaps the partial's is skipped outright — the joins that succeed,
+/// and their order, are those of a full-group scan.
 void ComParJoin(const AssemblyContext& ctx, SlotScratch& scratch,
                 const std::vector<PartialJoin>& frontier, size_t depth,
                 std::vector<Binding>* out) {
@@ -134,8 +139,12 @@ void ComParJoin(const AssemblyContext& ctx, SlotScratch& scratch,
     std::vector<PartialJoin>& next = scratch.frontier_arena[depth];
     next.clear();
     PartialJoin joined;
+    // Every LPM of a group carries the group's sign (Def. 11).
+    const Bitset& group_sign = (*ctx.lpms)[ctx.groups[g].front()].sign;
     for (const PartialJoin& pj : frontier) {
-      for (uint32_t pm_idx : ctx.groups[g]) {
+      if (!pj.sign.DisjointWith(group_sign)) continue;
+      ctx.index->Candidates(pj.crossing, g, &scratch.candidates);
+      for (uint32_t pm_idx : scratch.candidates) {
         if (!TryJoin(pj, (*ctx.lpms)[pm_idx], &scratch.stats, &joined)) {
           continue;
         }
@@ -194,54 +203,6 @@ bool MergeBindings(const Binding& a, const Binding& b, Binding* out) {
   return true;
 }
 
-std::vector<std::vector<uint32_t>> GroupLpmsBySign(
-    const std::vector<LocalPartialMatch>& lpms) {
-  std::vector<std::vector<uint32_t>> groups;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> sign_buckets;
-  std::vector<Bitset> group_signs;
-  for (uint32_t i = 0; i < lpms.size(); ++i) {
-    uint64_t h = lpms[i].sign.Hash();
-    bool placed = false;
-    for (uint32_t g : sign_buckets[h]) {
-      if (group_signs[g] == lpms[i].sign) {
-        groups[g].push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      sign_buckets[h].push_back(static_cast<uint32_t>(groups.size()));
-      group_signs.push_back(lpms[i].sign);
-      groups.push_back({i});
-    }
-  }
-  return groups;
-}
-
-std::vector<std::vector<uint32_t>> BuildGroupJoinGraph(
-    const std::vector<LocalPartialMatch>& lpms,
-    const std::vector<std::vector<uint32_t>>& groups, AssemblyStats* stats) {
-  JoinGraphStats jg;
-  auto adjacency = BuildJoinGraphIndexed(lpms, groups, &jg);
-  if (stats != nullptr) {
-    stats->join_attempts += jg.join_attempts;
-    stats->num_join_graph_edges += jg.num_edges;
-  }
-  return adjacency;
-}
-
-std::vector<std::vector<uint32_t>> BuildGroupJoinGraphAllPairs(
-    const std::vector<LocalPartialMatch>& lpms,
-    const std::vector<std::vector<uint32_t>>& groups, AssemblyStats* stats) {
-  JoinGraphStats jg;
-  auto adjacency = BuildJoinGraphAllPairs(lpms, groups, &jg);
-  if (stats != nullptr) {
-    stats->join_attempts += jg.join_attempts;
-    stats->num_join_graph_edges += jg.num_edges;
-  }
-  return adjacency;
-}
-
 std::vector<Binding> LecAssembly(const std::vector<LocalPartialMatch>& lpms,
                                  size_t num_query_vertices,
                                  const AssemblyOptions& options,
@@ -258,11 +219,17 @@ std::vector<Binding> LecAssembly(const std::vector<LocalPartialMatch>& lpms,
   AssemblyContext ctx;
   ctx.lpms = &lpms;
 
-  // Def. 11: group LPMs by LECSign, then link groups through the
-  // crossing-mapping index instead of all-pairs probing.
-  ctx.groups = GroupLpmsBySign(lpms);
+  // Def. 11: group LPMs by LECSign; one crossing index over the groups
+  // serves both the group join graph and every DFS step's candidate
+  // lookup.
+  ctx.groups = GroupBySign(lpms);
   stats->num_groups = ctx.groups.size();
-  ctx.adjacency = BuildGroupJoinGraph(lpms, ctx.groups, stats);
+  const CrossingIndex<LocalPartialMatch> index(lpms, ctx.groups);
+  ctx.index = &index;
+  JoinGraphStats graph_stats;
+  ctx.adjacency = index.JoinGraph(&graph_stats);
+  stats->join_attempts += graph_stats.join_attempts;
+  stats->num_join_graph_edges += graph_stats.num_edges;
 
   const size_t num_groups = ctx.groups.size();
   ctx.active.assign(num_groups, true);

@@ -14,7 +14,10 @@ class ThreadPool;
 /// Statistics of one assembly run, used by the ablation benchmarks to show
 /// the join-space reduction of the LEC grouping.
 struct AssemblyStats {
-  size_t join_attempts = 0;        ///< pairwise join tests evaluated
+  /// Pairwise join tests evaluated. LecAssembly counts the group join
+  /// graph's bucket probes plus one per crossing-index candidate of each
+  /// DFS step; BasicAssembly tests every (partial, LPM) pair.
+  size_t join_attempts = 0;
   size_t intermediate_results = 0; ///< distinct partial joins materialized
   size_t binding_conflicts = 0;    ///< joins rejected on binding mismatch
                                    ///< (Thm. 3 predicts 0 for valid inputs)
@@ -25,33 +28,6 @@ struct AssemblyStats {
 /// Merges two partial bindings; returns false on a conflict (same query
 /// vertex bound to different graph vertices). Exposed for testing.
 bool MergeBindings(const Binding& a, const Binding& b, Binding* out);
-
-/// Def. 11: partitions LPM indices into groups of identical LECSign, in
-/// first-appearance order. Exposed for the group join graph builders below.
-std::vector<std::vector<uint32_t>> GroupLpmsBySign(
-    const std::vector<LocalPartialMatch>& lpms);
-
-/// Builds the group join graph — an edge between two LECSign groups when
-/// some cross-group LPM pair has joinable features — via an inverted index
-/// from crossing-edge mapping to the (group, LPM) entries carrying it.
-/// Def. 9 condition 2 makes a shared crossing mapping necessary for
-/// joinability, so only pairs meeting in an index bucket are probed with
-/// FeaturesJoinable: O(C log C + bucket pairs) work for C total crossing
-/// mappings instead of the all-pairs O(G² · LPM²) scan. Each probe is
-/// counted in stats->join_attempts; adjacency lists come back sorted and the
-/// construction is deterministic (the index is scanned in sorted order).
-std::vector<std::vector<uint32_t>> BuildGroupJoinGraph(
-    const std::vector<LocalPartialMatch>& lpms,
-    const std::vector<std::vector<uint32_t>>& groups,
-    AssemblyStats* stats = nullptr);
-
-/// Reference all-pairs construction of the same graph (the pre-index O(G²)
-/// behavior). Kept for the equivalence test and as the comparison bar of the
-/// parallel-scaling benchmark.
-std::vector<std::vector<uint32_t>> BuildGroupJoinGraphAllPairs(
-    const std::vector<LocalPartialMatch>& lpms,
-    const std::vector<std::vector<uint32_t>>& groups,
-    AssemblyStats* stats = nullptr);
 
 /// Execution-layer knobs for LecAssembly, orthogonal to the algorithm.
 struct AssemblyOptions {
@@ -87,7 +63,9 @@ struct AssemblyOptions {
 /// (Def. 11 / Thm. 5), builds the group join graph, and DFS-joins across
 /// groups from the smallest group outward; a chain whose combined sign is
 /// all ones yields a complete crossing match. Returns deduplicated full
-/// bindings.
+/// bindings. One crossing-mapping index (core/join_graph.h) builds the
+/// group join graph and lists, at each DFS step, the only LPMs of the next
+/// group that can join the partial.
 ///
 /// The join is seed-major: each LPM of the current vmin group seeds one
 /// independent DFS (its dedup state is seed-local — partials grown from

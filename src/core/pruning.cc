@@ -47,6 +47,7 @@ void MergeContributors(std::vector<uint32_t>* into,
 struct PruneContext {
   const std::vector<LecFeature>* features;
   std::vector<std::vector<uint32_t>> groups;     // feature indices per group
+  const CrossingIndex<LecFeature>* index = nullptr;  // over `groups`
   std::vector<std::vector<uint32_t>> adjacency;  // group join graph
   std::vector<bool> active;                      // per group
 };
@@ -66,6 +67,8 @@ struct PruneSlotScratch {
   // Scratch for building one candidate chain before it is either merged
   // into an existing chain, marked complete, or moved into the frontier.
   std::vector<uint32_t> scratch_contributors;
+  // The index candidates of one (chain, group) step.
+  std::vector<uint32_t> candidates;
 
   /// Per-slot survivor bitmap, one bit per base feature index. Marking is a
   /// pure union, so OR-folding the slot bitmaps after the ParallelFor
@@ -92,7 +95,10 @@ struct PruneSlotScratch {
 /// The recursive expansion of Alg. 2's ComLECFJoin for one seed: joins the
 /// chains in `frontier` with every feature of every active group adjacent
 /// to the visited set, marking contributors of all-ones chains in the
-/// slot's survivor bitmap.
+/// slot's survivor bitmap. Only the crossing index's candidates are probed
+/// (see CrossingIndex::Candidates), and a group whose sign overlaps the
+/// chain's is skipped outright, so a probe can fail only on condition 3
+/// (conflicting endpoints).
 ///
 /// `any_exhausted` is the run-global bail-out flag. It is *set* only when a
 /// seed truly runs out of its own budget (a pure per-seed property, so the
@@ -130,8 +136,12 @@ void ComLecFJoin(const PruneContext& ctx, PruneSlotScratch& s,
     dedup.clear();
     std::vector<JoinedFeature>& next = s.frontier_arena[depth];
     next.clear();
+    // Every feature of a group carries the group's sign (Def. 10).
+    const Bitset& group_sign = (*ctx.features)[ctx.groups[g].front()].sign;
     for (const JoinedFeature& jf : frontier) {
-      for (uint32_t f_idx : ctx.groups[g]) {
+      if (!jf.sign.DisjointWith(group_sign)) continue;
+      ctx.index->Candidates(jf.crossing, g, &s.candidates);
+      for (uint32_t f_idx : s.candidates) {
         const LecFeature& f = (*ctx.features)[f_idx];
         ++s.join_attempts;
         if (!FeaturesJoinable(jf.sign, jf.crossing, f.sign, f.crossing)) {
@@ -228,39 +238,20 @@ PruneResult LecFeaturePruning(const std::vector<LecFeature>& features,
   PruneContext ctx;
   ctx.features = &features;
 
-  // Def. 10: group features by LECSign.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> sign_buckets;
-  std::vector<Bitset> group_signs;
-  for (uint32_t i = 0; i < features.size(); ++i) {
-    GSTORED_CHECK_EQ(features[i].sign.size(), num_query_vertices);
-    uint64_t h = features[i].sign.Hash();
-    bool placed = false;
-    for (uint32_t g : sign_buckets[h]) {
-      if (group_signs[g] == features[i].sign) {
-        ctx.groups[g].push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      sign_buckets[h].push_back(static_cast<uint32_t>(ctx.groups.size()));
-      group_signs.push_back(features[i].sign);
-      ctx.groups.push_back({i});
-    }
+  // Def. 10: group features by LECSign; one crossing index over the groups
+  // serves both the group join graph and every DFS step's candidate
+  // lookup.
+  for (const LecFeature& f : features) {
+    GSTORED_CHECK_EQ(f.sign.size(), num_query_vertices);
   }
+  ctx.groups = GroupBySign(features);
   const size_t num_groups = ctx.groups.size();
   result.num_groups = num_groups;
+  const CrossingIndex<LecFeature> index(features, ctx.groups);
+  ctx.index = &index;
 
-  // Group join graph: an edge when some cross-group feature pair is
-  // joinable (two same-sign features never are — Thm. 5). The indexed
-  // construction probes only pairs sharing a crossing mapping (a Def. 9
-  // necessity) instead of all cross-group pairs.
   JoinGraphStats graph_stats;
-  ctx.adjacency = options.use_indexed_join_graph
-                      ? BuildJoinGraphIndexed(features, ctx.groups,
-                                              &graph_stats)
-                      : BuildJoinGraphAllPairs(features, ctx.groups,
-                                               &graph_stats);
+  ctx.adjacency = index.JoinGraph(&graph_stats);
   result.join_attempts += graph_stats.join_attempts;
   result.num_join_graph_edges = graph_stats.num_edges;
 

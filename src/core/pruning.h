@@ -20,7 +20,11 @@ struct PruneResult {
   // Statistics for the evaluation tables.
   size_t num_groups = 0;            ///< LECSign-based feature groups (Def. 10)
   size_t num_join_graph_edges = 0;  ///< edges of the group join graph
-  size_t join_attempts = 0;         ///< pairwise feature joins evaluated
+  /// FeaturesJoinable probes: the group join graph's bucket probes plus one
+  /// per crossing-index candidate of each DFS step (a feature sharing no
+  /// mapping with the chain, or in a group whose sign overlaps it, is never
+  /// probed).
+  size_t join_attempts = 0;
   size_t surviving_features = 0;
 
   /// True when some seed's join space exceeded `max_joined_features` and
@@ -57,19 +61,15 @@ struct PruneOptions {
   /// vmin group engages one slot per this many seeds, so tiny prunes skip
   /// pool coordination entirely. Tests set 1 to force the pool path.
   size_t min_seeds_per_slot = 4;
-
-  /// Build the group join graph through the crossing-mapping inverted index
-  /// (core/join_graph.h) instead of all-pairs probing. false restores the
-  /// O(G² · F²) reference scan — kept for the equivalence test and the
-  /// ablation benchmark; the resulting graph (and surviving set) is
-  /// identical either way, only the probe count changes.
-  bool use_indexed_join_graph = true;
 };
 
 /// Algorithm 2: groups features by LECSign (Def. 10 / Thm. 5), builds the
 /// group join graph, and DFS-explores joinable chains from the smallest
 /// group outward. Whenever a chain's combined sign reaches all ones, every
-/// base feature that contributed to the chain is marked as surviving.
+/// base feature that contributed to the chain is marked as surviving. One
+/// crossing-mapping index (core/join_graph.h) builds the group join graph
+/// and lists, at each DFS step, the only features of the next group that
+/// can join the chain.
 ///
 /// This refines the paper's pseudocode slightly: line 8 of ComLECFJoin
 /// inserts whole groups into the result set, whereas we track the exact

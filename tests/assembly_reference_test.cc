@@ -7,7 +7,9 @@
 // fresh randomized multi-site scenarios, serial and parallel alike; the
 // parallel-pruned feature set must equal the serial-pruned set (and the
 // pruned assembly must still reproduce the oracle) on every scenario; and
-// every assembled binding must be a genuine match of the full graph.
+// every assembled binding must be a genuine match of the full graph. A
+// second oracle, also written from Def. 9 and Thm. 4 without
+// FeaturesJoinable, pins LecFeaturePruning's exact surviving set.
 
 #include <gtest/gtest.h>
 
@@ -164,6 +166,98 @@ std::vector<Binding> OracleAssembly(const std::vector<LocalPartialMatch>& lpms,
   return complete;
 }
 
+/// Survivor oracle for LEC feature pruning, from Def. 9 and Thm. 4 alone:
+/// feature f survives iff some set S of features containing f
+///   * has pairwise-disjoint signs that together cover every query vertex,
+///   * has crossing endpoint maps that agree pairwise, and
+///   * is connected through shared identical crossing mappings.
+/// Every connected set can be grown one member at a time, each new member
+/// sharing a mapping with one already in, so the search grows sets that
+/// way, breadth-first and deduplicated by member set. A complete set
+/// cannot grow further (any new sign would overlap the cover).
+std::vector<bool> OracleSurvivors(const std::vector<LecFeature>& features,
+                                  size_t num_query_vertices) {
+  std::vector<bool> survives(features.size(), false);
+  std::set<std::vector<uint32_t>> reached;
+  std::vector<std::vector<uint32_t>> frontier;
+  for (uint32_t i = 0; i < features.size(); ++i) {
+    reached.insert({i});
+    frontier.push_back({i});
+  }
+  while (!frontier.empty()) {
+    std::vector<std::vector<uint32_t>> next;
+    for (const std::vector<uint32_t>& members : frontier) {
+      size_t covered = 0;
+      for (size_t v = 0; v < num_query_vertices; ++v) {
+        for (uint32_t m : members) {
+          if (features[m].sign.Test(v)) {
+            ++covered;
+            break;
+          }
+        }
+      }
+      if (covered == num_query_vertices) {
+        for (uint32_t m : members) survives[m] = true;
+        continue;
+      }
+      for (uint32_t j = 0; j < features.size(); ++j) {
+        bool disjoint_and_agreeing = true;
+        bool linked = false;
+        for (uint32_t m : members) {
+          for (size_t v = 0; v < num_query_vertices; ++v) {
+            if (features[m].sign.Test(v) && features[j].sign.Test(v)) {
+              disjoint_and_agreeing = false;
+            }
+          }
+          if (!EndpointsAgree(features[m].crossing, features[j].crossing)) {
+            disjoint_and_agreeing = false;
+          }
+          if (SharesIdenticalMapping(features[m].crossing,
+                                     features[j].crossing)) {
+            linked = true;
+          }
+        }
+        if (!disjoint_and_agreeing || !linked) continue;
+        std::vector<uint32_t> grown = members;
+        grown.insert(std::upper_bound(grown.begin(), grown.end(), j), j);
+        if (reached.insert(grown).second) next.push_back(std::move(grown));
+      }
+    }
+    frontier = std::move(next);
+  }
+  return survives;
+}
+
+/// Checks LecFeaturePruning's surviving set against OracleSurvivors, serial
+/// and on `pool` (where the bitmap OR-fold must reproduce the serial run
+/// exactly), and returns the serial result.
+PruneResult CheckSurvivorsAgainstOracle(const std::vector<LecFeature>& features,
+                                        size_t num_query_vertices,
+                                        ThreadPool& pool,
+                                        const std::string& label) {
+  for (const LecFeature& f : features) {
+    // Def. 5: every LPM has a crossing edge, so no feature is complete on
+    // its own — the singleton set never meets the oracle's conditions.
+    EXPECT_FALSE(f.crossing.empty()) << label;
+    EXPECT_FALSE(f.sign.All()) << label;
+  }
+  std::vector<bool> oracle = OracleSurvivors(features, num_query_vertices);
+  PruneResult serial = LecFeaturePruning(features, num_query_vertices);
+  EXPECT_FALSE(serial.bailed_out) << label;
+  EXPECT_EQ(serial.survives, oracle)
+      << label << " (" << features.size() << " features)";
+
+  PruneOptions parallel_options;
+  parallel_options.num_threads = 4;
+  parallel_options.pool = &pool;
+  parallel_options.min_seeds_per_slot = 1;
+  PruneResult parallel =
+      LecFeaturePruning(features, num_query_vertices, parallel_options);
+  EXPECT_EQ(parallel.survives, serial.survives) << label;
+  EXPECT_EQ(parallel.bailed_out, serial.bailed_out) << label;
+  return serial;
+}
+
 using ::gstored::testing::EnumerateAllLpms;
 
 /// Runs the oracle comparison on one dataset/query/partitioning triple and
@@ -206,20 +300,12 @@ size_t CheckAssemblyAgainstOracle(const Dataset& dataset,
   DedupBindings(&parallel);
   EXPECT_EQ(parallel, oracle) << label;
 
-  // Parallel pruning marks exactly the serial survivor set (the bitmap
-  // OR-fold is a pure union), and assembling only the survivors still
-  // reproduces the oracle's matches — pruning removes nothing that any
-  // complete chain needs.
+  // Pruning, serial and parallel, keeps exactly the oracle's survivors,
+  // and assembling only the survivors still reproduces the oracle's
+  // matches — pruning removes nothing that any complete chain needs.
   LecFeatureSet feature_set = ComputeLecFeatures(lpms);
-  PruneResult serial_prune = LecFeaturePruning(feature_set.features, n);
-  PruneOptions parallel_prune_options;
-  parallel_prune_options.num_threads = 4;
-  parallel_prune_options.pool = &pool;
-  parallel_prune_options.min_seeds_per_slot = 1;
-  PruneResult parallel_prune = LecFeaturePruning(
-      feature_set.features, n, parallel_prune_options);
-  EXPECT_EQ(parallel_prune.survives, serial_prune.survives) << label;
-  EXPECT_EQ(parallel_prune.bailed_out, serial_prune.bailed_out) << label;
+  PruneResult serial_prune =
+      CheckSurvivorsAgainstOracle(feature_set.features, n, pool, label);
   std::vector<LocalPartialMatch> surviving;
   for (size_t i = 0; i < lpms.size(); ++i) {
     if (serial_prune.survives[feature_set.feature_of_lpm[i]]) {
@@ -289,6 +375,47 @@ TEST(AssemblyReferenceRandomized, MultiSiteScenarios) {
   // The sweep must actually exercise multi-site joins, not just agree on
   // empty result sets.
   EXPECT_GT(total_crossing_matches, 0u);
+}
+
+/// LecFeaturePruning keeps exactly the oracle's survivors on randomized
+/// multi-site scenarios: 2-4 fragments, hash and random partitionings,
+/// query shapes from paths to cyclic. The sweep must include cases where
+/// pruning keeps some features and drops others, so it pins the exact set
+/// rather than passing on all-or-nothing outcomes.
+TEST(PruningSurvivorOracle, RandomizedMultiSiteScenarios) {
+  ThreadPool pool(3);
+  size_t partial_cases = 0;
+  size_t nonempty_cases = 0;
+  for (uint64_t i = 0; i < 240; ++i) {
+    Rng rng(0x5EED5u + i * 7919);
+    size_t vertices = 8 + (i % 5) * 2;
+    size_t edges = 20 + (i % 7) * 5;
+    size_t predicates = 1 + (i % 4);
+    size_t query_vertices = 2 + (i % 4);
+    size_t query_edges = query_vertices - 1 + (i % 3);
+    int fragments = 2 + static_cast<int>(i % 3);
+
+    auto dataset = RandomDataset(rng, vertices, edges, predicates);
+    QueryGraph query =
+        RandomConnectedQuery(rng, *dataset, query_vertices, query_edges);
+    Partitioning partitioning =
+        (i % 2 == 0)
+            ? HashPartitioner().Partition(*dataset, fragments)
+            : BuildPartitioning(*dataset,
+                                RandomAssignment(rng, *dataset, fragments),
+                                fragments, "random");
+    ResolvedQuery rq = ResolveQuery(query, dataset->dict());
+    std::vector<LecFeature> features =
+        ComputeLecFeatures(EnumerateAllLpms(partitioning, rq)).features;
+    size_t survivors =
+        CheckSurvivorsAgainstOracle(features, query.num_vertices(), pool,
+                                    "survivors i=" + std::to_string(i))
+            .surviving_features;
+    if (survivors > 0) ++nonempty_cases;
+    if (survivors > 0 && survivors < features.size()) ++partial_cases;
+  }
+  EXPECT_GT(nonempty_cases, 0u);
+  EXPECT_GT(partial_cases, 0u);
 }
 
 /// The assembly must also agree with the oracle when fed the LPMs that

@@ -2,6 +2,7 @@
 // joinability (including the cyclic-query endpoint-consistency regression),
 // crossing-map merging, binding merges, Algorithm 1's dedup, Algorithm 2's
 // edge cases (empty input, outlier removal, bail-out), assembly edge cases,
+// the chain joins' probe counts (only crossing-index candidates are probed),
 // the seed-group scheduling helpers shared by the two vmin loops (group
 // selection, outlier fixpoint, dynamic thread budget), the sharded SeenSet,
 // and Algorithm 4's one-sided-error guarantee.
@@ -12,6 +13,7 @@
 #include "core/candidate_exchange.h"
 #include "core/engine.h"
 #include "core/group_schedule.h"
+#include "core/join_graph.h"
 #include "core/lec_feature.h"
 #include "core/local_partial_match.h"
 #include "core/pruning.h"
@@ -266,6 +268,109 @@ TEST(AssemblyTest, MaxResultsYieldsExactPrefix) {
     std::vector<Binding> expected = unlimited;
     if (expected.size() > limit) expected.resize(limit);
     EXPECT_EQ(capped, expected) << "limit=" << limit;
+  }
+}
+
+/// A seed LPM s signed {v0} and a group of `k` LPMs signed {v1}. Only the
+/// one at index 1 + k / 2 shares s's crossing mapping; the others map the
+/// same query edge to other data vertices. Fragments are distinct, so the
+/// LEC features of these LPMs are one per LPM, in the same order.
+std::vector<LocalPartialMatch> OneSharingItemFixture(size_t k) {
+  const size_t n = 2;
+  std::vector<LocalPartialMatch> lpms;
+  lpms.push_back({0, {10, 20}, Sign({0}, n), {Map(0, 1, 10, 20)}});
+  for (size_t i = 0; i < k; ++i) {
+    TermId from = i == k / 2 ? 10 : static_cast<TermId>(100 + i);
+    TermId to = i == k / 2 ? 20 : static_cast<TermId>(200 + i);
+    lpms.push_back({static_cast<FragmentId>(1 + i), {from, to},
+                    Sign({1}, n), {Map(0, 1, from, to)}});
+  }
+  return lpms;
+}
+
+/// Path v0 -> v1 -> v2: a seed s signed {v0}, an LPM a signed {v1} that
+/// joins s, and a group of `k` LPMs signed {v1, v2} linked to s's group in
+/// the join graph by the one at index 2 + k / 2, which shares s's mapping.
+/// Once the chain s+a is formed ({v0, v1}), that group overlaps it.
+std::vector<LocalPartialMatch> OverlappingGroupFixture(size_t k) {
+  const size_t n = 3;
+  std::vector<LocalPartialMatch> lpms;
+  lpms.push_back({0, {10, 20, kNullTerm}, Sign({0}, n), {Map(0, 1, 10, 20)}});
+  lpms.push_back({1, {10, 20, 30}, Sign({1}, n),
+                  {Map(0, 1, 10, 20), Map(1, 2, 20, 30)}});
+  for (size_t i = 0; i < k; ++i) {
+    TermId base = i == k / 2 ? 0 : static_cast<TermId>(100 * (i + 1));
+    lpms.push_back({static_cast<FragmentId>(2 + i),
+                    {base + 10, base + 20, base + 30}, Sign({1, 2}, n),
+                    {Map(0, 1, base + 10, base + 20)}});
+  }
+  return lpms;
+}
+
+/// The FeaturesJoinable probes the group join graph of `items` costs; a
+/// chain join's join_attempts minus this is its DFS probe count.
+template <typename Item>
+size_t GraphProbes(const std::vector<Item>& items) {
+  JoinGraphStats stats;
+  CrossingIndex<Item>(items, GroupBySign(items)).JoinGraph(&stats);
+  return stats.join_attempts;
+}
+
+// Pruning's DFS probes, in a group of k features, only the one feature that
+// shares a crossing mapping with the seed: exactly one probe for any k
+// (a full-group scan would make k).
+TEST(ChainJoinProbesTest, PruningProbesOnlyTheSharingFeature) {
+  for (size_t k : {size_t{1}, size_t{4}, size_t{32}}) {
+    std::vector<LecFeature> features =
+        ComputeLecFeatures(OneSharingItemFixture(k)).features;
+    ASSERT_EQ(features.size(), k + 1);
+    PruneResult result = LecFeaturePruning(features, 2);
+    EXPECT_EQ(result.join_attempts, GraphProbes(features) + 1) << "k=" << k;
+    EXPECT_EQ(result.surviving_features, 2u) << "k=" << k;
+    EXPECT_TRUE(result.survives[0]);
+    EXPECT_TRUE(result.survives[1 + k / 2]);
+  }
+}
+
+TEST(ChainJoinProbesTest, AssemblyProbesOnlyTheSharingLpm) {
+  for (size_t k : {size_t{1}, size_t{4}, size_t{32}}) {
+    std::vector<LocalPartialMatch> lpms = OneSharingItemFixture(k);
+    AssemblyStats stats;
+    std::vector<Binding> matches = LecAssembly(lpms, 2, &stats);
+    EXPECT_EQ(stats.join_attempts, GraphProbes(lpms) + 1) << "k=" << k;
+    ASSERT_EQ(matches.size(), 1u) << "k=" << k;
+    EXPECT_EQ(matches[0], (Binding{10, 20}));
+  }
+}
+
+// Seeded at s, the DFS probes a (1), then meets the {v1, v2} group with the
+// chain s+a, whose sign overlaps it: zero probes, for any group size. Back
+// at depth 0, s alone probes that group's one sharing item (1), which
+// completes the match. Retiring s's group then isolates the rest. So the
+// DFS makes exactly 2 probes; probing the overlapping group's candidate
+// would make 3, and full-group scans 1 + 2k.
+TEST(ChainJoinProbesTest, PruningSkipsGroupOverlappingTheChain) {
+  for (size_t k : {size_t{1}, size_t{4}, size_t{32}}) {
+    std::vector<LecFeature> features =
+        ComputeLecFeatures(OverlappingGroupFixture(k)).features;
+    ASSERT_EQ(features.size(), k + 2);
+    PruneResult result = LecFeaturePruning(features, 3);
+    EXPECT_EQ(result.join_attempts, GraphProbes(features) + 2) << "k=" << k;
+    EXPECT_EQ(result.surviving_features, 2u) << "k=" << k;
+    EXPECT_TRUE(result.survives[0]);
+    EXPECT_FALSE(result.survives[1]);  // s+a has no disjoint completion
+    EXPECT_TRUE(result.survives[2 + k / 2]);
+  }
+}
+
+TEST(ChainJoinProbesTest, AssemblySkipsGroupOverlappingTheChain) {
+  for (size_t k : {size_t{1}, size_t{4}, size_t{32}}) {
+    std::vector<LocalPartialMatch> lpms = OverlappingGroupFixture(k);
+    AssemblyStats stats;
+    std::vector<Binding> matches = LecAssembly(lpms, 3, &stats);
+    EXPECT_EQ(stats.join_attempts, GraphProbes(lpms) + 2) << "k=" << k;
+    ASSERT_EQ(matches.size(), 1u) << "k=" << k;
+    EXPECT_EQ(matches[0], (Binding{10, 20, 30}));
   }
 }
 

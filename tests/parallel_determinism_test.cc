@@ -240,6 +240,39 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelDeterminism,
     ::testing::ValuesIn(::gstored::testing::kReferenceScenarios));
 
+/// Reference all-pairs construction of the group join graph: every
+/// cross-group item pair is probed until the group pair is confirmed
+/// joinable, with no index. The production graph must equal it.
+template <typename Item>
+std::vector<std::vector<uint32_t>> AllPairsJoinGraph(
+    const std::vector<Item>& items,
+    const std::vector<std::vector<uint32_t>>& groups, JoinGraphStats* stats) {
+  const size_t num_groups = groups.size();
+  std::vector<std::vector<uint32_t>> adjacency(num_groups);
+  for (uint32_t a = 0; a < num_groups; ++a) {
+    for (uint32_t b = a + 1; b < num_groups; ++b) {
+      bool joinable = false;
+      for (uint32_t ia : groups[a]) {
+        for (uint32_t ib : groups[b]) {
+          ++stats->join_attempts;
+          if (FeaturesJoinable(items[ia].sign, items[ia].crossing,
+                               items[ib].sign, items[ib].crossing)) {
+            joinable = true;
+            break;
+          }
+        }
+        if (joinable) break;
+      }
+      if (joinable) {
+        adjacency[a].push_back(b);
+        adjacency[b].push_back(a);
+        ++stats->num_edges;
+      }
+    }
+  }
+  return adjacency;
+}
+
 /// The indexed group join graph must be exactly the all-pairs graph — same
 /// adjacency lists, same edge count — with no more probes.
 TEST(GroupJoinGraphTest, IndexedEqualsAllPairsOnRandomLpmSets) {
@@ -252,16 +285,16 @@ TEST(GroupJoinGraphTest, IndexedEqualsAllPairsOnRandomLpmSets) {
 
     std::vector<LocalPartialMatch> lpms =
         EnumerateAllLpms(partitioning, rq);
-    auto groups = GroupLpmsBySign(lpms);
+    auto groups = GroupBySign(lpms);
 
-    AssemblyStats indexed_stats;
-    AssemblyStats all_pairs_stats;
-    auto indexed = BuildGroupJoinGraph(lpms, groups, &indexed_stats);
-    auto all_pairs =
-        BuildGroupJoinGraphAllPairs(lpms, groups, &all_pairs_stats);
+    JoinGraphStats indexed_stats;
+    JoinGraphStats all_pairs_stats;
+    auto indexed =
+        CrossingIndex<LocalPartialMatch>(lpms, groups).JoinGraph(
+            &indexed_stats);
+    auto all_pairs = AllPairsJoinGraph(lpms, groups, &all_pairs_stats);
     EXPECT_EQ(indexed, all_pairs) << "seed=" << seed;
-    EXPECT_EQ(indexed_stats.num_join_graph_edges,
-              all_pairs_stats.num_join_graph_edges)
+    EXPECT_EQ(indexed_stats.num_edges, all_pairs_stats.num_edges)
         << "seed=" << seed;
     EXPECT_LE(indexed_stats.join_attempts, all_pairs_stats.join_attempts)
         << "seed=" << seed;
@@ -269,8 +302,10 @@ TEST(GroupJoinGraphTest, IndexedEqualsAllPairsOnRandomLpmSets) {
 }
 
 /// Same equivalence for the pruning side: over LEC features, the indexed
-/// join graph and the all-pairs reference must yield the same adjacency —
-/// and therefore the same surviving set — with no more probes.
+/// join graph — the one LecFeaturePruning builds — and the all-pairs
+/// reference must yield the same adjacency with no more probes. (The
+/// surviving set itself is pinned exactly by the survivor oracle in
+/// assembly_reference_test.)
 TEST(FeatureJoinGraphTest, IndexedEqualsAllPairsOnRandomFeatureSets) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed * 6151);
@@ -282,18 +317,23 @@ TEST(FeatureJoinGraphTest, IndexedEqualsAllPairsOnRandomFeatureSets) {
     std::vector<LocalPartialMatch> lpms =
         EnumerateAllLpms(partitioning, rq);
     LecFeatureSet set = ComputeLecFeatures(lpms);
+    auto groups = GroupBySign(set.features);
 
-    PruneOptions indexed_options;
-    PruneOptions all_pairs_options;
-    all_pairs_options.use_indexed_join_graph = false;
-    PruneResult indexed =
-        LecFeaturePruning(set.features, query.num_vertices(), indexed_options);
-    PruneResult all_pairs = LecFeaturePruning(
-        set.features, query.num_vertices(), all_pairs_options);
-    EXPECT_EQ(indexed.survives, all_pairs.survives) << "seed=" << seed;
-    EXPECT_EQ(indexed.num_join_graph_edges, all_pairs.num_join_graph_edges)
+    JoinGraphStats indexed_stats;
+    JoinGraphStats all_pairs_stats;
+    auto indexed = CrossingIndex<LecFeature>(set.features, groups)
+                       .JoinGraph(&indexed_stats);
+    auto all_pairs =
+        AllPairsJoinGraph(set.features, groups, &all_pairs_stats);
+    EXPECT_EQ(indexed, all_pairs) << "seed=" << seed;
+    EXPECT_EQ(indexed_stats.num_edges, all_pairs_stats.num_edges)
         << "seed=" << seed;
-    EXPECT_LE(indexed.join_attempts, all_pairs.join_attempts)
+    EXPECT_LE(indexed_stats.join_attempts, all_pairs_stats.join_attempts)
+        << "seed=" << seed;
+
+    PruneResult prune = LecFeaturePruning(set.features, query.num_vertices());
+    EXPECT_EQ(prune.num_groups, groups.size()) << "seed=" << seed;
+    EXPECT_EQ(prune.num_join_graph_edges, all_pairs_stats.num_edges)
         << "seed=" << seed;
   }
 }
