@@ -11,6 +11,7 @@
 
 #include "core/candidate_exchange.h"
 #include "core/local_partial_match.h"
+#include "core/query_context.h"
 #include "partition/partitioners.h"
 #include "workload/lubm.h"
 
@@ -44,15 +45,16 @@ int main() {
 
   for (size_t bits : {1u << 8, 1u << 10, 1u << 12, 1u << 14, 1u << 16,
                       1u << 18}) {
-    SimulatedCluster cluster(static_cast<int>(p.num_fragments()));
+    QuerySession session(static_cast<int>(p.num_fragments()));
     // Legacy protocol (no statistics skip pre-phase): this sweep measures
     // the raw bit-length trade-off, and the pre-phase would skip exactly
     // the saturating small-vector rows it exists to show.
     CandidateExchangeOptions exchange_options;
     exchange_options.filter_bits = bits;
     exchange_options.use_statistics = false;
-    CandidateExchange exchange = ExchangeInternalCandidates(
-        p, store_ptrs, rq, cluster, exchange_options);
+    CandidateExchange exchange =
+        ExchangeInternalCandidates(p, store_ptrs, rq, session.transport,
+                                   session.ledger, exchange_options);
     EnumerateOptions options;
     options.extended_filter = [&](QVertexId v, TermId u) {
       if (!query.vertex(v).is_variable) return true;

@@ -265,19 +265,13 @@ void BM_FullEngineFaultyLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_FullEngineFaultyLatency)->Arg(5)->Arg(50);
 
-/// Streaming-vs-drained end-to-end rows (PR 8). Args are {latency_mean_ms,
-/// streaming}: the no-fault streaming row must sit within noise of the
-/// drained BM_FullEngineExecuteThreads row (pipelining costs nothing when
-/// nothing straggles), while under 50ms injected latency with a straggler
-/// site and a stage deadline below the latency mean, the streaming row must
-/// beat the drained row — the drained path re-invokes every site's work per
-/// retry and per hedge, where StageStream re-ships its buffered bytes. The
-/// {50, 0} drained row is the comparison denominator; CI gates the ratio
-/// (see bench/check_bench_regression.py).
+/// End-to-end pipelined engine rows. The argument is the injected
+/// latency_mean_ms: 0 is the no-fault run, whose cpu_time CI gates; 50 adds
+/// a straggler site and a stage deadline below the latency mean, so the
+/// retry and hedge paths dominate the row.
 void BM_FullEnginePipelined(benchmark::State& state) {
   ScalingFixture& f = Fixture();
   const double latency = static_cast<double>(state.range(0));
-  const bool streaming = state.range(1) != 0;
   EngineOptions options;
   if (latency > 0.0) {
     options.fault_plan.seed = 20260808;
@@ -288,8 +282,7 @@ void BM_FullEnginePipelined(benchmark::State& state) {
     options.fault_plan.default_fault.duplicate_prob = 0.05;
     options.fault_plan.site_overrides[1].straggler = true;
     // Deadline below the latency mean: most sites blow at least one
-    // deadline, so the retry path dominates and the re-ship-vs-recompute
-    // difference is what the row measures.
+    // deadline, so the retry path dominates.
     options.stage_deadline_ms = latency * 0.4;
     options.max_attempts = 8;
   }
@@ -298,9 +291,7 @@ void BM_FullEnginePipelined(benchmark::State& state) {
   size_t hedged = 0;
   bool exact = true;
   for (auto _ : state) {
-    QueryRequest request(f.query, EngineMode::kFull);
-    request.streaming = streaming;
-    auto outcome = engine.Run(request);
+    auto outcome = engine.Run({f.query, EngineMode::kFull});
     benchmark::DoNotOptimize(outcome);
     retries += outcome.stats.transport_retries;
     hedged += outcome.stats.hedged_sites;
@@ -309,12 +300,8 @@ void BM_FullEnginePipelined(benchmark::State& state) {
   state.counters["retries"] = static_cast<double>(retries);
   state.counters["hedged"] = static_cast<double>(hedged);
   state.counters["exact"] = exact ? 1.0 : 0.0;
-  state.counters["streaming"] = streaming ? 1.0 : 0.0;
 }
-BENCHMARK(BM_FullEnginePipelined)
-    ->Args({0, 1})    // no faults, streaming: must match the drained row
-    ->Args({50, 1})   // straggler + tight deadlines, streaming
-    ->Args({50, 0});  // same plan, drained: the speedup denominator
+BENCHMARK(BM_FullEnginePipelined)->Arg(0)->Arg(50);
 
 }  // namespace
 }  // namespace gstored

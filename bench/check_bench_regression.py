@@ -16,10 +16,10 @@ Four row kinds are gated:
   * ratio rows ({"numerator", "denominator", "min_ratio"}): regression
       when numerator/denominator (wall time by default, cpu time with
       "metric": "cpu", CPU-time QPS with "metric": "qps", search-tree
-      node counts with "metric": "nodes") falls below min_ratio. These gate a *relative* property — e.g. "the drained
-      engine must stay >= 1.1x slower than the pipelined engine under
-      injected faults", or "coalescing must keep >= 1.5x the CPU-QPS of
-      its ablation on a dup-heavy stream" — so they are immune to
+      node counts with "metric": "nodes") falls below min_ratio. These gate a *relative* property — e.g. "greedy
+      matching orders must keep >= 1.05x the search-tree nodes of the DP
+      plans", or "coalescing must keep >= 1.5x the CPU-QPS of its
+      ablation on a dup-heavy stream" — so they are immune to
       machine-speed drift and take no threshold slack.
 
 The baseline carries absolute numbers from a known machine, so the

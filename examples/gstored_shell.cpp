@@ -6,8 +6,7 @@
 // Usage:
 //   gstored_shell --data FILE.nt|lubm|yago|btc [--sites N]
 //                 [--strategy hash|semantic|metis|multilevel]
-//                 [--mode basic|la|lo|full] [--threads N] [--streaming]
-//                 [QUERY]
+//                 [--mode basic|la|lo|full] [--threads N] [QUERY]
 // With no QUERY argument, reads one query per line from stdin (';' also
 // separates queries). Prints rows plus the per-stage statistics.
 
@@ -47,13 +46,13 @@ EngineMode ParseMode(const std::string& name) {
 }
 
 void RunQuery(DistributedEngine& engine, const TermDict& dict,
-              const std::string& text, EngineMode mode, bool streaming) {
+              const std::string& text, EngineMode mode) {
   Result<CompoundQuery> query = ParseCompoundSparql(text);
   if (!query.ok()) {
     std::printf("parse error: %s\n", query.status().ToString().c_str());
     return;
   }
-  CompoundResult result = ExecuteCompound(engine, *query, mode, streaming);
+  CompoundResult result = ExecuteCompound(engine, *query, mode);
   for (size_t c = 0; c < result.columns.size(); ++c) {
     std::printf("%s%s", c ? "\t" : "", result.columns[c].c_str());
   }
@@ -76,7 +75,6 @@ int main(int argc, char** argv) {
   std::string mode_name = "full";
   int sites = 6;
   size_t threads = 1;
-  bool streaming = false;
   std::string inline_query;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -88,12 +86,10 @@ int main(int argc, char** argv) {
     else if (arg == "--strategy") strategy = next();
     else if (arg == "--mode") mode_name = next();
     else if (arg == "--threads") threads = std::stoul(next());
-    else if (arg == "--streaming") streaming = true;
     else if (arg == "--help") {
       std::printf("usage: %s --data FILE.nt|lubm|yago|btc [--sites N] "
                   "[--strategy hash|semantic|metis|multilevel] "
-                  "[--mode basic|la|lo|full] [--threads N] [--streaming] "
-                  "[QUERY]\n",
+                  "[--mode basic|la|lo|full] [--threads N] [QUERY]\n",
                   argv[0]);
       return 0;
     } else {
@@ -143,7 +139,7 @@ int main(int argc, char** argv) {
   EngineMode mode = ParseMode(mode_name);
 
   if (!inline_query.empty()) {
-    RunQuery(engine, dataset.dict(), inline_query, mode, streaming);
+    RunQuery(engine, dataset.dict(), inline_query, mode);
     return 0;
   }
   std::printf("enter SPARQL queries (one per line, ';' also separates; "
@@ -156,12 +152,12 @@ int main(int argc, char** argv) {
     while ((semi = pending.find(';')) != std::string::npos) {
       std::string one = pending.substr(0, semi);
       pending = pending.substr(semi + 1);
-      if (!one.empty()) RunQuery(engine, dataset.dict(), one, mode, streaming);
+      if (!one.empty()) RunQuery(engine, dataset.dict(), one, mode);
     }
     if (!pending.empty() && pending.find('{') != std::string::npos &&
         pending.rfind('}') != std::string::npos &&
         pending.rfind('}') > pending.find('{')) {
-      RunQuery(engine, dataset.dict(), pending, mode, streaming);
+      RunQuery(engine, dataset.dict(), pending, mode);
       pending.clear();
     }
     std::printf("> ");

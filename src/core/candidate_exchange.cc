@@ -50,9 +50,9 @@ CandidateExchange ExchangeInternalCandidates(
     // folding on arrival would let thread scheduling perturb the sums and
     // with them the skip decision, the shipped bytes and the ledger.
     std::vector<std::vector<std::vector<double>>> site_estimates(num_sites);
-    StageResult est = RunStageConsuming(
-        net, options.streaming, StageOrdinal(QueryStage::kCandidateEstimates),
-        stage_id, options.policy,
+    StageResult est = net.StageStream(
+        StageOrdinal(QueryStage::kCandidateEstimates), stage_id,
+        options.policy,
         [&](int site) {
           SelectivityEstimator estimator(&stores[site]->stats(), &rq);
           std::vector<double> estimates(n, 0.0);
@@ -107,8 +107,8 @@ CandidateExchange ExchangeInternalCandidates(
   //
   // The coordinator side (lines 1-8) runs in the consumer: bitwise OR is
   // commutative, so each site's vectors are folded into the union the
-  // moment the site lands — under streaming, while slower sites are still
-  // hashing candidates — without any arrival-order effect on the union.
+  // moment the site lands — while slower sites are still hashing
+  // candidates — without any arrival-order effect on the union.
   auto make_filter_row = [&] {
     std::vector<BitvectorFilter> row;
     row.reserve(n);
@@ -120,9 +120,8 @@ CandidateExchange ExchangeInternalCandidates(
   result.filters = make_filter_row();
   std::vector<uint8_t> site_lost(num_sites, 0);
 
-  StageResult filt = RunStageConsuming(
-      net, options.streaming, StageOrdinal(QueryStage::kCandidateFilters),
-      stage_id, options.policy,
+  StageResult filt = net.StageStream(
+      StageOrdinal(QueryStage::kCandidateFilters), stage_id, options.policy,
       [&](int site) {
         const Fragment& fragment = partitioning.fragments()[site];
         FilterSet set;
@@ -197,25 +196,6 @@ CandidateExchange ExchangeInternalCandidates(
 
   result.shipment_bytes = ledger.StageBytes(stage_id) - bytes_before;
   return result;
-}
-
-CandidateExchange ExchangeInternalCandidates(
-    const Partitioning& partitioning,
-    const std::vector<const LocalStore*>& stores, const ResolvedQuery& rq,
-    SimulatedCluster& cluster, const CandidateExchangeOptions& options) {
-  return ExchangeInternalCandidates(partitioning, stores, rq,
-                                    cluster.transport(), cluster.ledger(),
-                                    options);
-}
-
-CandidateExchange ExchangeInternalCandidates(
-    const Partitioning& partitioning,
-    const std::vector<const LocalStore*>& stores, const ResolvedQuery& rq,
-    SimulatedCluster& cluster, size_t filter_bits) {
-  CandidateExchangeOptions options;
-  options.filter_bits = filter_bits;
-  return ExchangeInternalCandidates(partitioning, stores, rq, cluster,
-                                    options);
 }
 
 }  // namespace gstored

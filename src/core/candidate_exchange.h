@@ -32,15 +32,6 @@ struct CandidateExchangeOptions {
 
   /// Deadline/retry/hedging policy for both exchange phases.
   StagePolicy policy;
-
-  /// Deliver both phases through Transport::StageStream: estimate vectors
-  /// are staged per site as they land (and summed in site order afterwards —
-  /// floating-point addition is not associative, so arrival-order folding
-  /// would let scheduling leak into the skip decision), while filter sets
-  /// are OR-folded into the union on arrival (bitwise OR is commutative, so
-  /// arrival order cannot change the union). Byte-identical results either
-  /// way.
-  bool streaming = false;
 };
 
 /// Result of Algorithm 4 ("assembling variables' internal candidates").
@@ -91,28 +82,15 @@ struct CandidateExchange {
 /// degrades the whole exchange to "no filters" (see `degraded`); a site that
 /// misses the union broadcast enumerates unfiltered.
 ///
-/// `stores[i]` must be the LocalStore of fragment i.
-///
-/// This is the per-query form: `transport` and `ledger` come from the
-/// query's own session (core/query_context.h), so concurrent queries never
-/// interleave their exchange traffic or byte accounting.
+/// `stores[i]` must be the LocalStore of fragment i. `transport` and
+/// `ledger` come from the query's own session (QuerySession in
+/// core/query_context.h), so concurrent queries never interleave their
+/// exchange traffic or byte accounting.
 CandidateExchange ExchangeInternalCandidates(
     const Partitioning& partitioning,
     const std::vector<const LocalStore*>& stores, const ResolvedQuery& rq,
     Transport& transport, ShipmentLedger& ledger,
     const CandidateExchangeOptions& options = {});
-
-/// Convenience overload over a SimulatedCluster's transport and ledger.
-CandidateExchange ExchangeInternalCandidates(
-    const Partitioning& partitioning,
-    const std::vector<const LocalStore*>& stores, const ResolvedQuery& rq,
-    SimulatedCluster& cluster, const CandidateExchangeOptions& options = {});
-
-/// Back-compat convenience overload: filter length only, defaults otherwise.
-CandidateExchange ExchangeInternalCandidates(
-    const Partitioning& partitioning,
-    const std::vector<const LocalStore*>& stores, const ResolvedQuery& rq,
-    SimulatedCluster& cluster, size_t filter_bits);
 
 }  // namespace gstored
 

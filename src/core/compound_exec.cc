@@ -5,8 +5,7 @@
 namespace gstored {
 
 CompoundResult ExecuteCompound(DistributedEngine& engine,
-                               const CompoundQuery& query, EngineMode mode,
-                               bool streaming) {
+                               const CompoundQuery& query, EngineMode mode) {
   CompoundResult result;
 
   // Projection columns: declared vars, or the union of all branch variables
@@ -38,9 +37,7 @@ CompoundResult ExecuteCompound(DistributedEngine& engine,
         }
       }
     }
-    QueryRequest request(branch, mode);
-    request.streaming = streaming;
-    for (const Binding& match : engine.Run(request).matches) {
+    for (const Binding& match : engine.Run({branch, mode}).matches) {
       std::vector<TermId> row(result.columns.size(), kNullTerm);
       for (size_t c = 0; c < result.columns.size(); ++c) {
         if (column_vertex[c] != static_cast<QVertexId>(-1)) {

@@ -20,13 +20,10 @@ struct CompoundResult {
 /// Evaluates every UNION branch through the distributed engine, projects
 /// onto the query's SELECT variables (or the union of all branch variables
 /// for SELECT *), applies DISTINCT and LIMIT, and returns the merged table.
-/// Branch rows are produced in engine order; DISTINCT sorts. `streaming`
-/// selects the pipelined stage path (QueryRequest::streaming) per branch;
-/// the table is byte-identical either way.
+/// Branch rows are produced in engine order; DISTINCT sorts.
 CompoundResult ExecuteCompound(DistributedEngine& engine,
                                const CompoundQuery& query,
-                               EngineMode mode = EngineMode::kFull,
-                               bool streaming = false);
+                               EngineMode mode = EngineMode::kFull);
 
 }  // namespace gstored
 

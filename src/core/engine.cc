@@ -31,10 +31,7 @@ void DedupBindings(std::vector<Binding>* bindings) {
 
 DistributedEngine::DistributedEngine(const Partitioning* partitioning,
                                      EngineOptions options)
-    : partitioning_(partitioning),
-      options_(std::move(options)),
-      cluster_(static_cast<int>(partitioning->num_fragments()),
-               options_.fault_plan) {
+    : partitioning_(partitioning), options_(std::move(options)) {
   GSTORED_CHECK(partitioning != nullptr);
   stores_.reserve(partitioning_->num_fragments());
   for (const Fragment& fragment : partitioning_->fragments()) {
@@ -44,11 +41,11 @@ DistributedEngine::DistributedEngine(const Partitioning* partitioning,
 
 namespace {
 
-/// Per-site computation cache: stage re-execution (retries, hedging) must be
-/// idempotent, so each site computes its matches/LPMs/features once per
-/// query and retransmissions re-ship the same data. Each entry is touched
-/// only by its own site's stage thread (attempts are sequenced by the
-/// transport's joins) or by the coordinator thread while hedging.
+/// Per-site computation cache: the transport runs each site function at
+/// most once per stage, but stages B, C and D all read the same matches,
+/// LPMs and features, so each site computes them once per query. Each entry
+/// is touched only by its own site's stage thread, and stages run one after
+/// another.
 struct SiteCache {
   bool computed = false;
   std::vector<Binding> matches;
@@ -70,15 +67,10 @@ QueryOutcome DistributedEngine::Run(const QueryRequest& request) const {
   if (request.context != nullptr) {
     return RunInternal(request, *request.context);
   }
-  // The context-free form owns the built-in cluster session exclusively, so
-  // resetting its ledger between queries is safe (and preserves the
-  // pre-serving-layer semantics the integration tests assert). This path is
-  // documented single-query-at-a-time; concurrent callers bring their own
-  // QueryContext.
-  cluster_.ledger().Reset();
+  QuerySession session(num_sites(), options_.fault_plan, 0);
   QueryContext ctx;
-  ctx.ledger = &cluster_.ledger();
-  ctx.transport = &cluster_.transport();
+  ctx.ledger = &session.ledger;
+  ctx.transport = &session.transport;
   return RunInternal(request, ctx);
 }
 
@@ -87,7 +79,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   GSTORED_CHECK(ctx.ledger != nullptr && ctx.transport != nullptr);
   const QueryGraph& query = *request.query;
   const EngineMode mode = request.mode;
-  const bool streaming = request.streaming;
 
   QueryOutcome outcome;
   QueryStats* stats = &outcome.stats;
@@ -163,7 +154,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     CandidateExchangeOptions exchange_options;
     exchange_options.use_statistics = options_.use_statistics;
     exchange_options.policy = policy;
-    exchange_options.streaming = streaming;
     exchange = ExchangeInternalCandidates(*partitioning_, store_ptrs, rq, net,
                                           ledger, exchange_options);
     stats->candidate_time_ms = exchange.stage_millis;
@@ -308,10 +298,9 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   };
 
   // Per-site staging slot for stage B: the consumer decodes each site's
-  // batches the moment that site lands (under streaming, while other sites
-  // are still enumerating) and the slots are merged in site order after the
-  // stage returns — so the merged matches are byte-identical whichever
-  // delivery mode ran.
+  // batches the moment that site lands, while other sites are still
+  // enumerating, and the slots are merged in site order after the stage
+  // returns — so the merged matches do not depend on arrival order.
   struct SiteStageB {
     std::vector<Binding> matches;
     size_t num_lpms = 0;
@@ -319,9 +308,9 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   };
   std::vector<SiteStageB> stage_b(num_sites);
 
-  StageResult peval = RunStageConsuming(
-      net, streaming, StageOrdinal(QueryStage::kPartialEval),
-      ShipmentLedger::kUnaccounted, policy,
+  StageResult peval = net.StageStream(
+      StageOrdinal(QueryStage::kPartialEval), ShipmentLedger::kUnaccounted,
+      policy,
       [&](int site) {
         ensure_partial_eval(site);
         const SiteCache& c = cache[site];
@@ -358,7 +347,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     }
     SiteStageB& sb = stage_b[site];
     // A torn batch flags the site incomplete but keeps the batches decoded
-    // before it — a sound subset, same as the drained path always did.
+    // before it — a sound subset.
     if (!sb.decode_ok) report.partial_eval_complete = false;
     stats->num_lpms += sb.num_lpms;
     matches.insert(matches.end(),
@@ -414,9 +403,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     };
     std::vector<SiteStageC> stage_c(num_sites);
 
-    StageResult feat = RunStageConsuming(
-        net, streaming, StageOrdinal(QueryStage::kLecFeatures), lec_stage_id,
-        policy,
+    StageResult feat = net.StageStream(
+        StageOrdinal(QueryStage::kLecFeatures), lec_stage_id, policy,
         [&](int site) {
           ensure_features(site);
           return std::vector<WireMessage>{
@@ -473,7 +461,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
       stats->num_features = all_features.size();
 
       // The pruning join borrows the same shared pool as assembly below;
-      // the sites are done with it (the stage has drained), so the
+      // the sites are done with it (the stage has returned), so the
       // coordinator gets the full budget.
       PruneOptions prune_options;
       prune_options.num_threads = num_threads;
@@ -514,19 +502,18 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   // the old global filter exactly.
   const size_t batch_size = std::max<size_t>(1, options_.lpm_batch_size);
 
-  // Assembly-input staging: under streaming, each site's LPM batches are
-  // decoded into its slot while slower sites are still filtering and
-  // shipping; the site-order concatenation below reproduces the drained
-  // path's `surviving` vector exactly.
+  // Assembly-input staging: each site's LPM batches are decoded into its
+  // slot while slower sites are still filtering and shipping; the
+  // site-order concatenation below makes `surviving` independent of
+  // arrival order.
   struct SiteStageD {
     std::vector<LocalPartialMatch> lpms;
     bool decode_ok = true;
   };
   std::vector<SiteStageD> stage_d(num_sites);
 
-  StageResult ship = RunStageConsuming(
-      net, streaming, StageOrdinal(QueryStage::kLpmShipment), lpm_stage_id,
-      policy,
+  StageResult ship = net.StageStream(
+      StageOrdinal(QueryStage::kLpmShipment), lpm_stage_id, policy,
       [&](int site) {
         ensure_partial_eval(site);
         const SiteCache& c = cache[site];
@@ -592,7 +579,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   if (aborted(total_watch.ElapsedMillis())) return finish_aborted();
 
   // LEC assembly joins on the same worker pool the sites borrow from; the
-  // sites are done with it by now (the stage has drained), so the
+  // sites are done with it by now (the stage has returned), so the
   // coordinator gets the full budget. The basic worklist join stays serial
   // — it is the ablation baseline, not a production path.
   Stopwatch assembly_watch;

@@ -63,9 +63,9 @@ struct EngineOptions {
   /// shipment volume change.
   bool use_statistics = true;
 
-  /// Fault-injection plan handed to the cluster transport. Default: no
-  /// faults — the pipeline then behaves exactly like the synchronous
-  /// barrier it replaced (identical matches, ledger and stats).
+  /// Fault-injection plan of the QuerySession a context-free Run builds
+  /// (the serving layer builds its sessions with it too). Default: no
+  /// faults.
   FaultPlan fault_plan;
 
   /// Per-attempt response deadline for every pipeline stage (virtual
@@ -193,15 +193,14 @@ struct QueryOutcome {
 };
 
 /// One query, fully described: what to evaluate, at which optimization
-/// level, over whose session, and under which lifetime/delivery knobs. This
-/// is the single entry into DistributedEngine::Run (the pre-PR-8
-/// ExecuteQuery/Execute overload set is gone).
+/// level, over whose session, and under which lifetime knobs. This is the
+/// single entry into DistributedEngine::Run.
 ///
-/// `context == nullptr` runs over the engine's built-in cluster session
-/// (single query at a time, ledger reset on entry — the old
-/// ExecuteQuery(query, mode, stats) behavior); a non-null context supplies
-/// the transport session, slot budget, plan artifacts and cache hooks, and
-/// any number of such requests may run concurrently over one engine.
+/// `context == nullptr` runs over a fresh QuerySession built for the call
+/// (the engine's fault plan, session id 0, a ledger starting at zero); a
+/// non-null context supplies the transport session, slot budget, plan
+/// artifacts and cache hooks. Either way, any number of requests may run
+/// concurrently over one engine.
 ///
 /// `cancel` / `deadline_ms` are request-scoped and combined (OR) with the
 /// context's own admission fields, so a caller can bound a query without
@@ -215,14 +214,6 @@ struct QueryRequest {
   const CancelToken* cancel = nullptr;
   /// Optional request-level wall-clock budget (ms); negative = none.
   double deadline_ms = -1.0;
-
-  /// Deliver stage batches through Transport::StageStream: per-site
-  /// deadlines/retries/hedging fire as each site finishes, and the
-  /// coordinator folds candidate bit-vectors and stages LPM batches while
-  /// slower sites are still executing. Byte-identical outcome (matches,
-  /// stats counters, ledger) to the drained default, which remains the
-  /// reference ablation.
-  bool streaming = false;
 
   QueryRequest() = default;
   QueryRequest(const QueryGraph& q, EngineMode m = EngineMode::kFull)
@@ -240,10 +231,9 @@ struct QueryRequest {
 /// The engine itself is a stateless facade over shared immutable state —
 /// the partitioning's fragments, one LocalStore (CSR graph + statistics)
 /// per fragment, and the options. All per-query mutable state lives in a
-/// QueryContext, so Run() is const and any number of context-carrying
-/// requests can run concurrently over one engine (the serving layer in
-/// src/serve/ does exactly that). A request without a context runs one
-/// query at a time over the engine's built-in cluster session.
+/// QueryContext, so Run() is const and any number of requests can run
+/// concurrently over one engine (the serving layer in src/serve/ does
+/// exactly that).
 ///
 /// The partitioning (and the dataset behind it) must outlive the engine.
 class DistributedEngine {
@@ -259,16 +249,15 @@ class DistributedEngine {
   /// exact-vs-partial flag, per-site completeness and the per-stage stats.
   /// Star queries take the local-only fast path regardless of mode (Sec.
   /// VIII-B). With a context, the engine never resets the context's ledger
-  /// (a fresh QuerySession starts at zero) and concurrent calls with
-  /// distinct contexts are thread-safe; without one, the built-in cluster's
-  /// ledger is reset on entry and calls must not overlap.
+  /// (a fresh QuerySession starts at zero); without one, the call builds
+  /// its own QuerySession. Concurrent calls are thread-safe as long as
+  /// they do not share a context.
   QueryOutcome Run(const QueryRequest& request) const;
 
   const Partitioning& partitioning() const { return *partitioning_; }
   const LocalStore& store(int site) const { return *stores_[site]; }
   int num_sites() const { return static_cast<int>(stores_.size()); }
   const EngineOptions& options() const { return options_; }
-  SimulatedCluster& cluster() const { return cluster_; }
 
  private:
   QueryOutcome RunInternal(const QueryRequest& request,
@@ -277,10 +266,6 @@ class DistributedEngine {
   const Partitioning* partitioning_;
   EngineOptions options_;
   std::vector<std::unique_ptr<LocalStore>> stores_;
-  /// Built-in single-query session for context-free requests. Mutable so
-  /// the const Run() facade can reset its ledger for that (documented
-  /// one-at-a-time) convenience path.
-  mutable SimulatedCluster cluster_;
 };
 
 /// Deduplicates a set of bindings in place (sort + unique).

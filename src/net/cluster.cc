@@ -1,12 +1,6 @@
 #include "net/cluster.h"
 
-#include <algorithm>
-#include <thread>
-
-#include "net/transport.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace gstored {
 
@@ -28,10 +22,6 @@ ShipmentLedger::StageId ShipmentLedger::Intern(std::string_view stage) {
 void ShipmentLedger::Add(StageId stage, size_t bytes) {
   if (stage == kUnaccounted) return;
   counters_[stage].fetch_add(bytes, std::memory_order_relaxed);
-}
-
-void ShipmentLedger::Add(const std::string& stage, size_t bytes) {
-  Add(Intern(stage), bytes);
 }
 
 size_t ShipmentLedger::StageBytes(StageId stage) const {
@@ -65,46 +55,6 @@ std::vector<std::pair<std::string, size_t>> ShipmentLedger::Breakdown() const {
     if (bytes > 0) out.emplace_back(name, bytes);
   }
   return out;
-}
-
-void ShipmentLedger::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& c : counters_) c.store(0, std::memory_order_relaxed);
-}
-
-SimulatedCluster::SimulatedCluster(int num_sites, FaultPlan fault_plan)
-    : num_sites_(num_sites),
-      transport_(std::make_unique<InProcessTransport>(num_sites, &ledger_,
-                                                      std::move(fault_plan))) {
-  GSTORED_CHECK_GT(num_sites, 0);
-}
-
-SimulatedCluster::~SimulatedCluster() = default;
-
-ThreadPool& SimulatedCluster::intra_site_pool() const {
-  return ThreadPool::Shared();
-}
-
-StageRun SimulatedCluster::RunStage(
-    const std::function<void(int site)>& task) const {
-  StageRun run;
-  run.site_millis.assign(num_sites_, 0.0);
-  run.queue_wait_millis.assign(num_sites_, 0.0);
-  run.exec_millis.assign(num_sites_, 0.0);
-  std::vector<std::thread> threads;
-  threads.reserve(num_sites_);
-  for (int site = 0; site < num_sites_; ++site) {
-    threads.emplace_back([&, site] {
-      Stopwatch watch;
-      task(site);
-      run.site_millis[site] = watch.ElapsedMillis();
-      run.exec_millis[site] = run.site_millis[site];
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  run.max_millis =
-      *std::max_element(run.site_millis.begin(), run.site_millis.end());
-  return run;
 }
 
 }  // namespace gstored

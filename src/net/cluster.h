@@ -2,20 +2,13 @@
 #define GSTORED_NET_CLUSTER_H_
 
 #include <atomic>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "net/fault.h"
-
 namespace gstored {
-
-class ThreadPool;
-class InProcessTransport;
 
 /// Thread-safe ledger of simulated network traffic, the stand-in for the
 /// paper's MPI layer. Every byte a site would put on the wire is recorded
@@ -48,10 +41,6 @@ class ShipmentLedger {
   /// Records `bytes` of traffic attributed to an interned stage (lock-free).
   void Add(StageId stage, size_t bytes);
 
-  /// Records `bytes` of traffic attributed to `stage` (compat overload:
-  /// interns, then counts).
-  void Add(const std::string& stage, size_t bytes);
-
   /// Total bytes recorded for one stage.
   size_t StageBytes(std::string_view stage) const;
   size_t StageBytes(StageId stage) const;
@@ -62,9 +51,6 @@ class ShipmentLedger {
   /// All (stage, bytes) pairs with non-zero counts, sorted by stage name
   /// (the Tables I-III output order).
   std::vector<std::pair<std::string, size_t>> Breakdown() const;
-
-  /// Clears all counters (between queries). Interned ids stay valid.
-  void Reset();
 
  private:
   mutable std::mutex mu_;  // guards names_ / ids_ only
@@ -87,48 +73,6 @@ struct StageRun {
   /// Response time of the stage — the slowest site, matching the paper's
   /// "evaluate at different sites in parallel" cost semantics.
   double max_millis = 0.0;
-};
-
-/// The simulated cluster: a fixed number of sites plus a coordinator,
-/// communicating through an in-process mailbox transport (net/transport.h)
-/// that serializes every message, accounts wire-format bytes to the ledger,
-/// and injects deterministic faults from a seeded FaultPlan.
-class SimulatedCluster {
- public:
-  explicit SimulatedCluster(int num_sites, FaultPlan fault_plan = {});
-  ~SimulatedCluster();
-
-  SimulatedCluster(const SimulatedCluster&) = delete;
-  SimulatedCluster& operator=(const SimulatedCluster&) = delete;
-
-  int num_sites() const { return num_sites_; }
-
-  ShipmentLedger& ledger() { return ledger_; }
-  const ShipmentLedger& ledger() const { return ledger_; }
-
-  /// The mailbox transport carrying all coordinator<->site messages.
-  InProcessTransport& transport() const { return *transport_; }
-
-  /// Legacy synchronous barrier: runs `task` once per site, in parallel,
-  /// and times each — no messages, no faults. The engine pipeline uses
-  /// transport().ExecuteStage instead; this remains for shared-memory
-  /// fan-outs that ship nothing.
-  StageRun RunStage(const std::function<void(int site)>& task) const;
-
-  /// Worker pool for intra-site parallelism (parallel matching / LPM
-  /// enumeration inside one site) and for the coordinator-side assembly
-  /// join, which runs after the per-site stages have drained. All sites of
-  /// all clusters share one process-wide pool sized to the hardware, so
-  /// per-site worker slots compose with the per-site stage fan-out
-  /// without oversubscribing: a participant's ParallelFor borrows whatever
-  /// workers are free and its own calling thread always contributes one
-  /// slot.
-  ThreadPool& intra_site_pool() const;
-
- private:
-  int num_sites_;
-  ShipmentLedger ledger_;
-  std::unique_ptr<InProcessTransport> transport_;
 };
 
 }  // namespace gstored

@@ -114,23 +114,6 @@ ReassembledAttempt ReassembleSiteAttempt(const FaultPlan& plan, int site,
 
 }  // namespace
 
-StageResult Transport::StageStream(
-    uint32_t stage, ShipmentLedger::StageId ledger_stage,
-    const StagePolicy& policy,
-    const std::function<std::vector<WireMessage>(int site)>& site_fn,
-    const SiteBatchConsumer& on_site) {
-  // Reference implementation without overlap: drain the whole stage, then
-  // replay completed sites in index order. Semantically equivalent to real
-  // streaming for any consumer that merges deterministically.
-  StageResult result = ExecuteStage(stage, ledger_stage, policy, site_fn);
-  for (size_t site = 0; site < result.messages.size(); ++site) {
-    if (!result.sites[site].ok) continue;
-    on_site(static_cast<int>(site), std::move(result.messages[site]));
-    result.messages[site].clear();
-  }
-  return result;
-}
-
 InProcessTransport::InProcessTransport(int num_sites, ShipmentLedger* ledger,
                                        FaultPlan plan, uint32_t session_id)
     : num_sites_(num_sites),
@@ -145,49 +128,17 @@ InProcessTransport::InProcessTransport(int num_sites, ShipmentLedger* ledger,
   }
 }
 
-void InProcessTransport::ShipFromSite(int site, uint32_t stage,
-                                      uint32_t attempt,
-                                      std::vector<WireMessage> msgs,
-                                      ShipmentLedger::StageId ledger_stage,
-                                      double base_offset_ms) {
-  // The end-of-stage marker carries the payload count, so the coordinator
-  // can tell "everything arrived" from "some messages are still missing"
-  // under drops and reordering. It rides the same faulty channel.
-  msgs.push_back(MakeMessage(MessageType::kStageDone,
-                             EncodeDoneMarker(static_cast<uint32_t>(msgs.size()))));
-  for (uint32_t seq = 0; seq < msgs.size(); ++seq) {
-    WireMessage& msg = msgs[seq];
-    msg.sender = site;
-    msg.session = session_id_;
-    msg.stage = stage;
-    msg.attempt = attempt;
-    msg.seq = seq;
-    // Bytes hit the wire whether or not the message survives the trip, and
-    // a duplicated message is shipped twice — the ledger counts both, since
-    // the paper's shipment metric measures traffic, not goodput.
-    const bool dup = plan_.Duplicate(site, stage, attempt, seq, false);
-    ledger_->Add(ledger_stage, msg.WireSize() * (dup ? 2 : 1));
-    if (plan_.Drop(site, stage, attempt, seq, false)) continue;
-    DeliveredMessage delivered;
-    delivered.arrival_ms =
-        base_offset_ms + plan_.LatencyMs(site, stage, attempt, seq, false);
-    delivered.msg = msg;
-    if (dup) coordinator_box_.Push(delivered);
-    coordinator_box_.Push(std::move(delivered));
-  }
-}
-
-void InProcessTransport::ShipBuffered(int site, uint32_t stage,
-                                      uint32_t attempt,
-                                      const std::vector<WireMessage>& buffer,
-                                      ShipmentLedger::StageId ledger_stage,
-                                      double base_offset_ms, Mailbox* dest) {
+std::vector<DeliveredMessage> InProcessTransport::ShipAttempt(
+    int site, uint32_t stage, uint32_t attempt,
+    const std::vector<WireMessage>& buffer,
+    ShipmentLedger::StageId ledger_stage, double base_offset_ms) {
+  std::vector<DeliveredMessage> arrived;
   for (const WireMessage& stamped : buffer) {
     WireMessage msg = stamped;
     msg.attempt = attempt;
-    // Same draw keys and ledger accounting as ShipFromSite: a retry that
-    // re-ships the buffer is indistinguishable on the wire from one that
-    // recomputed and re-encoded the identical bytes.
+    // Bytes hit the wire whether or not the message survives the trip, and
+    // a duplicated message is shipped twice — the ledger counts both, since
+    // the paper's shipment metric measures traffic, not goodput.
     const bool dup = plan_.Duplicate(site, stage, attempt, msg.seq, false);
     ledger_->Add(ledger_stage, msg.WireSize() * (dup ? 2 : 1));
     if (plan_.Drop(site, stage, attempt, msg.seq, false)) continue;
@@ -195,132 +146,10 @@ void InProcessTransport::ShipBuffered(int site, uint32_t stage,
     delivered.arrival_ms =
         base_offset_ms + plan_.LatencyMs(site, stage, attempt, msg.seq, false);
     delivered.msg = std::move(msg);
-    if (dup) dest->Push(delivered);
-    dest->Push(std::move(delivered));
+    if (dup) arrived.push_back(delivered);
+    arrived.push_back(std::move(delivered));
   }
-}
-
-StageResult InProcessTransport::ExecuteStage(
-    uint32_t stage, ShipmentLedger::StageId ledger_stage,
-    const StagePolicy& policy,
-    const std::function<std::vector<WireMessage>(int site)>& site_fn) {
-  GSTORED_CHECK_GE(policy.max_attempts, 1);
-  StageResult result;
-  result.sites.assign(num_sites_, SiteStageReport{});
-  result.messages.assign(num_sites_, {});
-
-  std::vector<int> pending;
-  pending.reserve(num_sites_);
-  for (int site = 0; site < num_sites_; ++site) {
-    if (plan_.SiteDead(site, stage)) {
-      result.sites[site].crashed = true;
-      result.sites[site].attempts = 1;
-    } else {
-      pending.push_back(site);
-    }
-  }
-
-  std::vector<double> backoff(num_sites_, 0.0);
-  std::vector<double> exec_ms(num_sites_, 0.0);
-  std::mutex exec_mu;
-
-  for (int attempt = 0; attempt < policy.max_attempts && !pending.empty();
-       ++attempt) {
-    // Dispatch this attempt to all still-pending sites concurrently. Retries
-    // re-run the (idempotent) site function: the re-shipped bytes count
-    // again, exactly as a real retransmission would.
-    std::vector<std::thread> threads;
-    threads.reserve(pending.size());
-    for (int site : pending) {
-      threads.emplace_back([&, site, attempt] {
-        Stopwatch watch;
-        std::vector<WireMessage> msgs = site_fn(site);
-        double elapsed = watch.ElapsedMillis();
-        {
-          std::lock_guard<std::mutex> lock(exec_mu);
-          exec_ms[site] += elapsed;
-        }
-        ShipFromSite(site, stage, static_cast<uint32_t>(attempt),
-                     std::move(msgs), ledger_stage, backoff[site]);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-
-    // Drain once after the barrier and reassemble per site. Arrival order in
-    // the mailbox depends on thread scheduling, but everything below is a
-    // pure function of the messages themselves.
-    std::vector<std::vector<DeliveredMessage>> by_site(num_sites_);
-    for (DeliveredMessage& d : coordinator_box_.Drain()) {
-      if (d.msg.sender >= 0 && d.msg.sender < num_sites_ &&
-          d.msg.session == session_id_ &&
-          d.msg.attempt == static_cast<uint32_t>(attempt)) {
-        by_site[d.msg.sender].push_back(std::move(d));
-      }
-    }
-
-    std::vector<int> still_pending;
-    for (int site : pending) {
-      SiteStageReport& report = result.sites[site];
-      report.attempts = attempt + 1;
-      ReassembledAttempt r =
-          ReassembleSiteAttempt(plan_, site, stage, std::move(by_site[site]));
-      if (r.all_arrived &&
-          r.last_arrival <= policy.deadline_ms + backoff[site]) {
-        report.ok = true;
-        report.queue_wait_ms += r.last_arrival;
-        result.messages[site].clear();
-        for (DeliveredMessage& d : r.inbox) {
-          if (d.msg.type != MessageType::kStageDone) {
-            result.messages[site].push_back(std::move(d.msg));
-          }
-        }
-      } else {
-        // Blown deadline: the coordinator waited the full window, then backs
-        // off before redispatching.
-        double next_backoff = policy.backoff_ms * std::ldexp(1.0, attempt);
-        report.queue_wait_ms += policy.deadline_ms + next_backoff;
-        backoff[site] += policy.deadline_ms + next_backoff;
-        still_pending.push_back(site);
-      }
-    }
-    pending.swap(still_pending);
-  }
-
-  // Out of attempts: hedge against the coordinator-local fragment copy, or
-  // give up and let the caller degrade.
-  for (int site = 0; site < num_sites_; ++site) {
-    SiteStageReport& report = result.sites[site];
-    if (report.ok) continue;
-    if (policy.hedge_local) {
-      Stopwatch watch;
-      std::vector<WireMessage> msgs = site_fn(site);
-      exec_ms[site] += watch.ElapsedMillis();
-      for (uint32_t seq = 0; seq < msgs.size(); ++seq) {
-        msgs[seq].sender = site;
-        msgs[seq].session = session_id_;
-        msgs[seq].stage = stage;
-        msgs[seq].seq = seq;
-      }
-      result.messages[site] = std::move(msgs);
-      report.ok = true;
-      report.hedged = true;
-      if (report.attempts == 0) report.attempts = 1;
-    }
-  }
-
-  result.run.site_millis.assign(num_sites_, 0.0);
-  result.run.queue_wait_millis.assign(num_sites_, 0.0);
-  result.run.exec_millis.assign(num_sites_, 0.0);
-  for (int site = 0; site < num_sites_; ++site) {
-    result.run.queue_wait_millis[site] = result.sites[site].queue_wait_ms;
-    result.run.exec_millis[site] = exec_ms[site];
-    result.sites[site].exec_ms = exec_ms[site];
-    result.run.site_millis[site] =
-        result.sites[site].queue_wait_ms + exec_ms[site];
-  }
-  result.run.max_millis = *std::max_element(result.run.site_millis.begin(),
-                                            result.run.site_millis.end());
-  return result;
+  return arrived;
 }
 
 StageResult InProcessTransport::StageStream(
@@ -331,69 +160,62 @@ StageResult InProcessTransport::StageStream(
   GSTORED_CHECK_GE(policy.max_attempts, 1);
   StageResult result;
   result.sites.assign(num_sites_, SiteStageReport{});
-  result.messages.assign(num_sites_, {});
-  std::vector<double> exec_ms(num_sites_, 0.0);
   std::mutex consume_mu;
 
-  // One thread per site runs that site's entire attempt loop against a
-  // private inbox — deadlines, backoff and hedging fire per site instead of
-  // at a whole-stage drain, so a straggler no longer stalls delivery of the
-  // sites that already finished. All deadline math is virtual and keyed off
-  // the plan exactly as in ExecuteStage, hence byte-identical replay.
+  // Runs the site function once and stamps its send buffer. The
+  // end-of-stage marker carries the payload count, so the coordinator can
+  // tell "everything arrived" from "some messages are still missing" under
+  // drops and reordering; it rides the same faulty channel.
+  auto encode_site = [&](int site) {
+    Stopwatch watch;
+    std::vector<WireMessage> msgs = site_fn(site);
+    result.sites[site].exec_ms = watch.ElapsedMillis();
+    msgs.push_back(
+        MakeMessage(MessageType::kStageDone,
+                    EncodeDoneMarker(static_cast<uint32_t>(msgs.size()))));
+    for (uint32_t seq = 0; seq < msgs.size(); ++seq) {
+      msgs[seq].sender = site;
+      msgs[seq].session = session_id_;
+      msgs[seq].stage = stage;
+      msgs[seq].seq = seq;
+    }
+    return msgs;
+  };
+
+  // One thread per site runs that site's entire attempt loop — deadlines,
+  // backoff and hedging fire per site, so a straggler never stalls delivery
+  // of the sites that already finished. All deadline math is virtual and
+  // keyed off the plan, hence byte-identical replay.
   auto run_site = [&](int site) {
     SiteStageReport& report = result.sites[site];
+    std::vector<WireMessage> buffer;  // stamped payloads + done marker
+    std::vector<WireMessage> delivered;
     if (plan_.SiteDead(site, stage)) {
       report.crashed = true;
       report.attempts = 1;
-    }
-    Mailbox inbox;
-    std::vector<WireMessage> buffer;  // stamped payloads + done marker
-    bool have_buffer = false;
-    double backoff = 0.0;
-    std::vector<WireMessage> delivered;
-
-    if (!report.crashed) {
+    } else {
+      buffer = encode_site(site);
+      double backoff = 0.0;
       for (int attempt = 0; attempt < policy.max_attempts && !report.ok;
            ++attempt) {
         report.attempts = attempt + 1;
-        if (!have_buffer) {
-          // The site function runs once; retries re-ship these exact bytes.
-          Stopwatch watch;
-          std::vector<WireMessage> msgs = site_fn(site);
-          exec_ms[site] += watch.ElapsedMillis();
-          msgs.push_back(MakeMessage(
-              MessageType::kStageDone,
-              EncodeDoneMarker(static_cast<uint32_t>(msgs.size()))));
-          for (uint32_t seq = 0; seq < msgs.size(); ++seq) {
-            msgs[seq].sender = site;
-            msgs[seq].session = session_id_;
-            msgs[seq].stage = stage;
-            msgs[seq].seq = seq;
-          }
-          buffer = std::move(msgs);
-          have_buffer = true;
-        }
-        ShipBuffered(site, stage, static_cast<uint32_t>(attempt), buffer,
-                     ledger_stage, backoff, &inbox);
-        std::vector<DeliveredMessage> arrived;
-        for (DeliveredMessage& d : inbox.Drain()) {
-          if (d.msg.attempt == static_cast<uint32_t>(attempt)) {
-            arrived.push_back(std::move(d));
-          }
-        }
-        ReassembledAttempt r =
-            ReassembleSiteAttempt(plan_, site, stage, std::move(arrived));
-        if (r.all_arrived &&
-            r.last_arrival <= policy.deadline_ms + backoff) {
+        ReassembledAttempt r = ReassembleSiteAttempt(
+            plan_, site, stage,
+            ShipAttempt(site, stage, static_cast<uint32_t>(attempt), buffer,
+                        ledger_stage, backoff));
+        if (r.all_arrived && r.last_arrival <= policy.deadline_ms + backoff) {
           report.ok = true;
-          report.queue_wait_ms += r.last_arrival;
-          delivered.clear();
+          // Arrival times are offset by the backoff, which queue_wait_ms
+          // already counted for every blown attempt.
+          report.queue_wait_ms += r.last_arrival - backoff;
           for (DeliveredMessage& d : r.inbox) {
             if (d.msg.type != MessageType::kStageDone) {
               delivered.push_back(std::move(d.msg));
             }
           }
         } else {
+          // Blown deadline: the coordinator waited the full window, then
+          // backs off before redispatching.
           double next_backoff = policy.backoff_ms * std::ldexp(1.0, attempt);
           report.queue_wait_ms += policy.deadline_ms + next_backoff;
           backoff += policy.deadline_ms + next_backoff;
@@ -402,26 +224,14 @@ StageResult InProcessTransport::StageStream(
     }
 
     if (!report.ok && policy.hedge_local) {
-      if (have_buffer) {
-        // The drained hedge re-runs site_fn and delivers the fresh messages;
-        // re-delivering the buffered payloads (done marker stripped) is the
-        // same bytes without the recompute.
-        delivered.assign(buffer.begin(), buffer.end() - 1);
-      } else {
-        Stopwatch watch;
-        std::vector<WireMessage> msgs = site_fn(site);
-        exec_ms[site] += watch.ElapsedMillis();
-        for (uint32_t seq = 0; seq < msgs.size(); ++seq) {
-          msgs[seq].sender = site;
-          msgs[seq].session = session_id_;
-          msgs[seq].stage = stage;
-          msgs[seq].seq = seq;
-        }
-        delivered = std::move(msgs);
-      }
+      // Out of attempts: hedge against the coordinator-local fragment copy
+      // by delivering the buffered payloads (done marker stripped). A
+      // crashed site never ran its function, so it runs now.
+      if (report.crashed) buffer = encode_site(site);
+      buffer.pop_back();
+      delivered = std::move(buffer);
       report.ok = true;
       report.hedged = true;
-      if (report.attempts == 0) report.attempts = 1;
     }
 
     if (report.ok) {
@@ -441,11 +251,10 @@ StageResult InProcessTransport::StageStream(
   result.run.queue_wait_millis.assign(num_sites_, 0.0);
   result.run.exec_millis.assign(num_sites_, 0.0);
   for (int site = 0; site < num_sites_; ++site) {
-    result.run.queue_wait_millis[site] = result.sites[site].queue_wait_ms;
-    result.run.exec_millis[site] = exec_ms[site];
-    result.sites[site].exec_ms = exec_ms[site];
-    result.run.site_millis[site] =
-        result.sites[site].queue_wait_ms + exec_ms[site];
+    const SiteStageReport& report = result.sites[site];
+    result.run.queue_wait_millis[site] = report.queue_wait_ms;
+    result.run.exec_millis[site] = report.exec_ms;
+    result.run.site_millis[site] = report.queue_wait_ms + report.exec_ms;
   }
   result.run.max_millis = *std::max_element(result.run.site_millis.begin(),
                                             result.run.site_millis.end());
@@ -497,23 +306,6 @@ std::vector<bool> InProcessTransport::BroadcastReliable(
     if (all) break;
   }
   return delivered;
-}
-
-StageResult RunStageConsuming(
-    Transport& net, bool streaming, uint32_t stage,
-    ShipmentLedger::StageId ledger_stage, const StagePolicy& policy,
-    const std::function<std::vector<WireMessage>(int site)>& site_fn,
-    const SiteBatchConsumer& consume) {
-  if (streaming) {
-    return net.StageStream(stage, ledger_stage, policy, site_fn, consume);
-  }
-  StageResult result = net.ExecuteStage(stage, ledger_stage, policy, site_fn);
-  for (int site = 0; site < net.num_sites(); ++site) {
-    if (!result.sites[site].ok) continue;
-    consume(site, std::move(result.messages[site]));
-    result.messages[site].clear();
-  }
-  return result;
 }
 
 }  // namespace gstored

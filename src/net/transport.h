@@ -20,10 +20,7 @@ struct DeliveredMessage {
 };
 
 /// A thread-safe FIFO of delivered messages. The transport owns one mailbox
-/// per site (coordinator -> site broadcasts) plus one for the coordinator
-/// (site -> coordinator responses); site threads push concurrently, the
-/// receiver drains after the stage barrier and reassembles by sequence
-/// number, so mailbox arrival order never affects results.
+/// per site, receiving the coordinator -> site broadcasts.
 class Mailbox {
  public:
   void Push(DeliveredMessage msg);
@@ -44,18 +41,17 @@ struct StagePolicy {
   /// payload message) has not arrived by then is retried.
   double deadline_ms = 1000.0;
 
-  /// Total dispatch attempts per site (>= 1). Stage re-execution is
-  /// idempotent: sites cache their per-query computation, so a retry
-  /// re-ships the same bytes rather than recomputing different ones.
+  /// Total dispatch attempts per site (>= 1). A retry re-ships the bytes
+  /// the site function produced for the first attempt.
   int max_attempts = 3;
 
   /// Base retry backoff, doubled every attempt (virtual).
   double backoff_ms = 5.0;
 
-  /// After all attempts fail, re-run the site's stage function on the
-  /// coordinator thread against the coordinator-local fragment copy
-  /// ("straggler hedging"). Recovers stragglers and — in this in-process
-  /// runtime, where the replica is always available — crashed sites too.
+  /// After all attempts fail, deliver the site's data from the
+  /// coordinator-local fragment copy ("straggler hedging"). Recovers
+  /// stragglers and — in this in-process runtime, where the replica is
+  /// always available — crashed sites too.
   /// Disable to model a deployment without replicas, where lost sites
   /// degrade the query to a flagged partial result.
   bool hedge_local = true;
@@ -64,19 +60,17 @@ struct StagePolicy {
 /// Transport-level view of one site's participation in a stage.
 struct SiteStageReport {
   bool ok = false;       ///< the site's data is available to the coordinator
-  bool hedged = false;   ///< recovered by local re-execution
+  bool hedged = false;   ///< recovered from the coordinator-local copy
   bool crashed = false;  ///< the fault plan had the site dead for this stage
   int attempts = 0;      ///< dispatch attempts consumed (>= 1)
   double queue_wait_ms = 0.0;  ///< injected latency + deadlines + backoff
-  double exec_ms = 0.0;        ///< real compute wall-clock across attempts
+  double exec_ms = 0.0;        ///< real wall-clock of the site function
 };
 
-/// Result of one coordinator-driven stage over all sites.
+/// Result of one coordinator-driven stage over all sites. The payloads
+/// themselves went to the stage's SiteBatchConsumer.
 struct StageResult {
   std::vector<SiteStageReport> sites;
-  /// Per-site payload messages, deduplicated and in sequence order; empty
-  /// for sites with ok == false.
-  std::vector<std::vector<WireMessage>> messages;
   StageRun run;
 
   /// True when every site's data made it to the coordinator.
@@ -105,36 +99,25 @@ class Transport {
   virtual int num_sites() const = 0;
 
   /// Runs one coordinator-driven stage: every site executes `site_fn`
-  /// concurrently and ships the returned messages to the coordinator
-  /// mailbox; the transport enforces the per-attempt deadline, retries with
-  /// exponential backoff, and finally hedges locally per `policy`.
-  /// `ledger_stage` attributes the wire bytes (ShipmentLedger::kUnaccounted
-  /// for control/result traffic outside the paper's shipment metric).
-  /// `site_fn` may be re-invoked for the same site (retries, hedging) and
-  /// must be idempotent; it runs on a transport thread, or on the calling
-  /// thread when hedging.
-  virtual StageResult ExecuteStage(
-      uint32_t stage, ShipmentLedger::StageId ledger_stage,
-      const StagePolicy& policy,
-      const std::function<std::vector<WireMessage>(int site)>& site_fn) = 0;
-
-  /// Streaming variant of ExecuteStage: each site's batches are handed to
-  /// `on_site` the moment that site completes — while slower sites are still
-  /// executing — instead of after a whole-stage drain. Per-site semantics
-  /// are unchanged: the same deadline/retry/backoff/hedging state machine
-  /// runs per site (now independently rather than in attempt lockstep), the
-  /// delivered payloads are deduplicated and sequence-ordered, and the fault
-  /// draws are keyed identically to ExecuteStage, so the per-site reports,
-  /// ledger bytes and delivered payloads are byte-identical to the drained
-  /// path. Only `on_site` sees the messages; the returned
-  /// StageResult::messages stay empty. The base implementation drains via
-  /// ExecuteStage and replays the sites in index order — correct but without
-  /// overlap — so transports only override it for real pipelining.
+  /// concurrently and ships the returned messages to the coordinator; the
+  /// transport enforces the per-attempt deadline, retries with exponential
+  /// backoff, and finally hedges locally per `policy`. Each site's batches
+  /// are handed to `on_site` the moment that site completes, while slower
+  /// sites are still executing. `ledger_stage` attributes the wire bytes
+  /// (ShipmentLedger::kUnaccounted for control/result traffic outside the
+  /// paper's shipment metric).
+  ///
+  /// `site_fn` runs at most once per site per stage, on a transport thread:
+  /// retries re-ship its buffered bytes and a hedge delivers them, so a
+  /// site that is dead for the stage never runs it unless hedging asks for
+  /// its data, and then runs it once. Each ok site's payloads reach
+  /// `on_site` exactly once, deduplicated and sequence-ordered; a site that
+  /// ends up not ok never reaches it.
   virtual StageResult StageStream(
       uint32_t stage, ShipmentLedger::StageId ledger_stage,
       const StagePolicy& policy,
       const std::function<std::vector<WireMessage>(int site)>& site_fn,
-      const SiteBatchConsumer& on_site);
+      const SiteBatchConsumer& on_site) = 0;
 
   /// Reliable coordinator -> sites broadcast: sends `make_msg(site)` to each
   /// site's mailbox, retrying undelivered sites up to policy.max_attempts.
@@ -148,9 +131,9 @@ class Transport {
 };
 
 /// The in-process implementation: real threads per site, virtual time for
-/// faults. Deterministic given the FaultPlan — message arrival order in the
-/// mailboxes is scheduling-dependent, but every decision downstream of the
-/// mailboxes (drop/duplicate/latency draws, sequence reassembly, deadline
+/// faults. Deterministic given the FaultPlan — the cross-site order of
+/// StageStream callbacks is scheduling-dependent, but every per-site
+/// decision (drop/duplicate/latency draws, sequence reassembly, deadline
 /// comparisons) is a pure function of the plan, so the stage results,
 /// ledger byte counts and query outcomes replay byte-identically.
 class InProcessTransport : public Transport {
@@ -158,8 +141,7 @@ class InProcessTransport : public Transport {
   /// `session_id` stamps every message this transport sends — concurrent
   /// queries each run over their own transport instance (own mailboxes, own
   /// ledger), and the session id makes their traffic distinguishable on the
-  /// wire, as a shared socket transport would require. Receivers discard
-  /// messages from foreign sessions.
+  /// wire, as a shared socket transport would require.
   InProcessTransport(int num_sites, ShipmentLedger* ledger, FaultPlan plan = {},
                      uint32_t session_id = 0);
 
@@ -168,23 +150,11 @@ class InProcessTransport : public Transport {
   ShipmentLedger& ledger() const { return *ledger_; }
   uint32_t session_id() const { return session_id_; }
 
-  Mailbox& coordinator_mailbox() { return coordinator_box_; }
   Mailbox& site_mailbox(int site) { return *site_boxes_[site]; }
 
-  StageResult ExecuteStage(
-      uint32_t stage, ShipmentLedger::StageId ledger_stage,
-      const StagePolicy& policy,
-      const std::function<std::vector<WireMessage>(int site)>& site_fn)
-      override;
-
-  /// True pipelining: one thread per site runs the site's whole
-  /// attempt/retry/hedge loop against a private inbox, and `on_site` fires
-  /// as each site lands. `site_fn` is invoked once per site (sites cache
-  /// their per-query computation, so the drained path's per-attempt
-  /// re-invocation recomputes identical bytes anyway); retries re-ship the
-  /// buffered wire bytes with only the attempt header restamped, which keeps
-  /// the ledger byte-identical to ExecuteStage while skipping the redundant
-  /// re-encode.
+  /// One thread per site runs the site's whole attempt/retry/hedge loop,
+  /// and `on_site` fires as each site lands. Retries re-ship the buffered
+  /// wire bytes with only the attempt header restamped.
   StageResult StageStream(
       uint32_t stage, ShipmentLedger::StageId ledger_stage,
       const StagePolicy& policy,
@@ -197,42 +167,21 @@ class InProcessTransport : public Transport {
       const std::function<WireMessage(int site)>& make_msg) override;
 
  private:
-  /// Applies send-side faults to one site's stage response (drop, duplicate,
-  /// latency stamps) and pushes the survivors into the coordinator mailbox.
+  /// Ships one attempt of an already-stamped send buffer (payloads + done
+  /// marker), restamping only the attempt header, and returns the messages
+  /// that arrive: send-side faults drop, duplicate and delay them, and
   /// `base_offset_ms` shifts arrival times by the accumulated backoff.
-  void ShipFromSite(int site, uint32_t stage, uint32_t attempt,
-                    std::vector<WireMessage> msgs,
-                    ShipmentLedger::StageId ledger_stage,
-                    double base_offset_ms);
-
-  /// Re-ships an already-stamped send buffer (payloads + done marker) for a
-  /// retry attempt into `dest`, restamping only the attempt header. Fault
-  /// draws and ledger accounting are keyed exactly as ShipFromSite's.
-  void ShipBuffered(int site, uint32_t stage, uint32_t attempt,
-                    const std::vector<WireMessage>& buffer,
-                    ShipmentLedger::StageId ledger_stage,
-                    double base_offset_ms, Mailbox* dest);
+  std::vector<DeliveredMessage> ShipAttempt(
+      int site, uint32_t stage, uint32_t attempt,
+      const std::vector<WireMessage>& buffer,
+      ShipmentLedger::StageId ledger_stage, double base_offset_ms);
 
   int num_sites_;
   ShipmentLedger* ledger_;
   FaultPlan plan_;
   uint32_t session_id_ = 0;
-  Mailbox coordinator_box_;
   std::vector<std::unique_ptr<Mailbox>> site_boxes_;
 };
-
-/// Runs one stage over whichever delivery mode the caller selected:
-/// `streaming == false` executes the drained barrier (ExecuteStage) and then
-/// feeds each ok site's messages to `consume` in ascending site order;
-/// `streaming == true` delegates to StageStream so `consume` fires per site
-/// on arrival. Consumers that stage per site and merge in site order after
-/// this returns produce byte-identical results under both modes — the
-/// pipelined engine path is built entirely from this discipline.
-StageResult RunStageConsuming(
-    Transport& net, bool streaming, uint32_t stage,
-    ShipmentLedger::StageId ledger_stage, const StagePolicy& policy,
-    const std::function<std::vector<WireMessage>(int site)>& site_fn,
-    const SiteBatchConsumer& consume);
 
 }  // namespace gstored
 

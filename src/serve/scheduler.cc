@@ -121,7 +121,6 @@ std::shared_ptr<QueryTicket> ServingEngine::Submit(const QueryGraph& query,
   ticket->lane_ = opts.lane;
   ticket->deadline_ms_ =
       opts.deadline_ms.value_or(options_.default_deadline_ms);
-  ticket->streaming_ = opts.streaming;
   ticket->submitted_ = std::chrono::steady_clock::now();
   ticket->deadline_at_ =
       ticket->deadline_ms_ < 0.0
@@ -312,15 +311,11 @@ void ServingEngine::RunTicket(const std::shared_ptr<QueryTicket>& ticket) {
   }
 
   executed_.fetch_add(1, std::memory_order_relaxed);
-  QueryRequest req(query, mode, ctx);
-  req.streaming = ticket->streaming_;
-  QueryOutcome outcome = engine_->Run(req);
+  QueryOutcome outcome = engine_->Run({query, mode, ctx});
   lpm_hits_.fetch_add(outcome.stats.lpm_cache_hits,
                       std::memory_order_relaxed);
   if (options_.post_execute_hook) options_.post_execute_hook();
 
-  // Streamed and drained runs are byte-identical, so the result cache is
-  // shared across the flag: either may fill it, either may hit it.
   if (options_.use_result_cache && CleanRun(outcome)) {
     result_cache_.Put(exact_key, mode, outcome, result_generation);
   }

@@ -117,11 +117,6 @@ struct SubmitOptions {
   /// Per-query wall-clock budget in ms; unset falls back to
   /// ServeOptions::default_deadline_ms, negative = none.
   std::optional<double> deadline_ms;
-  /// Execute over the streaming stage pipeline (QueryRequest::streaming):
-  /// per-site retries/hedging fire as sites finish instead of at per-stage
-  /// drains. Byte-identical outcome — cached results are shared across the
-  /// flag.
-  bool streaming = false;
 };
 
 /// Handle to one submitted query. Wait() blocks until completion; Cancel()
@@ -159,7 +154,6 @@ class QueryTicket {
   EngineMode mode_ = EngineMode::kFull;
   int lane_ = 0;
   double deadline_ms_ = -1.0;
-  bool streaming_ = false;
   CancelToken cancel_;
   std::chrono::steady_clock::time_point submitted_;
   /// Absolute deadline instant (submitted_ + deadline_ms_); time_point::max()
@@ -221,7 +215,7 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Enqueues a query. All knobs (mode, lane, deadline, streaming) ride in
+  /// Enqueues a query. All knobs (mode, lane, deadline) ride in
   /// SubmitOptions; the completed ticket's Wait() returns the full
   /// QueryOutcome.
   std::shared_ptr<QueryTicket> Submit(const QueryGraph& query,

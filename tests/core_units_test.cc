@@ -524,9 +524,9 @@ TEST(CandidateExchangeTest, FiltersAreSoundOverSites) {
     stores.push_back(std::make_unique<LocalStore>(&f.graph()));
     store_ptrs.push_back(stores.back().get());
   }
-  SimulatedCluster cluster(3);
+  QuerySession session(3);
   CandidateExchange exchange = ExchangeInternalCandidates(
-      partitioning, store_ptrs, rq, cluster);
+      partitioning, store_ptrs, rq, session.transport, session.ledger);
 
   // One-sided error: every vertex of every true match passes its variable's
   // OR-ed filter (when the variable was exchanged at all).
@@ -548,26 +548,28 @@ TEST(CandidateExchangeTest, FiltersAreSoundOverSites) {
     if (exchange.exchanged[v]) ++exchanged;
   }
   EXPECT_GT(exchange.shipment_bytes, 2u * 3u * exchanged * per_vec);
-  EXPECT_EQ(cluster.ledger().StageBytes(kCandidateStage),
+  EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
             exchange.shipment_bytes);
   EXPECT_FALSE(exchange.degraded);
   for (bool ok : exchange.site_filter_ok) EXPECT_TRUE(ok);
 
   // The legacy protocol (no pre-phase) ships every variable's vector, and a
   // fault-free exchange is byte-deterministic: re-running it on a fresh
-  // cluster reproduces the ledger exactly.
-  SimulatedCluster legacy_cluster(3);
+  // session reproduces the ledger exactly.
+  QuerySession legacy_session(3);
   CandidateExchangeOptions legacy;
   legacy.use_statistics = false;
   CandidateExchange full = ExchangeInternalCandidates(
-      partitioning, store_ptrs, rq, legacy_cluster, legacy);
+      partitioning, store_ptrs, rq, legacy_session.transport,
+      legacy_session.ledger, legacy);
   EXPECT_GT(full.shipment_bytes, 2u * 3u * 4u * per_vec);
   for (QVertexId v = 0; v < query.num_vertices(); ++v) {
     EXPECT_EQ(full.exchanged[v], query.vertex(v).is_variable);
   }
-  SimulatedCluster replay_cluster(3);
+  QuerySession replay_session(3);
   CandidateExchange replay = ExchangeInternalCandidates(
-      partitioning, store_ptrs, rq, replay_cluster, legacy);
+      partitioning, store_ptrs, rq, replay_session.transport,
+      replay_session.ledger, legacy);
   EXPECT_EQ(replay.shipment_bytes, full.shipment_bytes);
 }
 
@@ -583,21 +585,22 @@ TEST(CandidateExchangeTest, SaturatedFiltersAreSkippedAndStaySound) {
     stores.push_back(std::make_unique<LocalStore>(&f.graph()));
     store_ptrs.push_back(stores.back().get());
   }
-  SimulatedCluster cluster(3);
+  QuerySession session(3);
   // One-bit vectors: any variable with more than one estimated candidate
   // saturates them, so the pre-phase must skip the unselective variables
   // (the name-anchored ?p1 may legitimately stay under budget).
   CandidateExchangeOptions options;
   options.filter_bits = 1;
   CandidateExchange exchange = ExchangeInternalCandidates(
-      partitioning, store_ptrs, rq, cluster, options);
+      partitioning, store_ptrs, rq, session.transport, session.ledger,
+      options);
   size_t exchanged = 0;
   for (QVertexId v = 0; v < query.num_vertices(); ++v) {
     if (exchange.exchanged[v]) ++exchanged;
   }
   EXPECT_LT(exchanged, 4u);
   EXPECT_GT(exchange.shipment_bytes, 0u);
-  EXPECT_EQ(cluster.ledger().StageBytes(kCandidateStage),
+  EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
             exchange.shipment_bytes);
 
   // One-sided error must hold for whatever was still exchanged; skipped

@@ -1,10 +1,14 @@
 // Integration tests of the DistributedEngine across modules: workload
 // queries vs the centralized oracle in every mode, statistics consistency
-// invariants, star fast-path behaviour, shipment accounting, impossible
-// queries, and robustness to degenerate partitionings (1 fragment, many
-// fragments).
+// invariants, star fast-path behaviour, shipment accounting, concurrent
+// context-free runs, impossible queries, and robustness to degenerate
+// partitionings (1 fragment, many fragments).
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/engine.h"
 #include "store/matcher.h"
@@ -78,7 +82,11 @@ TEST(EngineIntegrationTest, StatsInvariants) {
   DistributedEngine engine(&p);
   QueryGraph query = testing::BuildPaperQuery();
 
-  const QueryStats& stats = engine.Run({query, EngineMode::kFull}).stats;
+  QuerySession session(engine.num_sites());
+  QueryContext ctx;
+  ctx.ledger = &session.ledger;
+  ctx.transport = &session.transport;
+  const QueryStats stats = engine.Run({query, EngineMode::kFull, ctx}).stats;
   EXPECT_FALSE(stats.star_shortcut);
   EXPECT_TRUE(stats.selective);
   EXPECT_GE(stats.num_lpms, stats.num_lpms_shipped);
@@ -89,11 +97,11 @@ TEST(EngineIntegrationTest, StatsInvariants) {
   EXPECT_GT(stats.lpm_shipment_bytes, 0u);
   EXPECT_GE(stats.total_time_ms, 0.0);
   // The ledger agrees with the per-stage stats.
-  EXPECT_EQ(engine.cluster().ledger().StageBytes(kCandidateStage),
+  EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
             stats.candidate_shipment_bytes);
-  EXPECT_EQ(engine.cluster().ledger().StageBytes(kLecFeatureStage),
+  EXPECT_EQ(session.ledger.StageBytes(kLecFeatureStage),
             stats.lec_shipment_bytes);
-  EXPECT_EQ(engine.cluster().ledger().StageBytes(kLpmShipmentStage),
+  EXPECT_EQ(session.ledger.StageBytes(kLpmShipmentStage),
             stats.lpm_shipment_bytes);
 }
 
@@ -122,10 +130,14 @@ TEST(EngineIntegrationTest, StarShortcutSkipsAllShipment) {
   DistributedEngine engine(&p);
   for (const BenchmarkQuery& bq : w.queries) {
     if (!bq.query.IsStar()) continue;
-    QueryOutcome outcome = engine.Run({bq.query, EngineMode::kFull});
+    QuerySession session(engine.num_sites());
+    QueryContext ctx;
+    ctx.ledger = &session.ledger;
+    ctx.transport = &session.transport;
+    QueryOutcome outcome = engine.Run({bq.query, EngineMode::kFull, ctx});
     EXPECT_TRUE(outcome.stats.star_shortcut) << bq.name;
     EXPECT_EQ(outcome.stats.num_lpms, 0u);
-    EXPECT_EQ(engine.cluster().ledger().TotalBytes(), 0u);
+    EXPECT_EQ(session.ledger.TotalBytes(), 0u);
     EXPECT_EQ(outcome.matches, Oracle(*w.dataset, bq.query)) << bq.name;
   }
 }
@@ -173,6 +185,63 @@ TEST(EngineIntegrationTest, RepeatedExecutionIsDeterministic) {
   auto first = engine.Run({query, EngineMode::kFull}).matches;
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(engine.Run({query, EngineMode::kFull}).matches, first);
+  }
+}
+
+TEST(EngineIntegrationTest, ConcurrentContextFreeRunsMatchSerial) {
+  // A context-free Run builds its own session, so overlapping calls on one
+  // engine neither share a ledger nor mix their traffic: every concurrent
+  // outcome equals the serial one, shipment bytes included.
+  LubmConfig config;
+  config.universities = 3;
+  Workload w = MakeLubmWorkload(config);
+  Partitioning p = HashPartitioner().Partition(*w.dataset, 4);
+  DistributedEngine engine(&p);
+
+  struct Observed {
+    std::vector<Binding> matches;
+    size_t candidate_bytes = 0;
+    size_t lec_bytes = 0;
+    size_t lpm_bytes = 0;
+  };
+  auto observe = [&](const QueryGraph& query) {
+    QueryOutcome outcome = engine.Run({query, EngineMode::kFull});
+    return Observed{std::move(outcome.matches),
+                    outcome.stats.candidate_shipment_bytes,
+                    outcome.stats.lec_shipment_bytes,
+                    outcome.stats.lpm_shipment_bytes};
+  };
+  std::vector<Observed> serial;
+  for (const BenchmarkQuery& bq : w.queries) {
+    serial.push_back(observe(bq.query));
+  }
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 2;
+  // Each thread starts at a different query so different queries overlap.
+  std::vector<std::vector<Observed>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kRounds * w.queries.size(); ++i) {
+        seen[t].push_back(observe(w.queries[(t + i) % w.queries.size()].query));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen[t].size(), kRounds * w.queries.size());
+    for (size_t i = 0; i < seen[t].size(); ++i) {
+      const size_t q = (t + i) % w.queries.size();
+      const std::string context =
+          w.queries[q].name + " thread=" + std::to_string(t);
+      EXPECT_EQ(seen[t][i].matches, serial[q].matches) << context;
+      EXPECT_EQ(seen[t][i].candidate_bytes, serial[q].candidate_bytes)
+          << context;
+      EXPECT_EQ(seen[t][i].lec_bytes, serial[q].lec_bytes) << context;
+      EXPECT_EQ(seen[t][i].lpm_bytes, serial[q].lpm_bytes) << context;
+    }
   }
 }
 

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "store/matcher.h"
@@ -42,6 +45,54 @@ EngineOptions WithPlan(FaultPlan plan, bool hedge, size_t threads = 1,
   options.hedge_local = hedge;
   options.max_attempts = max_attempts;
   return options;
+}
+
+/// One query's outcome plus the ledger breakdown of the session it ran
+/// over.
+struct SessionRun {
+  QueryOutcome outcome;
+  std::vector<std::pair<std::string, size_t>> ledger;
+};
+
+/// Runs `query` over a fresh QuerySession built from the engine's fault
+/// plan, as a context-free Run does, keeping the session's ledger.
+SessionRun RunWithSession(const DistributedEngine& engine,
+                          const QueryGraph& query, EngineMode mode) {
+  QuerySession session(engine.num_sites(), engine.options().fault_plan);
+  QueryContext ctx;
+  ctx.ledger = &session.ledger;
+  ctx.transport = &session.transport;
+  SessionRun run;
+  run.outcome = engine.Run({query, mode, ctx});
+  run.ledger = session.ledger.Breakdown();
+  return run;
+}
+
+/// The replay contract: two runs under the same FaultPlan — fresh sessions,
+/// any thread counts — agree on everything the outcome and ledger record.
+void ExpectSameRun(const SessionRun& a, const SessionRun& b,
+                   const std::string& context) {
+  EXPECT_EQ(b.outcome.matches, a.outcome.matches) << context;
+  EXPECT_EQ(b.outcome.exact, a.outcome.exact) << context;
+  EXPECT_EQ(b.ledger, a.ledger) << context;
+  const QueryStats& sa = a.outcome.stats;
+  const QueryStats& sb = b.outcome.stats;
+  EXPECT_EQ(sb.transport_retries, sa.transport_retries) << context;
+  EXPECT_EQ(sb.hedged_sites, sa.hedged_sites) << context;
+  EXPECT_EQ(sb.num_lpms_shipped, sa.num_lpms_shipped) << context;
+  EXPECT_EQ(sb.exchange_degraded, sa.exchange_degraded) << context;
+  EXPECT_EQ(sb.pruning_degraded, sa.pruning_degraded) << context;
+  ASSERT_EQ(b.outcome.sites.size(), a.outcome.sites.size()) << context;
+  for (size_t s = 0; s < a.outcome.sites.size(); ++s) {
+    const SiteReport& ra = a.outcome.sites[s];
+    const SiteReport& rb = b.outcome.sites[s];
+    EXPECT_EQ(rb.partial_eval_complete, ra.partial_eval_complete)
+        << context << " site=" << s;
+    EXPECT_EQ(rb.lpms_complete, ra.lpms_complete) << context << " site=" << s;
+    EXPECT_EQ(rb.crashed, ra.crashed) << context << " site=" << s;
+    EXPECT_EQ(rb.hedged, ra.hedged) << context << " site=" << s;
+    EXPECT_EQ(rb.max_attempts, ra.max_attempts) << context << " site=" << s;
+  }
 }
 
 /// The core safety contract: an exact outcome equals the oracle; a partial
@@ -259,34 +310,18 @@ TEST(FaultInjectionTest, FaultReplayDeterminism) {
       static_cast<int>(StageOrdinal(QueryStage::kLecFeatures));
 
   for (bool hedge : {true, false}) {
-    std::vector<std::pair<std::string, size_t>> first_ledger;
-    QueryOutcome first_outcome;
+    SessionRun first;
     for (int run = 0; run < 3; ++run) {
       size_t threads = run == 2 ? 8 : 1;  // replay must survive parallelism
       DistributedEngine engine(&p, WithPlan(plan, hedge, threads));
-      QueryOutcome outcome = engine.Run({query, EngineMode::kFull});
-      auto ledger = engine.cluster().ledger().Breakdown();
+      SessionRun current = RunWithSession(engine, query, EngineMode::kFull);
       if (run == 0) {
-        first_ledger = ledger;
-        first_outcome = outcome;
+        first = std::move(current);
         continue;
       }
-      EXPECT_EQ(ledger, first_ledger) << "hedge=" << hedge << " run=" << run;
-      EXPECT_EQ(outcome.matches, first_outcome.matches)
-          << "hedge=" << hedge << " run=" << run;
-      EXPECT_EQ(outcome.exact, first_outcome.exact)
-          << "hedge=" << hedge << " run=" << run;
-      EXPECT_EQ(outcome.stats.transport_retries,
-                first_outcome.stats.transport_retries)
-          << "hedge=" << hedge << " run=" << run;
-      EXPECT_EQ(outcome.stats.num_lpms_shipped,
-                first_outcome.stats.num_lpms_shipped)
-          << "hedge=" << hedge << " run=" << run;
-      for (size_t s = 0; s < outcome.sites.size(); ++s) {
-        EXPECT_EQ(outcome.sites[s].complete(),
-                  first_outcome.sites[s].complete())
-            << "hedge=" << hedge << " run=" << run << " site=" << s;
-      }
+      ExpectSameRun(first, current,
+                    "hedge=" + std::to_string(hedge) +
+                        " run=" + std::to_string(run));
     }
   }
 }
@@ -332,52 +367,37 @@ TEST(FaultInjectionTest, ReferenceScenariosUnderMixedFaults) {
   }
 }
 
-/// Drains one request both ways and demands byte-identical outcomes: the
-/// streaming stage pipeline must be an execution-strategy change only.
-void ExpectStreamingMatchesDrained(DistributedEngine& drained_engine,
-                                   DistributedEngine& streaming_engine,
-                                   const QueryGraph& query, EngineMode mode,
-                                   const std::string& context) {
-  QueryRequest drained(query, mode);
-  QueryOutcome reference = drained_engine.Run(drained);
-  auto reference_ledger = drained_engine.cluster().ledger().Breakdown();
-
-  QueryRequest pipelined(query, mode);
-  pipelined.streaming = true;
-  QueryOutcome outcome = streaming_engine.Run(pipelined);
-  auto ledger = streaming_engine.cluster().ledger().Breakdown();
-
-  EXPECT_EQ(outcome.matches, reference.matches) << context;
-  EXPECT_EQ(outcome.exact, reference.exact) << context;
-  EXPECT_EQ(ledger, reference_ledger) << context;
-  EXPECT_EQ(outcome.stats.transport_retries,
-            reference.stats.transport_retries)
-      << context;
-  EXPECT_EQ(outcome.stats.hedged_sites, reference.stats.hedged_sites)
-      << context;
-  EXPECT_EQ(outcome.stats.num_lpms_shipped, reference.stats.num_lpms_shipped)
-      << context;
-  EXPECT_EQ(outcome.stats.exchange_degraded, reference.stats.exchange_degraded)
-      << context;
-  EXPECT_EQ(outcome.stats.pruning_degraded, reference.stats.pruning_degraded)
-      << context;
-  ASSERT_EQ(outcome.sites.size(), reference.sites.size()) << context;
-  for (size_t s = 0; s < outcome.sites.size(); ++s) {
-    EXPECT_EQ(outcome.sites[s].complete(), reference.sites[s].complete())
-        << context << " site=" << s;
-    EXPECT_EQ(outcome.sites[s].crashed, reference.sites[s].crashed)
-        << context << " site=" << s;
+/// Runs one request at 1 and at 8 threads, each over a fresh session, and
+/// checks both halves of the fault contract: the two runs replay each other
+/// exactly, and the answer is the oracle's (hedging on) or a flagged subset
+/// of it (hedging off).
+void ExpectReplayAndOracle(const Partitioning& p, const FaultPlan& plan,
+                           bool hedge, int max_attempts,
+                           const QueryGraph& query, EngineMode mode,
+                           const std::vector<Binding>& expected,
+                           const std::string& context) {
+  DistributedEngine serial(&p, WithPlan(plan, hedge, 1, max_attempts));
+  DistributedEngine parallel(&p, WithPlan(plan, hedge, 8, max_attempts));
+  SessionRun one = RunWithSession(serial, query, mode);
+  SessionRun eight = RunWithSession(parallel, query, mode);
+  ExpectSameRun(one, eight, context);
+  if (hedge) {
+    EXPECT_TRUE(one.outcome.exact) << context;
+    EXPECT_EQ(one.outcome.matches, expected) << context;
+  } else {
+    ExpectExactOrFlaggedSubset(one.outcome, expected, context);
   }
 }
 
-TEST(FaultInjectionTest, StreamingIsByteIdenticalUnderFaultMatrix) {
-  // The pipelined delivery path must replay the drained path's fault draws,
-  // retries, hedges and wire bytes exactly — across a crash plan, a drop
-  // plan, a reorder+duplication plan and a latency/straggler plan, each
-  // under several seeds, with and without hedging, at 1 and 8 threads.
+TEST(FaultInjectionTest, FaultMatrixReplaysAndMatchesOracle) {
+  // Across a crash plan, a drop plan, a reorder+duplication plan and a
+  // latency/straggler plan, each under several seeds, with and without
+  // hedging: 1- and 8-thread runs replay each other's fault draws, retries,
+  // hedges and wire bytes exactly, and the answer meets the oracle.
   auto dataset = testing::BuildPaperDataset();
   Partitioning p = testing::BuildPaperPartitioning(*dataset);
   QueryGraph query = testing::BuildPaperQuery();
+  std::vector<Binding> expected = Oracle(*dataset, query);
 
   struct NamedPlan {
     const char* name;
@@ -408,32 +428,29 @@ TEST(FaultInjectionTest, StreamingIsByteIdenticalUnderFaultMatrix) {
       FaultPlan plan = np.plan;
       plan.seed = seed;
       for (bool hedge : {true, false}) {
-        for (size_t threads : {size_t{1}, size_t{8}}) {
-          DistributedEngine drained(
-              &p, WithPlan(plan, hedge, threads, /*max_attempts=*/4));
-          DistributedEngine streaming(
-              &p, WithPlan(plan, hedge, threads, /*max_attempts=*/4));
-          for (EngineMode mode : {EngineMode::kBasic, EngineMode::kFull}) {
-            ExpectStreamingMatchesDrained(
-                drained, streaming, query, mode,
-                std::string(np.name) + " seed=" + std::to_string(seed) +
-                    " hedge=" + std::to_string(hedge) +
-                    " threads=" + std::to_string(threads) + " mode=" +
-                    EngineModeName(mode));
-          }
+        for (EngineMode mode : {EngineMode::kBasic, EngineMode::kFull}) {
+          ExpectReplayAndOracle(
+              p, plan, hedge, /*max_attempts=*/4, query, mode, expected,
+              std::string(np.name) + " seed=" + std::to_string(seed) +
+                  " hedge=" + std::to_string(hedge) + " mode=" +
+                  EngineModeName(mode));
         }
       }
     }
   }
 }
 
-TEST(FaultInjectionTest, StreamingLubmByteIdenticalUnderMixedFaults) {
+TEST(FaultInjectionTest, LubmMixedFaultsReplayAndMatchOracle) {
   // Same contract on a real workload: every LUBM-3 query, mixed fault plan,
   // three seeds, both thread counts.
   LubmConfig config;
   config.universities = 3;
   Workload w = MakeLubmWorkload(config);
   Partitioning p = HashPartitioner().Partition(*w.dataset, 4);
+  std::vector<std::vector<Binding>> expected;
+  for (const BenchmarkQuery& bq : w.queries) {
+    expected.push_back(Oracle(*w.dataset, bq.query));
+  }
 
   for (uint64_t seed : {uint64_t{101}, uint64_t{202}, uint64_t{303}}) {
     FaultPlan plan;
@@ -443,17 +460,11 @@ TEST(FaultInjectionTest, StreamingLubmByteIdenticalUnderMixedFaults) {
     plan.default_fault.duplicate_prob = 0.1;
     plan.default_fault.latency_mean_ms = 1.5;
     plan.site_overrides[2].straggler = true;
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      DistributedEngine drained(
-          &p, WithPlan(plan, /*hedge=*/true, threads, /*max_attempts=*/6));
-      DistributedEngine streaming(
-          &p, WithPlan(plan, /*hedge=*/true, threads, /*max_attempts=*/6));
-      for (const BenchmarkQuery& bq : w.queries) {
-        ExpectStreamingMatchesDrained(
-            drained, streaming, bq.query, EngineMode::kFull,
-            bq.name + " seed=" + std::to_string(seed) + " threads=" +
-                std::to_string(threads));
-      }
+    for (size_t q = 0; q < w.queries.size(); ++q) {
+      ExpectReplayAndOracle(
+          p, plan, /*hedge=*/true, /*max_attempts=*/6, w.queries[q].query,
+          EngineMode::kFull, expected[q],
+          w.queries[q].name + " seed=" + std::to_string(seed));
     }
   }
 }

@@ -208,34 +208,6 @@ TEST_P(ParallelDeterminism, EngineResultsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_P(ParallelDeterminism, StreamingByteIdenticalAcrossThreadCounts) {
-  // The pipelined transport path under the same sweep: streaming at any
-  // thread count must equal the drained single-thread baseline — arrival
-  // order may differ run to run, the folded outcome may not.
-  const DetScenario& s = GetParam();
-  Rng rng(s.seed);
-  auto dataset = RandomDataset(rng, s.vertices, s.edges, s.predicates);
-  QueryGraph query = RandomConnectedQuery(rng, *dataset, s.query_vertices,
-                                          s.query_edges);
-  Partitioning partitioning = HashPartitioner().Partition(*dataset, 3);
-
-  for (EngineMode mode : {EngineMode::kLecAssembly, EngineMode::kFull}) {
-    std::vector<Binding> baseline;
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      EngineOptions options;
-      options.num_threads = threads;
-      DistributedEngine engine(&partitioning, options);
-      if (threads == 1) {
-        baseline = engine.Run({query, mode}).matches;
-      }
-      QueryRequest request(query, mode);
-      request.streaming = true;
-      EXPECT_EQ(engine.Run(request).matches, baseline)
-          << "threads=" << threads << " mode=" << EngineModeName(mode);
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelDeterminism,
     ::testing::ValuesIn(::gstored::testing::kReferenceScenarios));

@@ -485,70 +485,6 @@ TEST(LpmCache, CrossModeReuseOfStageB) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming submissions.
-
-TEST(ServingStreaming, StreamingSubmitByteIdenticalToDrained) {
-  // SubmitOptions::streaming routes through the pipelined transport; results
-  // must match the drained serial answer for every query and mode, and the
-  // result cache must be shared across the flag (a drained fill serves a
-  // streaming hit and vice versa).
-  Workload w = SmallLubm();
-  Partitioning p = HashPartitioner().Partition(*w.dataset, 4);
-  DistributedEngine engine(&p);
-  ServeOptions options;
-  options.max_inflight = 2;
-  ServingEngine server(&engine, options);
-
-  size_t pair_index = 0;
-  for (const BenchmarkQuery& bq : w.queries) {
-    for (EngineMode mode : kAllModes) {
-      std::vector<Binding> expected = Serial(engine, bq.query, mode);
-      // Alternate which flavor fills the cache; the Wait() between the two
-      // guarantees the second submission finds the entry.
-      const bool streaming_first = (pair_index++ % 2) == 0;
-      auto first = server.Submit(bq.query,
-                                 {.mode = mode, .streaming = streaming_first});
-      EXPECT_EQ(first->Wait().matches, expected) << bq.name;
-      auto second = server.Submit(bq.query,
-                                  {.mode = mode, .streaming = !streaming_first});
-      EXPECT_EQ(second->Wait().matches, expected) << bq.name;
-      EXPECT_TRUE(second->stats().result_cache_hit)
-          << bq.name << " " << EngineModeName(mode);
-    }
-  }
-  // The second submission of each pair hit the shared result cache.
-  EXPECT_EQ(server.counters().result_hits, w.queries.size() * 4);
-}
-
-TEST(ServingStreaming, ConcurrentStreamingClientsMatchSerial) {
-  Workload w = SmallLubm();
-  Partitioning p = HashPartitioner().Partition(*w.dataset, 3);
-  DistributedEngine engine(&p);
-  std::vector<std::vector<Binding>> expected;
-  for (const BenchmarkQuery& bq : w.queries) {
-    expected.push_back(Serial(engine, bq.query, EngineMode::kFull));
-  }
-
-  ServeOptions options;
-  options.max_inflight = 3;
-  options.use_result_cache = false;  // every submission executes
-  ServingEngine server(&engine, options);
-  std::vector<std::shared_ptr<QueryTicket>> tickets;
-  for (int round = 0; round < 3; ++round) {
-    for (size_t i = 0; i < w.queries.size(); ++i) {
-      tickets.push_back(server.Submit(
-          w.queries[i].query,
-          {.lane = static_cast<int>(i % 2), .streaming = true}));
-    }
-  }
-  for (size_t t = 0; t < tickets.size(); ++t) {
-    const QueryOutcome& outcome = tickets[t]->Wait();
-    EXPECT_TRUE(outcome.exact);
-    EXPECT_EQ(outcome.matches, expected[t % w.queries.size()]);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Infrastructure units.
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
