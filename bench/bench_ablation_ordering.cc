@@ -8,11 +8,12 @@
 //     candidate-count heuristic it replaced. Expected: never worse, strictly
 //     cheaper on the multi-predicate shapes whose correlated predicates the
 //     characteristic sets separate.
-//  2. The DP plan enumerator (src/plan/, connected-subset DP with bushy
-//     combinations) versus PR-3's greedy. The planner only ever swaps in a
-//     DP order whose *estimated* cost strictly beats the greedy order's, so
-//     the bar is strict: zero actual-node regressions, and strictly fewer
-//     nodes on more combos than PR-3's own win count (7/35).
+//  2. The planner's default DP enumerator (src/plan/, connected-subset DP
+//     with bushy combinations) versus its kGreedy setting, the cost greedy
+//     order. The DP's order is kept whenever the query is in range, even
+//     where its estimate is above greedy's, so this measures actual nodes:
+//     the bar is zero actual-node regressions, and strictly fewer nodes on
+//     more combos than the cost greedy's own win count in ablation 1 (7/35).
 //
 // Both bars are exit-code-enforced (CI gate). --json FILE additionally
 // records the summed node counts in benchmark-JSON shape ("nodes" values)
@@ -55,10 +56,12 @@ OrderReport Measure(const LocalStore& store, const ResolvedQuery& rq,
   return r;
 }
 
-OrderReport MeasureDp(const LocalStore& store, const ResolvedQuery& rq) {
+OrderReport MeasurePlan(const LocalStore& store, const ResolvedQuery& rq,
+                        PlanEnumerator enumerator) {
   OrderReport r;
   Stopwatch order_watch;
-  SitePlan plan = PlanSiteMatchOrder(store, rq, /*use_statistics=*/true);
+  SitePlan plan = PlanSiteMatchOrder(store, rq, /*use_statistics=*/true,
+                                     PlanOptions{.enumerator = enumerator});
   r.order_micros = order_watch.ElapsedMillis() * 1000.0;
   Stopwatch count_watch;
   r.nodes = CountIntermediateResults(store, rq, plan.match_order);
@@ -149,8 +152,8 @@ int main(int argc, char** argv) {
   for (const BenchmarkQuery& bq : w.queries) {
     ResolvedQuery rq = ResolveQuery(bq.query, w.dataset->dict());
     for_each_store([&](const char* store_name, const LocalStore& store) {
-      OrderReport dp = MeasureDp(store, rq);
-      OrderReport greedy = Measure(store, rq, /*use_statistics=*/true);
+      OrderReport dp = MeasurePlan(store, rq, PlanEnumerator::kDp);
+      OrderReport greedy = MeasurePlan(store, rq, PlanEnumerator::kGreedy);
       double ratio = greedy.nodes == 0
                          ? 1.0
                          : static_cast<double>(dp.nodes) /

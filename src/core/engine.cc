@@ -198,7 +198,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   match_options.num_threads = num_threads;
   match_options.pool = pool;
   match_options.use_statistics = options_.use_statistics;
-  match_options.order_scorings = &ctx.order_scorings;
 
   EnumerateOptions enum_options;
   enum_options.num_threads = num_threads;
@@ -232,10 +231,9 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
       site_match.precomputed_order = &(*ctx.site_match_orders)[site];
     } else if (!rq.impossible && n > 0) {
       // No plan-cache order: plan the site's matching order here (the
-      // src/plan/ enumerator — DP when enabled and in range, PR-3 greedy
-      // otherwise) instead of inside MatchQuery, so the slot budget below
-      // can see the chosen start vertex. One scoring pass either way; keep
-      // the counter semantics MatchQuery's internal scoring had.
+      // src/plan/ planner — DP when in range, the cost greedy otherwise)
+      // instead of inside MatchQuery, so the slot budget below can see the
+      // chosen start vertex. This is the site's one order-scoring pass.
       SitePlan sp = PlanSiteMatchOrder(*stores_[site], rq,
                                        options_.use_statistics, options_.plan);
       ctx.order_scorings.fetch_add(1, std::memory_order_relaxed);

@@ -89,11 +89,10 @@ struct EngineOptions {
   /// hit individual batches instead of a site's whole shipment.
   size_t lpm_batch_size = 256;
 
-  /// Plan-enumerator knobs (src/plan/): which enumerator scores matching
-  /// and unit orders (`enumerator = kDp | kGreedy`), the DP's query-size
-  /// gate and its acceptance margin. Only meaningful with use_statistics;
-  /// results are byte-identical for any setting (orders change enumeration
-  /// cost, never the answer set).
+  /// Which src/plan/ enumerator scores matching and unit orders
+  /// (`enumerator = kDp | kGreedy`). Only meaningful with use_statistics;
+  /// results are byte-identical for either setting (orders change
+  /// enumeration cost, never the answer set).
   PlanOptions plan;
 
   StagePolicy MakeStagePolicy() const {

@@ -275,19 +275,11 @@ void SearchIslandMask(const Fragment& fragment, const LocalStore& store,
     if (options.order_scorings != nullptr) {
       options.order_scorings->fetch_add(1, std::memory_order_relaxed);
     }
-    if (options.unit_order_fn) {
-      ctx.order = options.unit_order_fn({island_mask, boundary_mask});
-    } else if (options.use_statistics) {
-      // One estimator per mask: it memoizes characteristic-set probes and
-      // must not be shared across the pool's worker slots.
-      SelectivityEstimator estimator(&store.stats(), &rq);
-      ctx.order = BuildOrderByCost(q, island_mask, boundary_mask, estimator,
-                                   [&](QEdgeId eid) {
-                                     return EdgeRelevant(ctx, q.edge(eid));
-                                   });
-    } else {
-      ctx.order = BuildOrderBfs(q, island_mask, boundary_mask);
-    }
+    const IslandTask task{island_mask, boundary_mask};
+    ctx.order = options.unit_order_fn
+                    ? options.unit_order_fn(task)
+                    : BuildIslandUnitOrder(store, rq, task,
+                                           options.use_statistics);
   }
   ctx.island_count = static_cast<size_t>(__builtin_popcount(island_mask));
   ctx.assigned.assign(n, false);

@@ -80,10 +80,11 @@ struct IslandTask {
 std::vector<IslandTask> EnumerateIslandTasks(const QueryGraph& q);
 
 /// Computes one island task's backtracking order: by the statistics cost
-/// model when `use_statistics`, else BFS-through-island. Exposed so a plan
-/// cache can precompute and replay unit orders per (template, fragment);
-/// reusing an order from a differently-bound instance of the same template
-/// changes enumeration cost only, never the match set.
+/// model when `use_statistics`, else BFS-through-island. The enumerator's
+/// built-in unit order, and the greedy fallback of the src/plan/ planner.
+/// Exposed so a plan cache can precompute and replay unit orders per
+/// (template, fragment); reusing an order from a differently-bound instance
+/// of the same template changes enumeration cost only, never the match set.
 std::vector<QVertexId> BuildIslandUnitOrder(const LocalStore& store,
                                             const ResolvedQuery& rq,
                                             const IslandTask& task,
@@ -115,9 +116,11 @@ struct EnumerateOptions {
 
   /// Order each island unit's backtracking by the statistics cost model
   /// (smallest estimated cardinality first, then cheapest estimated
-  /// expansion), instead of the plain BFS-through-island order. The match
-  /// set per unit is identical either way; only enumeration cost and the
-  /// within-unit emission order change.
+  /// expansion), instead of the plain BFS-through-island order — the
+  /// `use_statistics` argument of BuildIslandUnitOrder when neither
+  /// `unit_orders` nor `unit_order_fn` is set. The match set per unit is
+  /// identical either way; only enumeration cost and the within-unit
+  /// emission order change.
   bool use_statistics = true;
 
   /// Precomputed island tasks (a previous EnumerateIslandTasks result for
@@ -128,17 +131,16 @@ struct EnumerateOptions {
   /// Per-task precomputed backtracking orders, aligned with `tasks` (or with
   /// the internal enumeration order when `tasks` is null). When set, unit
   /// ordering skips the SelectivityEstimator scoring pass — a plan-cache
-  /// hit. Orders must come from BuildIslandUnitOrder for an isomorphic
-  /// template on the same fragment.
+  /// hit. Orders must come from PlanIslandUnitOrder or BuildIslandUnitOrder
+  /// for an isomorphic template on the same fragment.
   const std::vector<std::vector<QVertexId>>* unit_orders = nullptr;
 
   /// Optional external unit-order planner, consulted per island task when
-  /// `unit_orders` is not set: the enumerator calls it instead of its
-  /// built-in BuildOrderByCost/BFS scoring (each call still counts one
-  /// order_scorings pass). Must return a valid unit order (island first,
-  /// connected, then boundary) and be thread-safe — with num_threads > 1
-  /// island masks score concurrently. The engine wires the src/plan/
-  /// enumerator through this hook.
+  /// `unit_orders` is not set: the enumerator calls it instead of
+  /// BuildIslandUnitOrder (each call still counts one order_scorings pass).
+  /// Must return a valid unit order (island first, connected, then
+  /// boundary) and be thread-safe — with num_threads > 1 island masks score
+  /// concurrently. The engine wires the src/plan/ planner through this hook.
   std::function<std::vector<QVertexId>(const IslandTask&)> unit_order_fn;
 
   /// When non-null, incremented once per unit-order scoring pass actually

@@ -13,10 +13,18 @@ namespace gstored {
 
 namespace {
 
-/// Mask width guard: subset masks are uint32 and the DP table is 2^k
-/// entries, so the enumerator never runs past 16 vertices regardless of
-/// PlanOptions::dp_max_vertices.
-constexpr size_t kDpMaskCap = 16;
+/// The DP's size gate: its connected-complement loop visits O(3^k) subset
+/// splits, so queries and islands above 10 vertices take the greedy order.
+/// At 10 the fan-out memo holds at most 2^10 prefixes x 10 vertices x 10
+/// starts = 102,400 entries.
+constexpr size_t kDpMaxVertices = 10;
+
+/// Islands below 3 vertices, and islands whose greedy unit order is
+/// estimated below 256 search-tree nodes, keep that order without running
+/// the DP: they cannot repay a per-mask DP (src/plan/README.md has the
+/// measurements).
+constexpr size_t kDpMinIslandVertices = 3;
+constexpr double kDpUnitCostFloor = 256.0;
 
 /// The selective-extension floor shared with EstimateOrderCost: a highly
 /// selective edge shrinks the running row estimate but never to zero.
@@ -58,12 +66,8 @@ bool Better(const DpEntry& a, const DpEntry& b) {
 class SubsetDp {
  public:
   SubsetDp(const ResolvedQuery& rq, const SelectivityEstimator& estimator,
-           std::function<bool(QEdgeId)> relevant, uint32_t universe,
-           size_t max_candidates)
-      : rq_(rq),
-        estimator_(estimator),
-        relevant_(std::move(relevant)),
-        budget_(max_candidates) {
+           std::function<bool(QEdgeId)> relevant, uint32_t universe)
+      : estimator_(estimator), relevant_(std::move(relevant)) {
     const QueryGraph& q = *rq.query;
     const size_t n = q.num_vertices();
     const QVertexId mask_width =
@@ -89,10 +93,9 @@ class SubsetDp {
   }
 
   /// The cheapest entry covering the whole universe. Invalid when the
-  /// universe is not connected or the candidate budget ran out (the caller
-  /// then keeps the greedy order).
+  /// universe is not connected (the caller then keeps the greedy order).
   DpEntry Run() {
-    GSTORED_CHECK(k_ >= 1 && k_ <= kDpMaskCap);
+    GSTORED_CHECK(k_ >= 1 && k_ <= kDpMaxVertices);
     const uint32_t full = (uint32_t{1} << k_) - 1;
     std::vector<DpEntry> table(size_t{1} << k_);
     for (size_t i = 0; i < k_; ++i) {
@@ -106,7 +109,6 @@ class SubsetDp {
 
     for (uint32_t mask = 3; mask <= full; ++mask) {
       if (std::popcount(mask) < 2) continue;
-      if (overflow_) return DpEntry{};
       DpEntry best;
       DpEntry cand;
       // (a) Linear extensions: order(S \ {v}) + v, for v adjacent to the
@@ -140,7 +142,6 @@ class SubsetDp {
       }
       table[mask] = std::move(best);
     }
-    if (overflow_) return DpEntry{};
     return table[full];
   }
 
@@ -156,8 +157,6 @@ class SubsetDp {
                          (local_of_[start] << 21);
     auto [it, inserted] = fanout_memo_.try_emplace(key, 0.0);
     if (inserted) {
-      ++candidates_;
-      if (candidates_ > budget_) overflow_ = true;
       for (uint32_t bits = placed_local; bits != 0; bits &= bits - 1) {
         placed_scratch_[verts_[std::countr_zero(bits)]] = true;
       }
@@ -203,7 +202,6 @@ class SubsetDp {
     return true;
   }
 
-  const ResolvedQuery& rq_;
   const SelectivityEstimator& estimator_;
   const std::function<bool(QEdgeId)> relevant_;
   std::vector<QVertexId> verts_;    ///< local index -> query vertex
@@ -212,13 +210,13 @@ class SubsetDp {
   size_t k_ = 0;
   std::vector<bool> placed_scratch_;
   std::unordered_map<uint32_t, double> fanout_memo_;
-  size_t candidates_ = 0;
-  const size_t budget_;
-  bool overflow_ = false;
 };
 
-size_t DpVertexCap(const PlanOptions& options) {
-  return std::min(options.dp_max_vertices, kDpMaskCap);
+/// Whether the DP may plan `rq` at all; each entry point adds its size gate.
+bool DpEnabled(bool use_statistics, const PlanOptions& options,
+               const ResolvedQuery& rq) {
+  return use_statistics && options.enumerator == PlanEnumerator::kDp &&
+         !rq.impossible;
 }
 
 }  // namespace
@@ -245,24 +243,16 @@ double EstimateOrderCost(const LocalStore& store, const ResolvedQuery& rq,
 SitePlan PlanSiteMatchOrder(const LocalStore& store, const ResolvedQuery& rq,
                             bool use_statistics, const PlanOptions& options) {
   const size_t n = rq.query->num_vertices();
+  if (DpEnabled(use_statistics, options, rq) && n >= 1 &&
+      n <= kDpMaxVertices) {
+    const SelectivityEstimator estimator(&store.stats(), &rq);
+    DpEntry best =
+        SubsetDp(rq, estimator, nullptr, (uint32_t{1} << n) - 1).Run();
+    if (best.valid) return {std::move(best.order), best.cost};
+  }
   SitePlan plan;
   plan.match_order = MatchingOrder(store, rq, use_statistics);
   plan.cost = EstimateOrderCost(store, rq, plan.match_order);
-  if (!use_statistics || options.enumerator == PlanEnumerator::kGreedy ||
-      rq.impossible || n < 3 || n > DpVertexCap(options)) {
-    return plan;
-  }
-  const SelectivityEstimator estimator(&store.stats(), &rq);
-  const uint32_t universe = (uint32_t{1} << n) - 1;
-  SubsetDp dp(rq, estimator, nullptr, universe, options.dp_max_candidates);
-  DpEntry best = dp.Run();
-  // Keep the DP plan only on a strict estimated improvement; near-ties keep
-  // the greedy order verbatim, so a tie can never regress the enumerated
-  // search tree relative to PR-3.
-  if (best.valid && best.cost < plan.cost * options.dp_min_improvement) {
-    plan.match_order = std::move(best.order);
-    plan.cost = best.cost;
-  }
   return plan;
 }
 
@@ -273,10 +263,9 @@ std::vector<QVertexId> PlanIslandUnitOrder(const LocalStore& store,
                                            const PlanOptions& options) {
   std::vector<QVertexId> greedy =
       BuildIslandUnitOrder(store, rq, task, use_statistics);
-  const size_t island_size =
-      static_cast<size_t>(std::popcount(task.island));
-  if (!use_statistics || options.enumerator == PlanEnumerator::kGreedy ||
-      rq.impossible || island_size < 3 || island_size > DpVertexCap(options)) {
+  const size_t island_size = static_cast<size_t>(std::popcount(task.island));
+  if (!DpEnabled(use_statistics, options, rq) ||
+      island_size < kDpMinIslandVertices || island_size > kDpMaxVertices) {
     return greedy;
   }
   const QueryGraph& q = *rq.query;
@@ -292,20 +281,19 @@ std::vector<QVertexId> PlanIslandUnitOrder(const LocalStore& store,
     const QueryEdge& e = q.edge(eid);
     return in_island[e.from] || in_island[e.to];
   };
-  const double greedy_cost = EstimateOrderCost(store, rq, greedy, relevant);
-  // A unit estimated this cheap cannot repay a per-mask subset DP.
-  if (greedy_cost < options.dp_unit_cost_floor) return greedy;
+  if (EstimateOrderCost(store, rq, greedy, relevant) < kDpUnitCostFloor) {
+    return greedy;
+  }
 
   const SelectivityEstimator estimator(&store.stats(), &rq);
-  SubsetDp dp(rq, estimator, relevant, task.island, options.dp_max_candidates);
-  DpEntry best = dp.Run();
+  DpEntry best = SubsetDp(rq, estimator, relevant, task.island).Run();
   if (!best.valid) return greedy;
 
   // Boundary phase: append boundary vertices cheapest-estimated-extension
   // first — the same step BuildOrderByCost runs — each adjacent to the
   // island by the task's construction.
   std::vector<bool> placed(q.num_vertices(), false);
-  std::vector<QVertexId> order = best.order;
+  std::vector<QVertexId> order = std::move(best.order);
   for (QVertexId v : order) placed[v] = true;
   size_t remaining = static_cast<size_t>(std::popcount(task.boundary));
   auto eligible = [&](QVertexId v) {
@@ -314,13 +302,12 @@ std::vector<QVertexId> PlanIslandUnitOrder(const LocalStore& store,
   while (remaining > 0) {
     const QVertexId next = estimator.PickCheapestExtension(
         placed, eligible, relevant, order[0], nullptr, /*pair_anchor=*/true);
-    if (next == SelectivityEstimator::kNoVertex) return greedy;
+    GSTORED_CHECK(next != SelectivityEstimator::kNoVertex);
     order.push_back(next);
     placed[next] = true;
     --remaining;
   }
-  const double dp_cost = EstimateOrderCost(store, rq, order, relevant);
-  return dp_cost < greedy_cost * options.dp_min_improvement ? order : greedy;
+  return order;
 }
 
 }  // namespace gstored

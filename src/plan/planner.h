@@ -1,7 +1,6 @@
 #ifndef GSTORED_PLAN_PLANNER_H_
 #define GSTORED_PLAN_PLANNER_H_
 
-#include <cstddef>
 #include <functional>
 #include <span>
 #include <vector>
@@ -16,39 +15,16 @@ namespace gstored {
 ///  * kDp     — dynamic programming over connected subgraphs of the query
 ///              (DPccp-style: connected subsets plus linearized connected-
 ///              complement combinations, cheapest entry per subset), costed
-///              by the SelectivityEstimator. Falls back to kGreedy above the
-///              size threshold and whenever its estimate is not strictly
-///              better, so a DP plan is never estimated worse than greedy.
+///              by the SelectivityEstimator. Queries above 10 vertices and
+///              islands outside 3..10 vertices fall back to kGreedy.
 ///  * kGreedy — the PR-3 path verbatim: MatchingOrder (one greedy order per
 ///              candidate start) and BuildIslandUnitOrder. The large-query
-///              fallback and the ablation baseline.
+///              fallback and the ordering ablation's baseline.
 enum class PlanEnumerator { kDp, kGreedy };
 
-/// Knobs of the plan enumerator, carried by EngineOptions::plan.
+/// Plan-enumerator setting, carried by EngineOptions::plan.
 struct PlanOptions {
   PlanEnumerator enumerator = PlanEnumerator::kDp;
-
-  /// DP size gate: queries with more vertices than this fall back to the
-  /// greedy enumerator (the subset table is exponential in the vertex
-  /// count). Clamped to 16 internally (subset masks stay table-sized).
-  /// The default comfortably covers the <= 8-vertex LUBM templates.
-  size_t dp_max_vertices = 10;
-
-  /// Estimated-cost factor a DP order must beat the greedy order by before
-  /// it replaces it: accept DP when cost_dp < cost_greedy * this. Slightly
-  /// below 1.0 so float-noise near-ties keep the greedy order verbatim —
-  /// ties can then never regress the enumerated search tree.
-  double dp_min_improvement = 0.98;
-
-  /// Unit orders cheaper than this estimated search-tree size keep the
-  /// greedy order without running the DP: an island whose whole unit
-  /// enumerates a few hundred nodes cannot repay a per-mask subset DP.
-  double dp_unit_cost_floor = 256.0;
-
-  /// Safety valve: abort a DP run (falling back to greedy) after this many
-  /// candidate-plan evaluations. Only adversarially dense shapes near the
-  /// vertex cap approach it.
-  size_t dp_max_candidates = 200000;
 };
 
 /// One site's planned matching order plus its estimated cost — the running
@@ -72,12 +48,11 @@ double EstimateOrderCost(const LocalStore& store, const ResolvedQuery& rq,
                          const std::function<bool(QEdgeId)>& relevant = nullptr);
 
 /// Plans one site's matching order. Dispatch: `use_statistics == false`
-/// degrades to MatchingOrderGreedy (the pre-statistics ablation baseline),
-/// kGreedy and oversized queries to MatchingOrder (PR-3), otherwise the DP
-/// enumerator runs and its order is kept only when its estimated cost is
-/// strictly better (PlanOptions::dp_min_improvement) than the greedy
-/// order's — so the returned order is never estimated worse than PR-3's.
-/// The returned cost is EstimateOrderCost of the chosen order either way.
+/// degrades to MatchingOrderGreedy (the pre-statistics ablation baseline);
+/// kGreedy, queries above the DP's 10-vertex gate and disconnected queries
+/// take the cost greedy MatchingOrder; every other query returns the DP
+/// enumerator's order, even where its estimate is above greedy's. The
+/// returned cost is EstimateOrderCost of the returned order either way.
 /// Orders change enumeration cost and emission order only, never the match
 /// set (final matches are sorted + deduplicated downstream).
 SitePlan PlanSiteMatchOrder(const LocalStore& store, const ResolvedQuery& rq,
@@ -86,10 +61,11 @@ SitePlan PlanSiteMatchOrder(const LocalStore& store, const ResolvedQuery& rq,
 
 /// Plans one island task's unit order (island vertices first, each adjacent
 /// to a placed island vertex; then the boundary). Same dispatch as
-/// PlanSiteMatchOrder, with the DP restricted to the island's subgraph
-/// (relevant-edge semantics of BuildIslandUnitOrder) and the boundary
-/// appended by the shared cheapest-extension step; units whose greedy
-/// estimate is below PlanOptions::dp_unit_cost_floor skip the DP outright.
+/// PlanSiteMatchOrder for islands of 3..10 vertices, with the DP restricted
+/// to the island's subgraph (relevant-edge semantics of
+/// BuildIslandUnitOrder) and the boundary appended by the shared
+/// cheapest-extension step. Units whose greedy order is estimated below 256
+/// search-tree nodes keep that order without running the DP.
 std::vector<QVertexId> PlanIslandUnitOrder(const LocalStore& store,
                                            const ResolvedQuery& rq,
                                            const IslandTask& task,

@@ -235,10 +235,10 @@ void FillCachedPlan(const DistributedEngine& engine, const QueryGraph& query,
   plan->cost = 0.0;
   const PlanOptions& plan_options = engine.options().plan;
   for (int site = 0; site < num_sites; ++site) {
-    // The plan enumerator picks each order and prices it under
-    // EstimateOrderCost (the DP's estimate when it wins, the greedy
-    // order's otherwise), so kCostAware admission prices templates from
-    // the chosen plan's estimate.
+    // The planner picks each order and prices it under EstimateOrderCost
+    // (the DP's estimate in its size range, the greedy order's otherwise),
+    // so kCostAware admission prices templates from the chosen plan's
+    // estimate.
     SitePlan sp = PlanSiteMatchOrder(engine.store(site), rq, use_statistics,
                                      plan_options);
     plan->cost += sp.cost;

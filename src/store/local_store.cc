@@ -7,8 +7,7 @@
 
 namespace gstored {
 
-LocalStore::LocalStore(const RdfGraph* graph, size_t max_char_sets)
-    : graph_(graph) {
+LocalStore::LocalStore(const RdfGraph* graph) : graph_(graph) {
   GSTORED_CHECK(graph != nullptr);
   GSTORED_CHECK(graph->finalized());
 
@@ -36,7 +35,7 @@ LocalStore::LocalStore(const RdfGraph* graph, size_t max_char_sets)
               pred_os_.begin() + pred_offsets_[p + 1]);
   }
 
-  stats_ = std::make_unique<GraphStatistics>(graph_, max_char_sets);
+  stats_ = std::make_unique<GraphStatistics>(graph_);
 
   signatures_.assign(graph_->vertex_id_bound(), 0);
   for (TermId v : graph_->vertices()) {

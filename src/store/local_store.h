@@ -28,9 +28,7 @@ namespace gstored {
 /// be finalized.
 class LocalStore {
  public:
-  /// `max_char_sets` caps the statistics' distinct characteristic sets
-  /// (0 = unlimited); see GraphStatistics.
-  explicit LocalStore(const RdfGraph* graph, size_t max_char_sets = 0);
+  explicit LocalStore(const RdfGraph* graph);
 
   LocalStore(const LocalStore&) = delete;
   LocalStore& operator=(const LocalStore&) = delete;

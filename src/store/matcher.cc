@@ -414,9 +414,6 @@ std::vector<Binding> MatchQuery(const LocalStore& store,
   std::vector<QVertexId> scored_order;
   if (options.precomputed_order == nullptr) {
     scored_order = MatchingOrder(store, rq, options.use_statistics);
-    if (options.order_scorings != nullptr) {
-      options.order_scorings->fetch_add(1, std::memory_order_relaxed);
-    }
   }
   const std::vector<QVertexId>& order = options.precomputed_order != nullptr
                                             ? *options.precomputed_order

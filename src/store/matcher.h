@@ -1,7 +1,6 @@
 #ifndef GSTORED_STORE_MATCHER_H_
 #define GSTORED_STORE_MATCHER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -49,17 +48,14 @@ struct MatchOptions {
   bool use_statistics = true;
 
   /// Precomputed vertex elimination order; when set MatchQuery skips
-  /// MatchingOrder/SelectivityEstimator scoring entirely (a plan-cache hit).
-  /// Must be a permutation of the query's vertices starting a connected
-  /// expansion — i.e. a previous MatchingOrder result for an isomorphic
-  /// template. Final match sets are sorted + deduplicated downstream, so a
-  /// heuristic order from a differently-bound instance is safe to reuse.
+  /// MatchingOrder/SelectivityEstimator scoring entirely. The engine always
+  /// sets it, from the src/plan/ planner or a plan-cache hit. Must be a
+  /// permutation of the query's vertices starting a connected expansion —
+  /// i.e. a previous PlanSiteMatchOrder or MatchingOrder result for an
+  /// isomorphic template. Final match sets are sorted + deduplicated
+  /// downstream, so a heuristic order from a differently-bound instance is
+  /// safe to reuse.
   const std::vector<QVertexId>* precomputed_order = nullptr;
-
-  /// When non-null, incremented once per MatchingOrder scoring pass actually
-  /// performed (i.e. not skipped via precomputed_order). Lets tests and the
-  /// serving layer assert that plan-cache hits skip order scoring.
-  std::atomic<size_t>* order_scorings = nullptr;
 };
 
 /// Finds all homomorphic matches (Def. 3) of the resolved query over the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <map>
 
 #include "util/logging.h"
@@ -33,8 +32,7 @@ double FanoutHistogram::Quantile(double q) const {
   return static_cast<double>(max_fanout);
 }
 
-GraphStatistics::GraphStatistics(const RdfGraph* graph, size_t max_char_sets)
-    : graph_(graph) {
+GraphStatistics::GraphStatistics(const RdfGraph* graph) : graph_(graph) {
   GSTORED_CHECK(graph != nullptr);
   GSTORED_CHECK(graph->finalized());
 
@@ -89,8 +87,6 @@ GraphStatistics::GraphStatistics(const RdfGraph* graph, size_t max_char_sets)
   }
   char_sets_ = std::move(ordered);
 
-  MergeCharacteristicSets(max_char_sets);
-
   // Predicate -> containing characteristic sets, so the superset probes can
   // walk only the rarest queried predicate's list instead of every distinct
   // set. Built over the ordered layout, so each list is ascending.
@@ -98,118 +94,6 @@ GraphStatistics::GraphStatistics(const RdfGraph* graph, size_t max_char_sets)
   for (uint32_t i = 0; i < char_sets_.size(); ++i) {
     for (TermId p : char_sets_[i].predicates) {
       charset_index_[p].push_back(i);
-    }
-  }
-}
-
-void GraphStatistics::MergeCharacteristicSets(size_t max_char_sets) {
-  if (max_char_sets == 0) return;
-  // Every round retires the rarest set (fewest subjects; lowest index on
-  // ties — deterministic, and low-count sets are the ones whose loss of
-  // precision matters least). Preferred absorber: the strict superset with
-  // the fewest extra predicates (the "closest" superset; larger count then
-  // lower index on ties), into which the victim folds exactly — a subject
-  // of the victim's set behaves like a superset subject that simply has a
-  // few more predicates, so superset probes for the victim's predicates
-  // still find every one of its subjects. Without any superset, the victim
-  // union-merges with the sibling sharing the most predicates: both are
-  // replaced by their predicate union with counts and occurrences summed.
-  // Either way sets only ever widen, so total subject count is preserved
-  // and SubjectsWithAllOut can only over-count, never miss.
-  while (char_sets_.size() > max_char_sets) {
-    size_t victim = 0;
-    for (size_t i = 1; i < char_sets_.size(); ++i) {
-      if (char_sets_[i].count < char_sets_[victim].count) victim = i;
-    }
-    const CharacteristicSet& vs = char_sets_[victim];
-
-    size_t best_super = char_sets_.size();
-    size_t best_extra = static_cast<size_t>(-1);
-    size_t best_overlap_idx = char_sets_.size();
-    size_t best_overlap = 0;
-    for (size_t i = 0; i < char_sets_.size(); ++i) {
-      if (i == victim) continue;
-      const CharacteristicSet& cs = char_sets_[i];
-      if (cs.predicates.size() > vs.predicates.size() &&
-          std::includes(cs.predicates.begin(), cs.predicates.end(),
-                        vs.predicates.begin(), vs.predicates.end())) {
-        const size_t extra = cs.predicates.size() - vs.predicates.size();
-        if (best_super == char_sets_.size() || extra < best_extra ||
-            (extra == best_extra &&
-             cs.count > char_sets_[best_super].count)) {
-          best_super = i;
-          best_extra = extra;
-        }
-      }
-      std::vector<TermId> shared;
-      std::set_intersection(cs.predicates.begin(), cs.predicates.end(),
-                            vs.predicates.begin(), vs.predicates.end(),
-                            std::back_inserter(shared));
-      if (best_overlap_idx == char_sets_.size() ||
-          shared.size() > best_overlap ||
-          (shared.size() == best_overlap &&
-           cs.count > char_sets_[best_overlap_idx].count)) {
-        best_overlap_idx = i;
-        best_overlap = shared.size();
-      }
-    }
-
-    if (best_super != char_sets_.size()) {
-      CharacteristicSet& target = char_sets_[best_super];
-      target.count += vs.count;
-      for (size_t i = 0; i < vs.predicates.size(); ++i) {
-        const auto pos = std::lower_bound(target.predicates.begin(),
-                                          target.predicates.end(),
-                                          vs.predicates[i]);
-        target.occurrences[static_cast<size_t>(
-            pos - target.predicates.begin())] += vs.occurrences[i];
-      }
-      char_sets_.erase(char_sets_.begin() + static_cast<ptrdiff_t>(victim));
-      continue;
-    }
-    if (best_overlap_idx == char_sets_.size()) break;  // single set left
-
-    const CharacteristicSet& os = char_sets_[best_overlap_idx];
-    CharacteristicSet merged;
-    merged.count = vs.count + os.count;
-    size_t a = 0;
-    size_t b = 0;
-    while (a < vs.predicates.size() || b < os.predicates.size()) {
-      if (b == os.predicates.size() ||
-          (a < vs.predicates.size() && vs.predicates[a] < os.predicates[b])) {
-        merged.predicates.push_back(vs.predicates[a]);
-        merged.occurrences.push_back(vs.occurrences[a]);
-        ++a;
-      } else if (a == vs.predicates.size() ||
-                 os.predicates[b] < vs.predicates[a]) {
-        merged.predicates.push_back(os.predicates[b]);
-        merged.occurrences.push_back(os.occurrences[b]);
-        ++b;
-      } else {
-        merged.predicates.push_back(vs.predicates[a]);
-        merged.occurrences.push_back(vs.occurrences[a] + os.occurrences[b]);
-        ++a;
-        ++b;
-      }
-    }
-    const size_t hi = std::max(victim, best_overlap_idx);
-    const size_t lo = std::min(victim, best_overlap_idx);
-    char_sets_.erase(char_sets_.begin() + static_cast<ptrdiff_t>(hi));
-    char_sets_.erase(char_sets_.begin() + static_cast<ptrdiff_t>(lo));
-    // Re-insert at the predicate-set lexicographic position (folding into an
-    // existing equal set if one emerged), preserving the ordering invariant.
-    auto ins = std::lower_bound(
-        char_sets_.begin(), char_sets_.end(), merged,
-        [](const CharacteristicSet& x, const CharacteristicSet& y) {
-          return x.predicates < y.predicates;
-        });
-    if (ins != char_sets_.end() && ins->predicates == merged.predicates) {
-      ins->count += merged.count;
-      for (size_t i = 0; i < merged.occurrences.size(); ++i) {
-        ins->occurrences[i] += merged.occurrences[i];
-      }
-    } else {
-      char_sets_.insert(ins, std::move(merged));
     }
   }
 }

@@ -63,15 +63,7 @@ struct CharacteristicSet {
 /// The graph is borrowed and must outlive the statistics.
 class GraphStatistics {
  public:
-  /// `max_char_sets` bounds the number of distinct characteristic sets kept
-  /// (0 = unlimited). Graphs with very many distinct sets get low-occurrence
-  /// sets merged into their closest strict superset (fewest extra
-  /// predicates, occurrence-weighted fold), or union-merged with their
-  /// largest-overlap sibling when no superset exists — so superset probes
-  /// (SubjectsWithAllOut / EstimateStarRows) stay fast and bounded. Merging
-  /// only ever widens sets: total subject count is preserved and merged
-  /// estimates over-count relative to unmerged ones, never miss.
-  explicit GraphStatistics(const RdfGraph* graph, size_t max_char_sets = 0);
+  explicit GraphStatistics(const RdfGraph* graph);
 
   GraphStatistics(const GraphStatistics&) = delete;
   GraphStatistics& operator=(const GraphStatistics&) = delete;
@@ -129,11 +121,6 @@ class GraphStatistics {
   double EstimateStarRows(std::span<const TermId> preds) const;
 
  private:
-  /// Implements the constructor's `max_char_sets` cap over the
-  /// lexicographically-ordered `char_sets_` (run before charset_index_ is
-  /// built; keeps the ordering invariant).
-  void MergeCharacteristicSets(size_t max_char_sets);
-
   /// Applies `fn` to every characteristic set whose predicate set is a
   /// superset of `sorted` (canonical: sorted, distinct). Instead of the old
   /// linear scan over all distinct sets, the probe walks only the inverted

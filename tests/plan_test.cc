@@ -1,13 +1,16 @@
-// Property suite for the src/plan/ DP enumerator against PR-3's greedy
+// Property suite for the src/plan/ DP enumerator against the cost greedy
 // orders: never more search-tree nodes on the shared reference scenarios or
-// any LUBM-3 query x store combo (with pinned strict wins), byte-identical
-// match sets for either enumerator through the engine at 1 and 8 threads in
-// every mode, and exact greedy-fallback identity for the kGreedy setting,
-// oversized queries and exhausted candidate budgets.
+// any LUBM-3 query x store combo (with pinned strict wins), a LUBM-16 win
+// that the greedy order's lower estimate does not foresee, valid unit
+// orders, byte-identical match sets for either enumerator through the
+// engine at 1 and 8 threads in every mode, and exact greedy-fallback
+// identity for the kGreedy setting, oversized queries and statistics off.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 #include <vector>
 
 #include "core/engine.h"
@@ -72,8 +75,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(::gstored::testing::kReferenceScenarios));
 
 // ---------------------------------------------------------------------------
-// Greedy-fallback identity: kGreedy, undersized/oversized queries and an
-// exhausted candidate budget must reproduce PR-3's orders verbatim.
+// Greedy-fallback identity: kGreedy and oversized queries must reproduce the
+// cost greedy orders verbatim, statistics off the pre-statistics ones.
 // ---------------------------------------------------------------------------
 
 TEST(PlanFallbackTest, KGreedyReturnsPr3OrdersVerbatim) {
@@ -100,24 +103,25 @@ TEST(PlanFallbackTest, KGreedyReturnsPr3OrdersVerbatim) {
   }
 }
 
-TEST(PlanFallbackTest, SizeGateAndBudgetExhaustionKeepGreedy) {
+TEST(PlanFallbackTest, SizeGateAndNoStatisticsKeepGreedy) {
   LubmConfig config;
   config.universities = 2;
   Workload w = MakeLubmWorkload(config);
   LocalStore store(&w.dataset->graph());
-  PlanOptions tiny_cap;
-  tiny_cap.dp_max_vertices = 2;  // below every multi-vertex query
-  PlanOptions no_budget;
-  no_budget.dp_max_candidates = 0;  // first memoized fanout overflows
+
+  // One vertex above the DP's 10-vertex gate: the cost greedy order comes
+  // back verbatim.
+  Rng rng(1);
+  QueryGraph big = RandomConnectedQuery(rng, *w.dataset, 11, 14,
+                                        /*constant_prob=*/0.0);
+  ASSERT_EQ(big.num_vertices(), 11u);
+  ResolvedQuery big_rq = ResolveQuery(big, w.dataset->dict());
+  EXPECT_EQ(PlanSiteMatchOrder(store, big_rq, /*use_statistics=*/true)
+                .match_order,
+            MatchingOrder(store, big_rq));
+
   for (const BenchmarkQuery& bq : w.queries) {
     ResolvedQuery rq = ResolveQuery(bq.query, w.dataset->dict());
-    const std::vector<QVertexId> greedy = MatchingOrder(store, rq);
-    EXPECT_EQ(PlanSiteMatchOrder(store, rq, true, tiny_cap).match_order,
-              greedy)
-        << bq.name;
-    EXPECT_EQ(PlanSiteMatchOrder(store, rq, true, no_budget).match_order,
-              greedy)
-        << bq.name;
     // Without statistics there is nothing to cost: the pre-statistics
     // greedy order comes back untouched for any enumerator.
     EXPECT_EQ(PlanSiteMatchOrder(store, rq, false).match_order,
@@ -126,26 +130,81 @@ TEST(PlanFallbackTest, SizeGateAndBudgetExhaustionKeepGreedy) {
   }
 }
 
-TEST(PlanFallbackTest, UnitOrdersCoverTheSameVerticesAsGreedy) {
-  LubmConfig config;
-  config.universities = 2;
-  Workload w = MakeLubmWorkload(config);
-  LocalStore store(&w.dataset->graph());
-  PlanOptions eager;
-  eager.dp_unit_cost_floor = 0.0;  // price every island through the DP
-  for (const BenchmarkQuery& bq : w.queries) {
-    ResolvedQuery rq = ResolveQuery(bq.query, w.dataset->dict());
-    for (const IslandTask& task : EnumerateIslandTasks(*rq.query)) {
-      std::vector<QVertexId> dp =
-          PlanIslandUnitOrder(store, rq, task, true, eager);
-      std::vector<QVertexId> greedy =
-          BuildIslandUnitOrder(store, rq, task, true);
-      // Same vertex set in a possibly different order: sorted views match.
-      std::vector<QVertexId> dp_sorted = dp;
-      std::vector<QVertexId> greedy_sorted = greedy;
-      std::sort(dp_sorted.begin(), dp_sorted.end());
-      std::sort(greedy_sorted.begin(), greedy_sorted.end());
-      EXPECT_EQ(dp_sorted, greedy_sorted) << bq.name;
+// ---------------------------------------------------------------------------
+// LUBM-16 over 4 hash sites: the planner keeps the DP's order even where its
+// estimate is above the greedy order's, and every unit order it returns is
+// well formed.
+// ---------------------------------------------------------------------------
+
+/// LUBM-16 hash-partitioned over 4 sites, built once for the tests below.
+struct Lubm16Sites {
+  Lubm16Sites()
+      : workload(MakeLubmWorkload(LubmConfig{.universities = 16})),
+        partitioning(HashPartitioner().Partition(*workload.dataset, 4)) {
+    for (const Fragment& f : partitioning.fragments()) {
+      stores.push_back(std::make_unique<LocalStore>(&f.graph()));
+    }
+  }
+
+  Workload workload;
+  Partitioning partitioning;
+  std::vector<std::unique_ptr<LocalStore>> stores;
+};
+
+const Lubm16Sites& Lubm16() {
+  static const Lubm16Sites sites;
+  return sites;
+}
+
+TEST(PlanLubm16Test, DpOrderBeatsGreedyWhoseEstimateIsLower) {
+  const Lubm16Sites& lubm = Lubm16();
+  const BenchmarkQuery& lq2 = lubm.workload.queries[1];
+  ASSERT_EQ(lq2.name, "LQ2");
+  const LocalStore& store = *lubm.stores[0];
+  ResolvedQuery rq = ResolveQuery(lq2.query, lubm.workload.dataset->dict());
+
+  SitePlan plan = PlanSiteMatchOrder(store, rq, /*use_statistics=*/true);
+  std::vector<QVertexId> greedy = MatchingOrder(store, rq);
+  // The greedy order is estimated cheaper, yet explores more nodes: an
+  // estimate margin in greedy's favour would have kept the worse order.
+  EXPECT_LT(EstimateOrderCost(store, rq, greedy), plan.cost);
+  EXPECT_LT(CountIntermediateResults(store, rq, plan.match_order),
+            CountIntermediateResults(store, rq, greedy));
+}
+
+TEST(PlanLubm16Test, UnitOrdersAreValid) {
+  const Lubm16Sites& lubm = Lubm16();
+  for (const BenchmarkQuery& bq : lubm.workload.queries) {
+    ResolvedQuery rq = ResolveQuery(bq.query, lubm.workload.dataset->dict());
+    const QueryGraph& q = *rq.query;
+    for (const auto& store : lubm.stores) {
+      for (const IslandTask& task : EnumerateIslandTasks(q)) {
+        const std::vector<QVertexId> order =
+            PlanIslandUnitOrder(*store, rq, task, /*use_statistics=*/true);
+        const size_t island_size =
+            static_cast<size_t>(std::popcount(task.island));
+        ASSERT_EQ(order.size(),
+                  island_size +
+                      static_cast<size_t>(std::popcount(task.boundary)))
+            << bq.name;
+        uint32_t placed = 0;
+        for (size_t i = 0; i < order.size(); ++i) {
+          const uint32_t bit = uint32_t{1} << order[i];
+          // Island vertices first, then exactly the boundary, no repeats.
+          EXPECT_NE(i < island_size ? task.island & bit : task.boundary & bit,
+                    0u)
+              << bq.name << " position " << i;
+          EXPECT_EQ(placed & bit, 0u) << bq.name << " position " << i;
+          // Each island vertex after the first touches an earlier one.
+          if (i > 0 && i < island_size) {
+            const auto nbs = q.Neighbors(order[i]);
+            EXPECT_TRUE(std::any_of(nbs.begin(), nbs.end(), [&](QVertexId nb) {
+              return (placed & (uint32_t{1} << nb)) != 0;
+            })) << bq.name << " position " << i;
+          }
+          placed |= bit;
+        }
+      }
     }
   }
 }

@@ -260,128 +260,6 @@ TEST_P(StatsSweep, VertexCardinalityUpperBoundsCandidates) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StatsSweep,
                          ::testing::Values(11u, 22u, 33u, 44u, 55u, 66u));
 
-/// Characteristic-set merging under a cap: merged statistics must stay
-/// bounded, preserve total subject mass, and — because merging only ever
-/// widens predicate sets — SubjectsWithAllOut over the merged sets can only
-/// over-count relative to the unmerged exact value, never miss a subject.
-class CharsetMergeSweep : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(CharsetMergeSweep, CapBoundsSetCountAndPreservesSubjectMass) {
-  Rng rng(GetParam() * 97 + 5);
-  auto dataset = RandomDataset(rng, 28 + GetParam() % 19, 120, 6);
-  const RdfGraph& g = dataset->graph();
-  GraphStatistics unmerged(&g);
-  const size_t distinct = unmerged.characteristic_sets().size();
-  ASSERT_GE(distinct, 2u) << "scenario too degenerate to exercise merging";
-
-  auto subject_mass = [](const GraphStatistics& s) {
-    uint64_t mass = 0;
-    for (const CharacteristicSet& cs : s.characteristic_sets()) {
-      mass += cs.count;
-    }
-    return mass;
-  };
-  auto occurrence_mass = [](const GraphStatistics& s) {
-    uint64_t mass = 0;
-    for (const CharacteristicSet& cs : s.characteristic_sets()) {
-      for (uint64_t o : cs.occurrences) mass += o;
-    }
-    return mass;
-  };
-
-  for (size_t cap : {size_t{1}, std::max<size_t>(1, distinct / 3),
-                     std::max<size_t>(1, distinct / 2), distinct - 1}) {
-    GraphStatistics merged(&g, cap);
-    EXPECT_LE(merged.characteristic_sets().size(), cap) << "cap=" << cap;
-    // Every subject still counted exactly once, every triple's occurrence
-    // still attributed — merging moves mass, never drops it.
-    EXPECT_EQ(subject_mass(merged), subject_mass(unmerged)) << "cap=" << cap;
-    EXPECT_EQ(occurrence_mass(merged), occurrence_mass(unmerged))
-        << "cap=" << cap;
-    // Sets stay canonical: sorted distinct predicates, parallel occurrence
-    // vectors, lexicographic layout.
-    const auto& sets = merged.characteristic_sets();
-    for (size_t i = 0; i < sets.size(); ++i) {
-      EXPECT_TRUE(std::is_sorted(sets[i].predicates.begin(),
-                                 sets[i].predicates.end()));
-      EXPECT_EQ(sets[i].predicates.size(), sets[i].occurrences.size());
-      EXPECT_EQ(std::adjacent_find(sets[i].predicates.begin(),
-                                   sets[i].predicates.end()),
-                sets[i].predicates.end());
-      if (i > 0) EXPECT_LT(sets[i - 1].predicates, sets[i].predicates);
-    }
-  }
-}
-
-TEST_P(CharsetMergeSweep, MergedSupersetProbesNeverUndercount) {
-  Rng rng(GetParam() * 131 + 3);
-  auto dataset = RandomDataset(rng, 30, 130, 5);
-  const RdfGraph& g = dataset->graph();
-  GraphStatistics unmerged(&g);
-  const size_t distinct = unmerged.characteristic_sets().size();
-  ASSERT_GE(distinct, 2u);
-  GraphStatistics merged(&g, std::max<size_t>(1, distinct / 2));
-
-  // Probe with every unmerged set's exact predicate combination (the worst
-  // case for a merge to lose) plus random subsets of the predicate space.
-  std::vector<std::vector<TermId>> probes;
-  for (const CharacteristicSet& cs : unmerged.characteristic_sets()) {
-    probes.push_back(cs.predicates);
-  }
-  const std::vector<TermId>& preds = g.predicates();
-  for (int trial = 0; trial < 30; ++trial) {
-    std::vector<TermId> probe;
-    for (TermId p : preds) {
-      if (rng.Next() % 3 == 0) probe.push_back(p);
-    }
-    if (!probe.empty()) probes.push_back(std::move(probe));
-  }
-  for (const std::vector<TermId>& probe : probes) {
-    EXPECT_GE(merged.SubjectsWithAllOut(probe) + 1e-9,
-              unmerged.SubjectsWithAllOut(probe));
-    // Star estimates stay well-defined (probes of kept predicates resolve
-    // against some superset — merging never empties the index).
-    EXPECT_GE(merged.EstimateStarRows(probe), 0.0);
-  }
-}
-
-TEST_P(CharsetMergeSweep, CapAtOrAboveDistinctIsIdentityAndDeterministic) {
-  Rng rng(GetParam() * 53 + 17);
-  auto dataset = RandomDataset(rng, 26, 100, 4);
-  const RdfGraph& g = dataset->graph();
-  GraphStatistics unmerged(&g);
-  const size_t distinct = unmerged.characteristic_sets().size();
-
-  auto expect_same_sets = [](const GraphStatistics& a,
-                             const GraphStatistics& b) {
-    ASSERT_EQ(a.characteristic_sets().size(), b.characteristic_sets().size());
-    for (size_t i = 0; i < a.characteristic_sets().size(); ++i) {
-      const CharacteristicSet& x = a.characteristic_sets()[i];
-      const CharacteristicSet& y = b.characteristic_sets()[i];
-      EXPECT_EQ(x.predicates, y.predicates);
-      EXPECT_EQ(x.occurrences, y.occurrences);
-      EXPECT_EQ(x.count, y.count);
-    }
-  };
-
-  // A cap at (or above) the distinct count must not touch anything.
-  GraphStatistics at_cap(&g, distinct);
-  GraphStatistics above_cap(&g, distinct + 10);
-  expect_same_sets(at_cap, unmerged);
-  expect_same_sets(above_cap, unmerged);
-
-  // Merging is deterministic: two independent constructions agree exactly.
-  if (distinct >= 2) {
-    const size_t cap = std::max<size_t>(1, distinct / 2);
-    GraphStatistics m1(&g, cap);
-    GraphStatistics m2(&g, cap);
-    expect_same_sets(m1, m2);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CharsetMergeSweep,
-                         ::testing::Values(3u, 14u, 25u, 36u));
-
 /// The p90 hub penalty in ExtensionCost: two predicates with identical
 /// average out fan-out, one uniform and one hub-dominated (p90 > 4x the
 /// mean), must no longer price identically — the expansion through the
