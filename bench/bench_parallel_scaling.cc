@@ -218,7 +218,7 @@ void BM_FullEngineExecuteThreads(benchmark::State& state) {
 BENCHMARK(BM_FullEngineExecuteThreads)->Arg(1)->Arg(4);
 
 /// Async-transport fault/latency row (PR 6). BM_FullEngineExecuteThreads
-/// above is the *no-fault* row: since PR 6 it runs the mailbox transport
+/// above is the *no-fault* row: it runs the message transport
 /// (serialization, done markers, wire-size ledger accounting), so its delta
 /// against the same row in BENCH_pr5.json — the old synchronous RunStage
 /// barrier — is the pure transport overhead, and it must stay inside the CI
@@ -250,8 +250,8 @@ void BM_FullEngineFaultyLatency(benchmark::State& state) {
     retries += outcome.stats.transport_retries;
     hedged += outcome.stats.hedged_sites;
     exact = exact && outcome.exact;
-    for (double w : outcome.stats.partial_eval_run.queue_wait_millis) {
-      waits.push_back(w);
+    for (const SiteStageReport& site : outcome.stats.partial_eval_sites) {
+      waits.push_back(site.queue_wait_ms);
     }
   }
   std::sort(waits.begin(), waits.end());

@@ -83,12 +83,6 @@ struct AssemblyContext {
   std::vector<bool> active;
 };
 
-/// Shard count of the per-slot dedup sets. Sharding by binding hash keeps
-/// the bucket maps small on join-heavy seeds; membership semantics are
-/// shard-count-invariant (pinned by core_units_test), so the value is pure
-/// tuning.
-constexpr size_t kSeenSetShards = 4;
-
 /// Mutable per-slot search state. One instance per worker slot; no slot
 /// ever touches another slot's scratch, and everything here is reset (or
 /// rebuilt) per seed, so a seed's DFS is a pure function of (seed, context)
@@ -100,7 +94,7 @@ struct SlotScratch {
   // equal seeds), hence cross-seed entries can never hit. Cleared per seed
   // rather than shared so pathological inputs (duplicate LPMs) cannot make
   // the output depend on the dynamic seed-to-slot assignment.
-  SeenSet seen{kSeenSetShards};
+  SeenSet seen;
   // Frontier arena: one reusable next-frontier vector per DFS depth, so the
   // join loop stops re-allocating frontier storage on every level. Sized to
   // the deepest possible recursion (one level per group) up front, which

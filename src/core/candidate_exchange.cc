@@ -12,7 +12,7 @@ namespace gstored {
 CandidateExchange ExchangeInternalCandidates(
     const Partitioning& partitioning,
     const std::vector<const LocalStore*>& stores, const ResolvedQuery& rq,
-    Transport& net, ShipmentLedger& ledger,
+    InProcessTransport& net, ShipmentLedger& ledger,
     const CandidateExchangeOptions& options) {
   const QueryGraph& q = *rq.query;
   size_t n = q.num_vertices();
@@ -71,7 +71,7 @@ CandidateExchange ExchangeInternalCandidates(
             site_estimates[site].push_back(std::move(decoded.value()));
           }
         });
-    result.stage_millis += est.run.max_millis;
+    result.stage_millis += est.max_millis();
     result.transport_retries += est.total_retries();
     result.hedged_sites += est.hedged_sites();
 
@@ -158,7 +158,7 @@ CandidateExchange ExchangeInternalCandidates(
           if (site_lost[site]) break;
         }
       });
-  result.stage_millis += filt.run.max_millis;
+  result.stage_millis += filt.max_millis();
   result.transport_retries += filt.total_retries();
   result.hedged_sites += filt.hedged_sites();
 

@@ -89,7 +89,7 @@ struct CandidateExchange {
 CandidateExchange ExchangeInternalCandidates(
     const Partitioning& partitioning,
     const std::vector<const LocalStore*>& stores, const ResolvedQuery& rq,
-    Transport& transport, ShipmentLedger& ledger,
+    InProcessTransport& transport, ShipmentLedger& ledger,
     const CandidateExchangeOptions& options = {});
 
 }  // namespace gstored

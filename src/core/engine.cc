@@ -41,6 +41,10 @@ DistributedEngine::DistributedEngine(const Partitioning* partitioning,
 
 namespace {
 
+/// LPMs per kLpmBatch wire message in stage D, so drop/duplicate faults hit
+/// individual batches instead of a site's whole shipment.
+constexpr size_t kLpmBatchSize = 256;
+
 /// Per-site computation cache: the transport runs each site function at
 /// most once per stage, but stages B, C and D all read the same matches,
 /// LPMs and features, so each site computes them once per query. Each entry
@@ -106,7 +110,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
 
   outcome.sites.assign(num_sites, SiteReport{});
 
-  Transport& net = *ctx.transport;
+  InProcessTransport& net = *ctx.transport;
   ShipmentLedger& ledger = *ctx.ledger;
   ThreadPool* pool = ctx.pool != nullptr ? ctx.pool : options_.pool;
   const size_t num_threads =
@@ -331,8 +335,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
                             batch.value().matches.end());
         }
       });
-  stats->partial_eval_time_ms = peval.run.max_millis;
-  stats->partial_eval_run = peval.run;
+  stats->partial_eval_time_ms = peval.max_millis();
+  stats->partial_eval_sites = peval.sites;
   stats->transport_retries += peval.total_retries();
   stats->hedged_sites += peval.hedged_sites();
 
@@ -487,9 +491,9 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
             return MakeMessage(MessageType::kSurvivorBitmap,
                                EncodeBitmap(site_survivors[site]));
           });
-      stats->lec_prune_time_ms = feat.run.max_millis + prune_watch.ElapsedMillis();
+      stats->lec_prune_time_ms = feat.max_millis() + prune_watch.ElapsedMillis();
     } else {
-      stats->lec_prune_time_ms = feat.run.max_millis;
+      stats->lec_prune_time_ms = feat.max_millis();
     }
   }
   if (aborted(total_watch.ElapsedMillis())) return finish_aborted();
@@ -498,7 +502,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   // batches and assemble. Per-site survivor filtering preserves the site's
   // enumeration order and sites are concatenated in site order, matching
   // the old global filter exactly.
-  const size_t batch_size = std::max<size_t>(1, options_.lpm_batch_size);
 
   // Assembly-input staging: each site's LPM batches are decoded into its
   // slot while slower sites are still filtering and shipping; the
@@ -531,8 +534,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
           to_ship = c.lpms;
         }
         std::vector<WireMessage> msgs;
-        for (size_t first = 0; first < to_ship.size(); first += batch_size) {
-          size_t count = std::min(batch_size, to_ship.size() - first);
+        for (size_t first = 0; first < to_ship.size(); first += kLpmBatchSize) {
+          size_t count = std::min(kLpmBatchSize, to_ship.size() - first);
           msgs.push_back(MakeMessage(MessageType::kLpmBatch,
                                      EncodeLpmBatch(to_ship, first, count)));
         }

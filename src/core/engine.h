@@ -75,9 +75,6 @@ struct EngineOptions {
   /// Dispatch attempts per site per stage before hedging/degradation.
   int max_attempts = 3;
 
-  /// Base retry backoff, doubled every attempt (virtual milliseconds).
-  double retry_backoff_ms = 5.0;
-
   /// Re-run an unrecoverable site's stage on the coordinator against its
   /// local fragment copy (straggler hedging). With hedging on, every fault
   /// still yields the exact result; turn it off to model a deployment
@@ -85,21 +82,18 @@ struct EngineOptions {
   /// partial result.
   bool hedge_local = true;
 
-  /// LPMs per kLpmBatch wire message in stage D, so drop/duplicate faults
-  /// hit individual batches instead of a site's whole shipment.
-  size_t lpm_batch_size = 256;
-
   /// Which src/plan/ enumerator scores matching and unit orders
   /// (`enumerator = kDp | kGreedy`). Only meaningful with use_statistics;
   /// results are byte-identical for either setting (orders change
   /// enumeration cost, never the answer set).
   PlanOptions plan;
 
+  /// The stage policy of every pipeline stage; the retry backoff keeps
+  /// StagePolicy's default.
   StagePolicy MakeStagePolicy() const {
     StagePolicy policy;
     policy.deadline_ms = stage_deadline_ms;
     policy.max_attempts = max_attempts;
-    policy.backoff_ms = retry_backoff_ms;
     policy.hedge_local = hedge_local;
     return policy;
   }
@@ -120,11 +114,10 @@ struct QueryStats {
   double assembly_time_ms = 0.0;      ///< Alg. 3 / basic assembly
   double total_time_ms = 0.0;
 
-  /// Per-site queue-wait vs execute split of the partial-evaluation stage
-  /// (the dominant per-site stage): queue_wait_millis is virtual transport
-  /// wait (injected latency, blown deadlines, backoff), exec_millis is real
-  /// compute.
-  StageRun partial_eval_run;
+  /// Per-site transport reports of the partial-evaluation stage (the
+  /// dominant per-site stage): queue_wait_ms is virtual transport wait
+  /// (injected latency, blown deadlines, backoff), exec_ms is real compute.
+  std::vector<SiteStageReport> partial_eval_sites;
 
   size_t candidate_shipment_bytes = 0;  ///< Alg. 4 bit vectors
   size_t lec_shipment_bytes = 0;        ///< LEC features to the coordinator
@@ -223,9 +216,10 @@ struct QueryRequest {
 
 /// The distributed SPARQL engine over a simulated cluster: one site per
 /// fragment, a coordinator, and the four optimization levels above. All
-/// coordinator<->site traffic rides a mailbox transport (net/transport.h)
-/// as typed wire messages; the fault plan in EngineOptions makes the
-/// transport drop, delay, duplicate and reorder them deterministically.
+/// coordinator<->site traffic rides the in-process transport
+/// (net/transport.h) as typed wire messages; the fault plan in
+/// EngineOptions makes the transport drop, delay, duplicate and reorder them
+/// deterministically.
 ///
 /// The engine itself is a stateless facade over shared immutable state —
 /// the partitioning's fragments, one LocalStore (CSR graph + statistics)

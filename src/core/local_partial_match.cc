@@ -306,8 +306,8 @@ std::string LocalPartialMatch::ToString(const TermDict& dict) const {
 
 std::vector<IslandTask> EnumerateIslandTasks(const QueryGraph& q) {
   const size_t n = q.num_vertices();
-  GSTORED_CHECK_MSG(n >= 1 && n <= 20,
-                    "query size outside the supported 1..20 vertex range");
+  GSTORED_CHECK_MSG(n >= 1 && n <= kMaxEnumerableVertices,
+                    "query size outside the supported vertex range");
   std::vector<IslandTask> tasks;
   for (uint32_t island_mask = 1; island_mask < (uint32_t{1} << n);
        ++island_mask) {

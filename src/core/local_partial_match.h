@@ -76,7 +76,8 @@ struct IslandTask {
 
 /// Enumerates the valid (island, boundary) mask pairs of `q` in ascending
 /// island-mask order — exactly the task list EnumerateLocalPartialMatches
-/// builds internally. Requires 1 <= q.num_vertices() <= 20.
+/// builds internally. Requires 1 <= q.num_vertices() <=
+/// kMaxEnumerableVertices.
 std::vector<IslandTask> EnumerateIslandTasks(const QueryGraph& q);
 
 /// Computes one island task's backtracking order: by the statistics cost

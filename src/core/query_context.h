@@ -34,7 +34,7 @@ class CancelToken {
 };
 
 /// Everything one in-flight query needs that is not shared immutable state:
-/// its transport session (ledger + mailboxes), its slot budget, its
+/// its transport session (ledger + transport), its slot budget, its
 /// deadline/cancellation, and the plan artifacts a plan cache may have
 /// precomputed for its template. DistributedEngine::Run is const — all
 /// per-query mutable state lives here, so any number of contexts can run
@@ -47,9 +47,9 @@ class CancelToken {
 struct QueryContext {
   // ---- Transport session (required). Each concurrent query runs over its
   // own ledger + transport (see QuerySession); sharing one across queries
-  // would interleave their mailbox traffic and tear the byte accounting.
+  // would interleave their fault draws and tear the byte accounting.
   ShipmentLedger* ledger = nullptr;
-  Transport* transport = nullptr;
+  InProcessTransport* transport = nullptr;
 
   // ---- Execution resources. pool == nullptr falls back to the engine's
   // EngineOptions::pool, then to ThreadPool::Shared(); num_threads == 0

@@ -3,19 +3,11 @@
 #include "util/hash.h"
 
 namespace gstored {
-namespace {
-
-uint64_t BindingHash(const Binding& binding) {
-  return HashRange(binding.begin(), binding.end());
-}
-
-}  // namespace
 
 bool SeenSet::CheckAndInsert(const Bitset& sign, const Binding& binding) {
-  uint64_t binding_hash = BindingHash(binding);
-  uint64_t key = HashCombine(sign.Hash(), binding_hash);
-  Shard& shard = shards_[binding_hash % shards_.size()];
-  auto& bucket = shard.buckets[key];
+  uint64_t key =
+      HashCombine(sign.Hash(), HashRange(binding.begin(), binding.end()));
+  auto& bucket = buckets_[key];
   for (const auto& [seen_sign, seen_binding] : bucket) {
     if (seen_sign == sign && seen_binding == binding) return true;
   }
@@ -24,46 +16,8 @@ bool SeenSet::CheckAndInsert(const Bitset& sign, const Binding& binding) {
   return false;
 }
 
-bool SeenSet::Contains(const Bitset& sign, const Binding& binding) const {
-  uint64_t binding_hash = BindingHash(binding);
-  uint64_t key = HashCombine(sign.Hash(), binding_hash);
-  const Shard& shard = shards_[binding_hash % shards_.size()];
-  auto it = shard.buckets.find(key);
-  if (it == shard.buckets.end()) return false;
-  for (const auto& [seen_sign, seen_binding] : it->second) {
-    if (seen_sign == sign && seen_binding == binding) return true;
-  }
-  return false;
-}
-
-void SeenSet::MergeFrom(SeenSet&& other) {
-  for (Shard& shard : other.shards_) {
-    for (auto& [key, bucket] : shard.buckets) {
-      // The source map key is the same (sign, binding) combined hash this
-      // set uses, so it is reused; only the binding hash is recomputed for
-      // shard routing. Entries move — the donor is consumed.
-      for (auto& [sign, binding] : bucket) {
-        auto& dest =
-            shards_[BindingHash(binding) % shards_.size()].buckets[key];
-        bool present = false;
-        for (const auto& [seen_sign, seen_binding] : dest) {
-          if (seen_sign == sign && seen_binding == binding) {
-            present = true;
-            break;
-          }
-        }
-        if (!present) {
-          dest.emplace_back(std::move(sign), std::move(binding));
-          ++size_;
-        }
-      }
-    }
-  }
-  other.Clear();
-}
-
 void SeenSet::Clear() {
-  for (Shard& shard : shards_) shard.buckets.clear();
+  buckets_.clear();
   size_ = 0;
 }
 

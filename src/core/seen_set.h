@@ -16,52 +16,24 @@ namespace gstored {
 /// Equality of a partial join is fully determined by those two components —
 /// the crossing maps are a function of which LPMs were merged, which
 /// (sign, binding) pins down — so only they are stored, not the (much
-/// larger) crossing vectors.
-///
-/// The set is sharded by binding hash: entry storage is split into
-/// `num_shards` independent bucket maps and an entry lives in the shard its
-/// binding hashes to. Shard routing is a pure function of the entry, so two
-/// SeenSets built from the same entries agree on membership regardless of
-/// shard count, and sets populated independently can be combined with
-/// MergeFrom — entries re-route to the destination's shards and duplicates
-/// collapse. The parallel assembly keeps its per-slot sets seed-local and
-/// never folds them (see src/core/README.md); MergeFrom is the building
-/// block for a future concurrent global dedup (e.g. per-shard locking) and
-/// is semantics-tested today, not wired into a production path.
-/// `ShardedSeenSetMatchesSingleShardReference` in core_units_test pins the
-/// shard/merge equivalence against a single-shard reference.
+/// larger) crossing vectors. Each assembly slot owns its own set, so the
+/// set needs no locking.
 class SeenSet {
  public:
-  explicit SeenSet(size_t num_shards = 1)
-      : shards_(num_shards == 0 ? 1 : num_shards) {}
-
   /// True if an equal (sign, binding) entry was already recorded; records
   /// the pair otherwise.
   bool CheckAndInsert(const Bitset& sign, const Binding& binding);
 
-  /// Membership probe without insertion.
-  bool Contains(const Bitset& sign, const Binding& binding) const;
-
-  /// Folds every entry of `other` into this set (duplicates collapse).
-  /// `other` may use any shard count; its entries are re-routed here.
-  void MergeFrom(SeenSet&& other);
-
   /// Number of distinct entries recorded.
   size_t size() const { return size_; }
 
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Drops every entry, keeping the shard structure for reuse.
+  /// Drops every entry.
   void Clear();
 
  private:
-  struct Shard {
-    // key -> entries whose (sign, binding) hash collides on it.
-    std::unordered_map<uint64_t, std::vector<std::pair<Bitset, Binding>>>
-        buckets;
-  };
-
-  std::vector<Shard> shards_;
+  // key -> entries whose (sign, binding) hash collides on it.
+  std::unordered_map<uint64_t, std::vector<std::pair<Bitset, Binding>>>
+      buckets_;
   size_t size_ = 0;
 };
 

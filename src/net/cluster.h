@@ -59,22 +59,6 @@ class ShipmentLedger {
   std::vector<std::atomic<size_t>> counters_;
 };
 
-/// Result of running one distributed stage across all sites in parallel.
-struct StageRun {
-  /// Per-site total stage time in milliseconds: transport queue wait plus
-  /// execution — the slowest-site semantics of the paper.
-  std::vector<double> site_millis;
-  /// Per-site time spent waiting on the transport: injected message
-  /// latency, blown per-attempt deadlines and retry backoff (virtual
-  /// milliseconds, deterministic under a seeded FaultPlan).
-  std::vector<double> queue_wait_millis;
-  /// Per-site real execution wall-clock (the site's compute).
-  std::vector<double> exec_millis;
-  /// Response time of the stage — the slowest site, matching the paper's
-  /// "evaluate at different sites in parallel" cost semantics.
-  double max_millis = 0.0;
-};
-
 }  // namespace gstored
 
 #endif  // GSTORED_NET_CLUSTER_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <thread>
 
 #include "util/logging.h"
@@ -9,21 +10,12 @@
 
 namespace gstored {
 
-void Mailbox::Push(DeliveredMessage msg) {
-  std::lock_guard<std::mutex> lock(mu_);
-  queue_.push_back(std::move(msg));
-}
-
-std::vector<DeliveredMessage> Mailbox::Drain() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<DeliveredMessage> out;
-  out.swap(queue_);
-  return out;
-}
-
-size_t Mailbox::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
+double StageResult::max_millis() const {
+  double slowest = 0.0;
+  for (const SiteStageReport& s : sites) {
+    slowest = std::max(slowest, s.queue_wait_ms + s.exec_ms);
+  }
+  return slowest;
 }
 
 bool StageResult::complete() const {
@@ -122,10 +114,6 @@ InProcessTransport::InProcessTransport(int num_sites, ShipmentLedger* ledger,
       session_id_(session_id) {
   GSTORED_CHECK_GT(num_sites, 0);
   GSTORED_CHECK(ledger != nullptr);
-  site_boxes_.reserve(num_sites_);
-  for (int i = 0; i < num_sites_; ++i) {
-    site_boxes_.push_back(std::make_unique<Mailbox>());
-  }
 }
 
 std::vector<DeliveredMessage> InProcessTransport::ShipAttempt(
@@ -246,18 +234,6 @@ StageResult InProcessTransport::StageStream(
     threads.emplace_back(run_site, site);
   }
   for (std::thread& t : threads) t.join();
-
-  result.run.site_millis.assign(num_sites_, 0.0);
-  result.run.queue_wait_millis.assign(num_sites_, 0.0);
-  result.run.exec_millis.assign(num_sites_, 0.0);
-  for (int site = 0; site < num_sites_; ++site) {
-    const SiteStageReport& report = result.sites[site];
-    result.run.queue_wait_millis[site] = report.queue_wait_ms;
-    result.run.exec_millis[site] = report.exec_ms;
-    result.run.site_millis[site] = report.queue_wait_ms + report.exec_ms;
-  }
-  result.run.max_millis = *std::max_element(result.run.site_millis.begin(),
-                                            result.run.site_millis.end());
   return result;
 }
 
@@ -275,32 +251,17 @@ std::vector<bool> InProcessTransport::BroadcastReliable(
         all = false;
         continue;
       }
-      WireMessage msg = make_msg(site);
-      msg.sender = -1;
-      msg.session = session_id_;
-      msg.stage = stage;
-      msg.attempt = static_cast<uint32_t>(attempt);
-      msg.seq = 0;
-      const bool dup =
-          plan_.Duplicate(site, stage, static_cast<uint32_t>(attempt), 0,
-                          /*to_site=*/true);
-      ledger_->Add(ledger_stage, msg.WireSize() * (dup ? 2 : 1));
-      if (plan_.Drop(site, stage, static_cast<uint32_t>(attempt), 0,
-                     /*to_site=*/true)) {
+      // The broadcast's header is fixed-size, so the message as built is
+      // exactly what the wire would carry; a duplicate ships twice.
+      const uint32_t a = static_cast<uint32_t>(attempt);
+      const bool dup = plan_.Duplicate(site, stage, a, 0, /*to_site=*/true);
+      ledger_->Add(ledger_stage, make_msg(site).WireSize() * (dup ? 2 : 1));
+      if (plan_.Drop(site, stage, a, 0, /*to_site=*/true) ||
+          plan_.LatencyMs(site, stage, a, 0, /*to_site=*/true) >
+              policy.deadline_ms) {
         all = false;
         continue;
       }
-      double arrival = plan_.LatencyMs(site, stage,
-                                       static_cast<uint32_t>(attempt), 0,
-                                       /*to_site=*/true);
-      if (arrival > policy.deadline_ms) {
-        all = false;
-        continue;
-      }
-      DeliveredMessage d;
-      d.arrival_ms = arrival;
-      d.msg = std::move(msg);
-      site_boxes_[site]->Push(std::move(d));
       delivered[site] = true;
     }
     if (all) break;

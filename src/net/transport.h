@@ -2,8 +2,6 @@
 #define GSTORED_NET_TRANSPORT_H_
 
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "net/cluster.h"
@@ -17,19 +15,6 @@ namespace gstored {
 struct DeliveredMessage {
   WireMessage msg;
   double arrival_ms = 0.0;
-};
-
-/// A thread-safe FIFO of delivered messages. The transport owns one mailbox
-/// per site, receiving the coordinator -> site broadcasts.
-class Mailbox {
- public:
-  void Push(DeliveredMessage msg);
-  std::vector<DeliveredMessage> Drain();
-  size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<DeliveredMessage> queue_;
 };
 
 /// Deadline/retry/hedging knobs of one coordinator-driven stage. All times
@@ -71,8 +56,11 @@ struct SiteStageReport {
 /// themselves went to the stage's SiteBatchConsumer.
 struct StageResult {
   std::vector<SiteStageReport> sites;
-  StageRun run;
 
+  /// Response time of the stage: the slowest site's queue wait plus
+  /// execution, matching the paper's "evaluate at different sites in
+  /// parallel" cost semantics.
+  double max_millis() const;
   /// True when every site's data made it to the coordinator.
   bool complete() const;
   /// Extra dispatch attempts beyond the first, summed over sites.
@@ -89,82 +77,57 @@ struct StageResult {
 using SiteBatchConsumer =
     std::function<void(int site, std::vector<WireMessage> msgs)>;
 
-/// The async cluster transport: per-site mailboxes carrying typed serialized
-/// messages whose wire sizes feed the ShipmentLedger. Implementations must
-/// be deterministic under a seeded FaultPlan.
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  virtual int num_sites() const = 0;
-
-  /// Runs one coordinator-driven stage: every site executes `site_fn`
-  /// concurrently and ships the returned messages to the coordinator; the
-  /// transport enforces the per-attempt deadline, retries with exponential
-  /// backoff, and finally hedges locally per `policy`. Each site's batches
-  /// are handed to `on_site` the moment that site completes, while slower
-  /// sites are still executing. `ledger_stage` attributes the wire bytes
-  /// (ShipmentLedger::kUnaccounted for control/result traffic outside the
-  /// paper's shipment metric).
-  ///
-  /// `site_fn` runs at most once per site per stage, on a transport thread:
-  /// retries re-ship its buffered bytes and a hedge delivers them, so a
-  /// site that is dead for the stage never runs it unless hedging asks for
-  /// its data, and then runs it once. Each ok site's payloads reach
-  /// `on_site` exactly once, deduplicated and sequence-ordered; a site that
-  /// ends up not ok never reaches it.
-  virtual StageResult StageStream(
-      uint32_t stage, ShipmentLedger::StageId ledger_stage,
-      const StagePolicy& policy,
-      const std::function<std::vector<WireMessage>(int site)>& site_fn,
-      const SiteBatchConsumer& on_site) = 0;
-
-  /// Reliable coordinator -> sites broadcast: sends `make_msg(site)` to each
-  /// site's mailbox, retrying undelivered sites up to policy.max_attempts.
-  /// Returns per-site delivery success; callers degrade gracefully for
-  /// sites that never received the broadcast (there is no local hedge for a
-  /// receive failure).
-  virtual std::vector<bool> BroadcastReliable(
-      uint32_t stage, ShipmentLedger::StageId ledger_stage,
-      const StagePolicy& policy,
-      const std::function<WireMessage(int site)>& make_msg) = 0;
-};
-
-/// The in-process implementation: real threads per site, virtual time for
+/// The in-process cluster transport: typed serialized messages whose wire
+/// sizes feed the ShipmentLedger, real threads per site, virtual time for
 /// faults. Deterministic given the FaultPlan — the cross-site order of
 /// StageStream callbacks is scheduling-dependent, but every per-site
 /// decision (drop/duplicate/latency draws, sequence reassembly, deadline
 /// comparisons) is a pure function of the plan, so the stage results,
 /// ledger byte counts and query outcomes replay byte-identically.
-class InProcessTransport : public Transport {
+class InProcessTransport {
  public:
   /// `session_id` stamps every message this transport sends — concurrent
-  /// queries each run over their own transport instance (own mailboxes, own
-  /// ledger), and the session id makes their traffic distinguishable on the
-  /// wire, as a shared socket transport would require.
+  /// queries each run over their own transport instance (own ledger), and
+  /// the session id makes their traffic distinguishable on the wire, as a
+  /// shared socket transport would require.
   InProcessTransport(int num_sites, ShipmentLedger* ledger, FaultPlan plan = {},
                      uint32_t session_id = 0);
 
-  int num_sites() const override { return num_sites_; }
-  const FaultPlan& plan() const { return plan_; }
-  ShipmentLedger& ledger() const { return *ledger_; }
-  uint32_t session_id() const { return session_id_; }
+  int num_sites() const { return num_sites_; }
 
-  Mailbox& site_mailbox(int site) { return *site_boxes_[site]; }
-
-  /// One thread per site runs the site's whole attempt/retry/hedge loop,
-  /// and `on_site` fires as each site lands. Retries re-ship the buffered
-  /// wire bytes with only the attempt header restamped.
+  /// Runs one coordinator-driven stage: every site executes `site_fn`
+  /// concurrently and ships the returned messages to the coordinator; the
+  /// transport enforces the per-attempt deadline, retries with exponential
+  /// backoff, and finally hedges locally per `policy`. One thread per site
+  /// runs that site's whole attempt loop, and each site's batches are
+  /// handed to `on_site` the moment that site completes, while slower sites
+  /// are still executing. `ledger_stage` attributes the wire bytes
+  /// (ShipmentLedger::kUnaccounted for control/result traffic outside the
+  /// paper's shipment metric).
+  ///
+  /// `site_fn` runs at most once per site per stage, on a transport thread:
+  /// retries re-ship its buffered bytes with only the attempt header
+  /// restamped and a hedge delivers them, so a site that is dead for the
+  /// stage never runs it unless hedging asks for its data, and then runs it
+  /// once. Each ok site's payloads reach `on_site` exactly once,
+  /// deduplicated and sequence-ordered; a site that ends up not ok never
+  /// reaches it.
   StageResult StageStream(
       uint32_t stage, ShipmentLedger::StageId ledger_stage,
       const StagePolicy& policy,
       const std::function<std::vector<WireMessage>(int site)>& site_fn,
-      const SiteBatchConsumer& on_site) override;
+      const SiteBatchConsumer& on_site);
 
+  /// Reliable coordinator -> sites broadcast: sends `make_msg(site)` to each
+  /// site, retrying undelivered sites up to policy.max_attempts. Every send
+  /// is accounted in the ledger; sites read the broadcast content from
+  /// coordinator memory, so only its delivery is modelled. Returns per-site
+  /// delivery success; callers degrade gracefully for sites that never
+  /// received the broadcast (there is no local hedge for a receive failure).
   std::vector<bool> BroadcastReliable(
       uint32_t stage, ShipmentLedger::StageId ledger_stage,
       const StagePolicy& policy,
-      const std::function<WireMessage(int site)>& make_msg) override;
+      const std::function<WireMessage(int site)>& make_msg);
 
  private:
   /// Ships one attempt of an already-stamped send buffer (payloads + done
@@ -180,7 +143,6 @@ class InProcessTransport : public Transport {
   ShipmentLedger* ledger_;
   FaultPlan plan_;
   uint32_t session_id_ = 0;
-  std::vector<std::unique_ptr<Mailbox>> site_boxes_;
 };
 
 }  // namespace gstored

@@ -133,21 +133,6 @@ bool ReadCrossing(WireReader& r, std::vector<CrossingPairMap>* out) {
 
 }  // namespace
 
-const char* MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kCandidateEstimates: return "candidate_estimates";
-    case MessageType::kSkipBitmap: return "skip_bitmap";
-    case MessageType::kCandidateFilters: return "candidate_filters";
-    case MessageType::kFilterUnion: return "filter_union";
-    case MessageType::kMatchBatch: return "match_batch";
-    case MessageType::kLecFeatureBatch: return "lec_feature_batch";
-    case MessageType::kSurvivorBitmap: return "survivor_bitmap";
-    case MessageType::kLpmBatch: return "lpm_batch";
-    case MessageType::kStageDone: return "stage_done";
-  }
-  return "unknown";
-}
-
 WireMessage MakeMessage(MessageType type, std::vector<uint8_t> payload) {
   WireMessage msg;
   msg.type = type;

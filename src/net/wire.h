@@ -29,8 +29,6 @@ enum class MessageType : uint8_t {
   kStageDone = 9,           ///< site -> coord: end-of-stage marker with count
 };
 
-const char* MessageTypeName(MessageType type);
-
 /// One transport message: a fixed header plus a typed payload. The header
 /// fields are filled by the transport (sender/stage/attempt/seq); producers
 /// only set `type` and `payload`.

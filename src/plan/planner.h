@@ -28,8 +28,8 @@ struct PlanOptions {
 };
 
 /// One site's planned matching order plus its estimated cost — the running
-/// intermediate-result size along the order (EstimateOrderCost), i.e. the
-/// per-template admission priority stored in CachedPlan::cost.
+/// intermediate-result size along the order (EstimateOrderCost), which the
+/// benchmark compares against the actual search-tree nodes.
 struct SitePlan {
   std::vector<QVertexId> match_order;
   double cost = 0.0;

@@ -86,17 +86,6 @@ class LruCache {
     return true;
   }
 
-  /// Reads without refreshing recency or touching the hit/miss counters —
-  /// for advisory probes (e.g. admission cost estimates) that must not
-  /// perturb eviction order or cache statistics.
-  bool Peek(const std::string& key, V* value) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) return false;
-    *value = it->second.value;
-    return true;
-  }
-
   /// Monotonic flush counter; bumped by every Clear(). Pair with
   /// PutIfGeneration to reject writes computed against pre-flush state.
   uint64_t generation() const {

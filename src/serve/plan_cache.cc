@@ -21,6 +21,16 @@ uint64_t EdgeLabelHash(const QueryEdge& e) {
   return e.pred_is_variable ? 0 : Fnv1a64(e.pred_label);
 }
 
+/// Appends `x` as four big-endian bytes. The fixed width keeps counts and
+/// positions distinct at every query size (a single byte wraps at 256), and
+/// big-endian order makes byte comparison agree with numeric comparison.
+void AppendU32(std::string* out, uint32_t x) {
+  out->push_back(static_cast<char>(x >> 24));
+  out->push_back(static_cast<char>(x >> 16));
+  out->push_back(static_cast<char>(x >> 8));
+  out->push_back(static_cast<char>(x));
+}
+
 /// Complete encoding of the abstracted shape under a vertex numbering:
 /// vertex count, per-position variable/constant flags, then the sorted edge
 /// list with predicate labels verbatim. Two shapes encode equal if and only
@@ -29,8 +39,8 @@ std::string EncodeUnderMapping(const QueryGraph& q,
                                const std::vector<QVertexId>& canon_of) {
   const size_t n = q.num_vertices();
   std::string out;
-  out.reserve(2 + n + q.num_edges() * 8);
-  out.push_back(static_cast<char>(n));
+  out.reserve(4 + n + q.num_edges() * 16);
+  AppendU32(&out, static_cast<uint32_t>(n));
   std::string flags(n, 'c');
   for (QVertexId v = 0; v < n; ++v) {
     if (q.vertex(v).is_variable) flags[canon_of[v]] = 'v';
@@ -40,8 +50,8 @@ std::string EncodeUnderMapping(const QueryGraph& q,
   lines.reserve(q.num_edges());
   for (const QueryEdge& e : q.edges()) {
     std::string line;
-    line.push_back(static_cast<char>(canon_of[e.from]));
-    line.push_back(static_cast<char>(canon_of[e.to]));
+    AppendU32(&line, canon_of[e.from]);
+    AppendU32(&line, canon_of[e.to]);
     if (e.pred_is_variable) {
       line.push_back('?');
     } else {
@@ -86,8 +96,8 @@ CanonicalForm CanonicalizeQueryShape(const QueryGraph& query) {
   CanonicalForm form;
   form.canon_of.resize(n);
   for (QVertexId v = 0; v < n; ++v) form.canon_of[v] = v;
-  // Encodings pack positions into single bytes; oversized queries (which the
-  // engine cannot enumerate anyway) keep the exact input-order key.
+  // Oversized queries (which the engine enumerates only as stars) skip the
+  // refinement and keep the exact input-order key.
   if (n == 0 || n > 120) {
     form.canonical = false;
     form.key = "RAW:" + EncodeUnderMapping(query, form.canon_of);
@@ -214,7 +224,7 @@ void FillCachedPlan(const DistributedEngine& engine, const QueryGraph& query,
   // the same bound); star queries never reach LPM enumeration, so their
   // empty task list is simply never consulted.
   std::vector<IslandTask> instance_tasks;
-  if (n >= 1 && n <= 20 && !query.IsStar()) {
+  if (n >= 1 && n <= kMaxEnumerableVertices && !query.IsStar()) {
     instance_tasks = EnumerateIslandTasks(query);
   }
   plan->island_tasks.clear();
@@ -232,18 +242,13 @@ void FillCachedPlan(const DistributedEngine& engine, const QueryGraph& query,
 
   plan->site_match_orders.assign(num_sites, {});
   plan->site_unit_orders.assign(num_sites, {});
-  plan->cost = 0.0;
   const PlanOptions& plan_options = engine.options().plan;
   for (int site = 0; site < num_sites; ++site) {
-    // The planner picks each order and prices it under EstimateOrderCost
-    // (the DP's estimate in its size range, the greedy order's otherwise),
-    // so kCostAware admission prices templates from the chosen plan's
-    // estimate.
-    SitePlan sp = PlanSiteMatchOrder(engine.store(site), rq, use_statistics,
-                                     plan_options);
-    plan->cost += sp.cost;
-    plan->site_match_orders[site] =
-        TranslateOrder(sp.match_order, form.canon_of);
+    plan->site_match_orders[site] = TranslateOrder(
+        PlanSiteMatchOrder(engine.store(site), rq, use_statistics,
+                           plan_options)
+            .match_order,
+        form.canon_of);
     auto& unit_orders = plan->site_unit_orders[site];
     unit_orders.reserve(instance_tasks.size());
     for (const IslandTask& task : instance_tasks) {

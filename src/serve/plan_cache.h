@@ -63,13 +63,6 @@ struct CachedPlan {
   /// Per-site per-task unit orders, aligned with `island_tasks`.
   std::vector<std::vector<std::vector<QVertexId>>> site_unit_orders;
 
-  /// Estimated execution cost of the template: the SelectivityEstimator's
-  /// running intermediate-result size along each site's matching order,
-  /// summed over sites. A per-template priority for cost-aware admission
-  /// (ServeOptions::admission) — comparable between templates over the same
-  /// stores, meaningless in absolute terms. Valid once `ready` is true.
-  double cost = 0.0;
-
   std::mutex mu;
   std::atomic<bool> ready{false};
 };
@@ -120,20 +113,6 @@ class PlanCache {
                                            bool* created) {
     return cache_.GetOrCreate(
         key, [] { return std::make_shared<CachedPlan>(); }, created);
-  }
-
-  /// Advisory probe for cost-aware admission: writes the template's stored
-  /// cost and returns true when `key` maps to a ready entry. Touches neither
-  /// recency nor the hit/miss counters, so scheduling probes never perturb
-  /// eviction order or cache statistics.
-  bool PeekCost(const std::string& key, double* cost) const {
-    std::shared_ptr<CachedPlan> entry;
-    if (!cache_.Peek(key, &entry) ||
-        !entry->ready.load(std::memory_order_acquire)) {
-      return false;
-    }
-    *cost = entry->cost;
-    return true;
   }
 
   void Clear() { cache_.Clear(); }

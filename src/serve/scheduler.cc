@@ -1,7 +1,6 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
 #include "util/logging.h"
@@ -119,32 +118,8 @@ std::shared_ptr<QueryTicket> ServingEngine::Submit(const QueryGraph& query,
   ticket->query_ = query;
   ticket->mode_ = opts.mode;
   ticket->lane_ = opts.lane;
-  ticket->deadline_ms_ =
-      opts.deadline_ms.value_or(options_.default_deadline_ms);
+  ticket->deadline_ms_ = opts.deadline_ms;
   ticket->submitted_ = std::chrono::steady_clock::now();
-  ticket->deadline_at_ =
-      ticket->deadline_ms_ < 0.0
-          ? std::chrono::steady_clock::time_point::max()
-          : ticket->submitted_ +
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(
-                        ticket->deadline_ms_));
-  ticket->submit_seq_ =
-      next_submit_seq_.fetch_add(1, std::memory_order_relaxed);
-  // Cost-aware admission prices a query by its *template*: the cost the plan
-  // cache recorded when it filled the shape's entry (the estimator's
-  // intermediate-result size along the chosen orders). An unseen template
-  // stays at 0 and is admitted promptly — running it is how the cache learns
-  // its cost.
-  if (options_.admission == AdmissionPolicy::kCostAware &&
-      options_.use_plan_cache) {
-    const CanonicalForm form = CanonicalizeQueryShape(query);
-    double cost = 0.0;
-    if (plan_cache_.PeekCost(form.key, &cost)) {
-      ticket->cost_estimate_ = cost;
-    }
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     GSTORED_CHECK(!stop_);
@@ -175,29 +150,15 @@ void ServingEngine::DispatcherLoop() {
 }
 
 std::shared_ptr<QueryTicket> ServingEngine::PickNextLocked() {
-  // Lane-fair under every policy: resume strictly after the last lane
-  // served, wrapping. Drained lanes are erased eagerly (below), so every
-  // mapped lane is non-empty and the first step lands on a servable lane.
+  // Lane-fair: resume strictly after the last lane served, wrapping.
+  // Drained lanes are erased eagerly (below), so every mapped lane is
+  // non-empty and the first step lands on a servable lane.
   auto it = lanes_.upper_bound(last_lane_);
   if (it == lanes_.end()) it = lanes_.begin();
   GSTORED_CHECK(it != lanes_.end() && !it->second.empty());
   std::deque<std::shared_ptr<QueryTicket>>& queue = it->second;
-  auto chosen = queue.begin();
-  if (options_.admission == AdmissionPolicy::kCostAware) {
-    // Within the lane: cheapest estimated template first, then earliest
-    // deadline, then submission order — a total order, so the pick is
-    // deterministic for any queue contents.
-    for (auto cand = std::next(queue.begin()); cand != queue.end(); ++cand) {
-      const QueryTicket& a = **cand;
-      const QueryTicket& b = **chosen;
-      if (std::tie(a.cost_estimate_, a.deadline_at_, a.submit_seq_) <
-          std::tie(b.cost_estimate_, b.deadline_at_, b.submit_seq_)) {
-        chosen = cand;
-      }
-    }
-  }
-  std::shared_ptr<QueryTicket> ticket = std::move(*chosen);
-  queue.erase(chosen);
+  std::shared_ptr<QueryTicket> ticket = std::move(queue.front());
+  queue.pop_front();
   --queued_;
   last_lane_ = it->first;
   if (queue.empty()) lanes_.erase(it);

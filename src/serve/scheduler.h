@@ -10,7 +10,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -22,24 +21,6 @@
 #include "serve/result_cache.h"
 
 namespace gstored::serve {
-
-/// How a free dispatcher picks the next query. Both policies are lane-fair:
-/// the lane is always chosen round-robin (first non-empty lane strictly
-/// after the last one served, wrapping), so a burst on one lane can never
-/// starve another. The policy only decides the order *within* the chosen
-/// lane:
-///  * kRoundRobin — FIFO within the lane (the PR-7 behavior, kept as the
-///    default and as the ablation baseline).
-///  * kCostAware  — cheapest estimated cost first, so cheap queries stop
-///    convoying behind expensive ones that arrived earlier on the same
-///    lane. The estimate is the template cost the plan cache stored at fill
-///    time (CachedPlan::cost, the SelectivityEstimator's intermediate-result
-///    size along the matching orders); an unseen template costs 0 and runs
-///    promptly, which is what teaches the cache its real cost. Ties (same
-///    template, or two unseen ones) break earliest-deadline-first, then by
-///    submission order, so the policy is deterministic and deadline-bound
-///    queries are not starved behind equal-cost no-deadline ones.
-enum class AdmissionPolicy { kRoundRobin, kCostAware };
 
 /// Knobs of the serving layer.
 struct ServeOptions {
@@ -53,15 +34,6 @@ struct ServeOptions {
   /// (SiteSlotBudget) and per join (JoinSlotBudget). 0 = the hardware
   /// concurrency. Results are byte-identical across slot budgets.
   size_t total_slots = 0;
-
-  /// Default per-query wall-clock budget in milliseconds; negative = none.
-  /// Expiry behaves like cancellation: the query stops at its next stage
-  /// boundary and returns its accumulated matches flagged non-exact.
-  double default_deadline_ms = -1.0;
-
-  /// Order within a lane (see AdmissionPolicy). Lane selection itself stays
-  /// round-robin under every policy.
-  AdmissionPolicy admission = AdmissionPolicy::kRoundRobin;
 
   /// Coalesce identical in-flight queries: the first cold (exact_key, mode)
   /// miss executes as the *leader*; identical submissions dispatched while
@@ -107,16 +79,17 @@ struct ServeOptions {
 };
 
 /// Per-submission knobs, all defaulted — `Submit(query)` runs kFull on lane
-/// 0 with the server's default deadline. An aggregate, so call sites can
-/// name exactly what they override: `Submit(q, {.lane = 3})`,
+/// 0 with no deadline. An aggregate, so call sites can name exactly what
+/// they override: `Submit(q, {.lane = 3})`,
 /// `Submit(q, {.mode = EngineMode::kBasic, .deadline_ms = 50.0}))`.
 struct SubmitOptions {
   EngineMode mode = EngineMode::kFull;
   /// Submission lane (one per client) for lane-fair admission.
   int lane = 0;
-  /// Per-query wall-clock budget in ms; unset falls back to
-  /// ServeOptions::default_deadline_ms, negative = none.
-  std::optional<double> deadline_ms;
+  /// Per-query wall-clock budget in ms; negative = none. Expiry behaves
+  /// like cancellation: the query stops at its next stage boundary and
+  /// returns its accumulated matches flagged non-exact.
+  double deadline_ms = -1.0;
 };
 
 /// Handle to one submitted query. Wait() blocks until completion; Cancel()
@@ -156,13 +129,6 @@ class QueryTicket {
   double deadline_ms_ = -1.0;
   CancelToken cancel_;
   std::chrono::steady_clock::time_point submitted_;
-  /// Absolute deadline instant (submitted_ + deadline_ms_); time_point::max()
-  /// when the query has no deadline. The EDF tie-break key.
-  std::chrono::steady_clock::time_point deadline_at_;
-  /// Estimated template cost at submission (kCostAware only; 0 = unknown).
-  double cost_estimate_ = 0.0;
-  /// Submission order, the final FIFO tie-break under every policy.
-  uint64_t submit_seq_ = 0;
   uint64_t dispatch_seq_ = 0;
 
   mutable std::mutex mu_;
@@ -180,10 +146,9 @@ class QueryTicket {
 /// accounting, or oversubscribe the pool.
 ///
 /// Admission is lane-fair (one lane per client, chosen by the caller): each
-/// free dispatcher pops from the next non-empty lane after the last one
-/// served. Within a lane the order is the AdmissionPolicy's: FIFO
-/// (kRoundRobin) or cheapest-first with EDF tie-breaking (kCostAware). A
-/// lane's deque is erased the moment it drains, so clients churning lane
+/// free dispatcher pops the oldest ticket of the next non-empty lane after
+/// the last one served, so lanes rotate round-robin and each lane is FIFO.
+/// A lane's deque is erased the moment it drains, so clients churning lane
 /// ids never grow the lane map (or the round-robin scan) without bound.
 ///
 /// Identical in-flight queries coalesce (ServeOptions::coalesce_inflight):
@@ -193,7 +158,7 @@ class QueryTicket {
 ///
 /// Three caches sit in front of execution (see README.md for the key
 /// derivations and invalidation rules): the plan cache (canonical template
-/// shape -> orders/islands/static verdict + template cost), the LPM cache
+/// shape -> orders/islands/static verdict), the LPM cache
 /// (exact instance x site x filter fingerprint -> stage-B results) and the
 /// result cache (exact instance x mode -> whole outcome). All three are
 /// invalidated when any fragment graph's finalize_epoch() changes, checked
@@ -248,8 +213,8 @@ class ServingEngine {
 
  private:
   void DispatcherLoop();
-  /// Picks the next ticket per the admission policy; requires queued_ > 0
-  /// and mu_ held. Erases the chosen lane when this pop drains it.
+  /// Pops the front ticket of the next lane in round-robin order; requires
+  /// queued_ > 0 and mu_ held. Erases the lane when this pop drains it.
   std::shared_ptr<QueryTicket> PickNextLocked();
   void RunTicket(const std::shared_ptr<QueryTicket>& ticket);
   void CompleteTicket(const std::shared_ptr<QueryTicket>& ticket,
@@ -285,7 +250,6 @@ class ServingEngine {
   std::atomic<size_t> in_flight_{0};
   std::atomic<uint32_t> next_session_{1};
   std::atomic<uint64_t> last_epoch_sum_{0};
-  std::atomic<uint64_t> next_submit_seq_{1};
   std::atomic<uint64_t> next_dispatch_seq_{1};
 
   std::atomic<size_t> executed_{0};

@@ -167,6 +167,12 @@ Result<QueryGraph> ParseSparql(std::string_view text) {
   if (query.num_edges() == 0) {
     return Status::ParseError("query has no triple patterns");
   }
+  if (query.num_vertices() > kMaxEnumerableVertices && !query.IsStar()) {
+    return Status::ParseError(
+        "non-star query has " + std::to_string(query.num_vertices()) +
+        " vertices; at most " + std::to_string(kMaxEnumerableVertices) +
+        " are supported");
+  }
   // A variable may not be used both as a vertex and as a predicate: the
   // paper's model treats predicate variables as pure edge-label wildcards.
   for (const QueryEdge& e : query.edges()) {

@@ -17,7 +17,8 @@ namespace gstored {
 /// angle brackets, literals with optional @lang / ^^<datatype>, and blank
 /// nodes (treated as variables, per SPARQL BGP semantics). Keywords are
 /// case-insensitive. PREFIX declarations, FILTERs and non-BGP operators are
-/// out of scope (the paper evaluates BGP queries only).
+/// out of scope (the paper evaluates BGP queries only). A non-star query of
+/// more than kMaxEnumerableVertices vertices is a ParseError.
 Result<QueryGraph> ParseSparql(std::string_view text);
 
 }  // namespace gstored

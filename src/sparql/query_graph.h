@@ -18,6 +18,12 @@ using QVertexId = uint32_t;
 /// same vertex pair keep distinct ids, which the LEC machinery relies on.
 using QEdgeId = uint32_t;
 
+/// Largest non-star query the engine evaluates: local partial match
+/// enumeration sweeps every connected vertex subset as a 32-bit island mask,
+/// 2^n masks per query. ParseSparql rejects larger non-star queries; stars
+/// of any size take the local-only shortcut and never enumerate.
+inline constexpr size_t kMaxEnumerableVertices = 20;
+
 /// A vertex of the SPARQL query graph (Def. 2): either a variable (label is
 /// the "?name" spelling) or a constant RDF term (label is its lexical form).
 struct QueryVertex {

@@ -67,15 +67,9 @@ GraphStatistics::GraphStatistics(const RdfGraph* graph) : graph_(graph) {
     if (inserted) {
       CharacteristicSet cs;
       cs.predicates = key;  // directory entries arrive predicate-sorted
-      cs.occurrences.assign(key.size(), 0);
       char_sets_.push_back(std::move(cs));
     }
-    CharacteristicSet& cs = char_sets_[it->second];
-    ++cs.count;
-    size_t i = 0;
-    for (const PredRange& r : graph_->OutPredicates(v)) {
-      cs.occurrences[i++] += r.end - r.begin;
-    }
+    ++char_sets_[it->second].count;
   }
 
   // Re-emit in the map's predicate-set lexicographic order so the layout is
@@ -133,13 +127,12 @@ const FanoutHistogram* GraphStatistics::Histogram(TermId p,
   return dir == EdgeDir::kOut ? &c.out_hist : &c.in_hist;
 }
 
-double GraphStatistics::AvgDegree(EdgeDir dir) const {
+double GraphStatistics::AvgDegree() const {
   if (graph_->num_vertices() == 0) return 0.0;
   // Distinct (s, o) pairs are bounded by triples; the average labelled
   // degree is the tight upper estimate available without another pass.
-  double denom = static_cast<double>(graph_->num_vertices());
-  (void)dir;  // both directions share the triple total
-  return static_cast<double>(graph_->num_triples()) / denom;
+  return static_cast<double>(graph_->num_triples()) /
+         static_cast<double>(graph_->num_vertices());
 }
 
 namespace {
@@ -188,23 +181,6 @@ double GraphStatistics::SubjectsWithAllOut(
     subjects += static_cast<double>(cs.count);
   });
   return subjects;
-}
-
-double GraphStatistics::EstimateStarRows(std::span<const TermId> preds) const {
-  std::vector<TermId> sorted = CanonicalPreds(preds);
-  double rows = 0.0;
-  ForEachSupersetSet(sorted, [&](const CharacteristicSet& cs) {
-    double contribution = static_cast<double>(cs.count);
-    for (TermId p : sorted) {
-      size_t i = std::lower_bound(cs.predicates.begin(), cs.predicates.end(),
-                                  p) -
-                 cs.predicates.begin();
-      contribution *= static_cast<double>(cs.occurrences[i]) /
-                      static_cast<double>(cs.count);
-    }
-    rows += contribution;
-  });
-  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +326,7 @@ double SelectivityEstimator::ExtensionCost(
                          : g.OutEdges(anchor_term, pred).size());
       }
     } else if (pred == kNullTerm) {
-      fanout = st.AvgDegree(v_is_subject ? EdgeDir::kIn : EdgeDir::kOut);
+      fanout = st.AvgDegree();
     } else {
       // Reaching v as subject walks the anchor's in-edges and vice versa;
       // the histogram's p90 penalizes predicates whose mean hides a skewed

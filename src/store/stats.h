@@ -46,12 +46,9 @@ struct PredicateCardinality {
 
 /// One characteristic set (Neumann & Moerkotte): a distinct combination of
 /// out-predicates carried by at least one subject. `count` subjects have
-/// exactly this predicate set; `occurrences[i]` is the total number of
-/// triples those subjects emit through `predicates[i]` (>= count, capturing
-/// multi-valued predicates).
+/// exactly this predicate set.
 struct CharacteristicSet {
-  std::vector<TermId> predicates;    ///< sorted, distinct
-  std::vector<uint64_t> occurrences; ///< parallel to `predicates`
+  std::vector<TermId> predicates;  ///< sorted, distinct
   uint32_t count = 0;
 };
 
@@ -90,9 +87,9 @@ class GraphStatistics {
   /// dir == kOut is the objects-per-subject distribution.
   const FanoutHistogram* Histogram(TermId p, EdgeDir dir) const;
 
-  /// Average distinct-neighbor degree of a vertex in one direction — the
-  /// wildcard-predicate expansion estimate.
-  double AvgDegree(EdgeDir dir) const;
+  /// Average labelled degree of a vertex (triples per vertex; the same in
+  /// both directions) — the wildcard-predicate expansion estimate.
+  double AvgDegree() const;
 
   /// All characteristic sets, ordered by predicate-set lexicographic order
   /// (deterministic across runs).
@@ -102,7 +99,7 @@ class GraphStatistics {
 
   /// Characteristic sets whose predicate set contains `p` (ascending
   /// indices into characteristic_sets()); empty span for predicates that
-  /// appear in none. This is the inverted index behind the superset probes
+  /// appear in none. This is the inverted index behind the superset probe
   /// below — exposed so tests can cross-check it against a linear scan.
   std::span<const uint32_t> CharacteristicSetsWith(TermId p) const {
     if (static_cast<size_t>(p) >= charset_index_.size()) return {};
@@ -113,12 +110,6 @@ class GraphStatistics {
   /// `preds` (need not be sorted; duplicates ignored): every subject carries
   /// exactly one characteristic set, so summing the supersets is exact.
   double SubjectsWithAllOut(std::span<const TermId> preds) const;
-
-  /// Estimated result rows of a subject-star over `preds` with every object
-  /// a distinct variable: sum over superset characteristic sets of
-  /// count * prod_i (occurrences_i / count) — the occurrence-weighted
-  /// multiplicity correction for multi-valued predicates.
-  double EstimateStarRows(std::span<const TermId> preds) const;
 
  private:
   /// Applies `fn` to every characteristic set whose predicate set is a

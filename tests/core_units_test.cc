@@ -4,10 +4,15 @@
 // edge cases (empty input, outlier removal, bail-out), assembly edge cases,
 // the chain joins' probe counts (only crossing-index candidates are probed),
 // the seed-group scheduling helpers shared by the two vmin loops (group
-// selection, outlier fixpoint, dynamic thread budget), the sharded SeenSet,
+// selection, outlier fixpoint, dynamic thread budget), the SeenSet dedup,
 // and Algorithm 4's one-sided-error guarantee.
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/assembly.h"
 #include "core/candidate_exchange.h"
@@ -443,10 +448,9 @@ TEST(GroupScheduleTest, SiteSlotBudgetCappedByStartCandidateEstimate) {
   EXPECT_EQ(SiteSlotBudget(big, 1, 500), 1u);
 }
 
-TEST(SeenSetTest, ShardedSeenSetMatchesSingleShardReference) {
-  // Random (sign, binding) streams with forced duplicates: every shard
-  // count must agree with the single-shard reference on each CheckAndInsert
-  // outcome, on Contains, and on the final size.
+TEST(SeenSetTest, MatchesStdSetReference) {
+  // Seeded (sign, binding) streams with forced duplicates: every
+  // CheckAndInsert outcome and the final size agree with a std::set.
   for (uint64_t seed : {1u, 2u, 3u}) {
     Rng rng(seed * 7919u);
     std::vector<std::pair<Bitset, Binding>> stream;
@@ -467,39 +471,17 @@ TEST(SeenSetTest, ShardedSeenSetMatchesSingleShardReference) {
       }
     }
 
-    SeenSet reference(1);
-    SeenSet sharded(8);
+    SeenSet set;
+    std::set<std::pair<std::string, Binding>> reference;
     for (const auto& [sign, binding] : stream) {
-      EXPECT_EQ(sharded.CheckAndInsert(sign, binding),
-                reference.CheckAndInsert(sign, binding))
-          << "seed=" << seed;
+      const bool fresh = reference.emplace(sign.ToString(), binding).second;
+      EXPECT_EQ(set.CheckAndInsert(sign, binding), !fresh) << "seed=" << seed;
     }
-    EXPECT_EQ(sharded.size(), reference.size());
-    for (const auto& [sign, binding] : stream) {
-      EXPECT_TRUE(sharded.Contains(sign, binding));
-    }
-    Bitset unseen_sign(5);
-    unseen_sign.Set(0);
-    EXPECT_FALSE(sharded.Contains(unseen_sign, Binding(5, 99)));
-
-    // Shard-merge: the stream split round-robin across three sets with
-    // different shard counts, folded together, equals the reference.
-    SeenSet parts[3] = {SeenSet(1), SeenSet(4), SeenSet(8)};
-    for (size_t i = 0; i < stream.size(); ++i) {
-      parts[i % 3].CheckAndInsert(stream[i].first, stream[i].second);
-    }
-    SeenSet merged(8);
-    for (SeenSet& part : parts) merged.MergeFrom(std::move(part));
-    EXPECT_EQ(merged.size(), reference.size()) << "seed=" << seed;
-    for (const auto& [sign, binding] : stream) {
-      EXPECT_TRUE(merged.Contains(sign, binding)) << "seed=" << seed;
-    }
-    for (const SeenSet& part : parts) EXPECT_EQ(part.size(), 0u);
+    EXPECT_EQ(set.size(), reference.size()) << "seed=" << seed;
   }
-}
 
-TEST(SeenSetTest, ClearKeepsShardStructure) {
-  SeenSet set(4);
+  // Clear empties the set, and it records entries afresh afterwards.
+  SeenSet set;
   Bitset sign(3);
   sign.Set(1);
   EXPECT_FALSE(set.CheckAndInsert(sign, {1, 2, 3}));
@@ -507,9 +489,8 @@ TEST(SeenSetTest, ClearKeepsShardStructure) {
   EXPECT_EQ(set.size(), 1u);
   set.Clear();
   EXPECT_EQ(set.size(), 0u);
-  EXPECT_EQ(set.num_shards(), 4u);
-  EXPECT_FALSE(set.Contains(sign, {1, 2, 3}));
   EXPECT_FALSE(set.CheckAndInsert(sign, {1, 2, 3}));
+  EXPECT_EQ(set.size(), 1u);
 }
 
 TEST(CandidateExchangeTest, FiltersAreSoundOverSites) {

@@ -86,6 +86,30 @@ TEST(ParserAdversarialTest, PathologicalInputsRejectedCleanly) {
   for (int i = 0; i < 50; ++i) nested += "}";
   auto result = ParseCompoundSparql(nested);
   (void)result;  // accept or reject, but terminate
+
+  // A 21-vertex path is past what LPM enumeration takes: a parse error that
+  // names the 20-vertex limit, also as a compound branch, never an abort
+  // inside the engine. A 21-vertex star still parses (stars never
+  // enumerate LPMs).
+  std::string path = "SELECT * WHERE {";
+  std::string star = "SELECT * WHERE {";
+  for (int i = 0; i < 20; ++i) {
+    path += " ?v" + std::to_string(i) +
+            " <http://lubm.org/ont#subOrganizationOf> ?v" +
+            std::to_string(i + 1) + " .";
+    star += " ?c <http://x/p> ?v" + std::to_string(i) + " .";
+  }
+  path += " }";
+  star += " }";
+  Result<QueryGraph> long_path = ParseSparql(path);
+  ASSERT_FALSE(long_path.ok());
+  EXPECT_NE(long_path.status().message().find("20"), std::string::npos)
+      << long_path.status().ToString();
+  EXPECT_FALSE(ParseCompoundSparql(path).ok());
+  Result<QueryGraph> wide_star = ParseSparql(star);
+  ASSERT_TRUE(wide_star.ok()) << wide_star.status().ToString();
+  EXPECT_EQ(wide_star->num_vertices(), 21u);
+  EXPECT_TRUE(wide_star->IsStar());
 }
 
 TEST(DatasetStatsTest, PaperGraphNumbers) {

@@ -115,25 +115,19 @@ TEST_P(StatsSweep, CharacteristicSetsMatchBruteForce) {
   GraphStatistics stats(&g);
   BruteStats brute = BruteForceStats(g);
 
-  // Rebuild (predicate set -> (subject count, occurrence sums)) by hand.
-  std::map<std::vector<TermId>, std::pair<uint32_t, std::vector<uint64_t>>>
-      expected;
+  // Rebuild (predicate set -> subject count) by hand.
+  std::map<std::vector<TermId>, uint32_t> expected;
   for (const auto& [s, preds] : brute.subject_preds) {
     std::vector<TermId> key;
     for (const auto& [p, count] : preds) key.push_back(p);
-    auto [it, inserted] = expected.try_emplace(
-        key, 0u, std::vector<uint64_t>(key.size(), 0));
-    ++it->second.first;
-    size_t i = 0;
-    for (const auto& [p, count] : preds) it->second.second[i++] += count;
+    ++expected[key];
   }
 
   ASSERT_EQ(stats.characteristic_sets().size(), expected.size());
   for (const CharacteristicSet& cs : stats.characteristic_sets()) {
     auto it = expected.find(cs.predicates);
     ASSERT_NE(it, expected.end());
-    EXPECT_EQ(cs.count, it->second.first);
-    EXPECT_EQ(cs.occurrences, it->second.second);
+    EXPECT_EQ(cs.count, it->second);
   }
 
   // SubjectsWithAllOut is exact for arbitrary predicate subsets.
@@ -150,18 +144,11 @@ TEST_P(StatsSweep, CharacteristicSetsMatchBruteForce) {
           << preds[a] << "," << preds[b];
     }
   }
-
-  // A single-predicate star estimate degenerates to the triple count.
-  for (TermId p : preds) {
-    std::vector<TermId> one = {p};
-    EXPECT_DOUBLE_EQ(stats.EstimateStarRows(one),
-                     static_cast<double>(stats.TripleCount(p)));
-  }
 }
 
 /// The predicate -> characteristic-set inverted index (the probe now scans
-/// only the rarest queried predicate's list) must be invisible: both
-/// superset probes agree with a linear scan over *all* distinct sets, for
+/// only the rarest queried predicate's list) must be invisible: the
+/// superset probe agrees with a linear scan over *all* distinct sets, for
 /// random probes of every size including predicates the graph never uses.
 TEST_P(StatsSweep, SupersetProbesMatchLinearScan) {
   Rng rng(GetParam() * 31 + 7);
@@ -182,29 +169,6 @@ TEST_P(StatsSweep, SupersetProbesMatchLinearScan) {
     }
     return subjects;
   };
-  auto linear_rows = [&](const std::vector<TermId>& probe) {
-    std::vector<TermId> sorted = probe;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    double rows = 0.0;
-    for (const CharacteristicSet& cs : stats.characteristic_sets()) {
-      if (!std::includes(cs.predicates.begin(), cs.predicates.end(),
-                         sorted.begin(), sorted.end())) {
-        continue;
-      }
-      double contribution = cs.count;
-      for (TermId p : sorted) {
-        size_t i = std::lower_bound(cs.predicates.begin(),
-                                    cs.predicates.end(), p) -
-                   cs.predicates.begin();
-        contribution *= static_cast<double>(cs.occurrences[i]) /
-                        static_cast<double>(cs.count);
-      }
-      rows += contribution;
-    }
-    return rows;
-  };
-
   const std::vector<TermId>& preds = g.predicates();
   TermId unused = preds.back() + 1000;
   for (int trial = 0; trial < 40; ++trial) {
@@ -217,7 +181,6 @@ TEST_P(StatsSweep, SupersetProbesMatchLinearScan) {
                           : preds[rng.Next() % preds.size()]);
     }
     EXPECT_DOUBLE_EQ(stats.SubjectsWithAllOut(probe), linear_subjects(probe));
-    EXPECT_DOUBLE_EQ(stats.EstimateStarRows(probe), linear_rows(probe));
   }
   // The empty probe counts every subject carrying any out-predicate.
   EXPECT_DOUBLE_EQ(stats.SubjectsWithAllOut({}), linear_subjects({}));
