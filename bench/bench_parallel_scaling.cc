@@ -6,12 +6,13 @@
 // the probe counts surfaced as benchmark counters.
 //
 // The thread counts request worker *slots*; on a machine with fewer cores
-// the pool still exercises the parallel code path but cannot show wall-clock
-// scaling (results stay byte-identical either way — that is asserted by
-// tests/parallel_determinism_test.cc, not here). The assembly rows set
-// min_seeds_per_slot = 1 so the pool path runs regardless of seed-group
-// size; the >1-thread rows therefore measure the pool-coordination overhead
-// on small machines, the thing the dynamic budget avoids in production.
+// the pool still runs several slots but cannot show wall-clock scaling
+// (results stay byte-identical either way — that is asserted by
+// tests/parallel_determinism_test.cc, not here). The assembly and pruning
+// rows set min_seeds_per_slot = 1 so several slots run regardless of
+// seed-group size; the >1-thread rows therefore measure the
+// pool-coordination overhead on small machines, the thing the dynamic
+// budget avoids in production.
 
 #include <benchmark/benchmark.h>
 
@@ -145,7 +146,7 @@ void RunLecAssemblyThreads(benchmark::State& state,
   AssemblyOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));
   options.pool = &f.pool;
-  options.min_seeds_per_slot = 1;  // force the pool path (see file header)
+  options.min_seeds_per_slot = 1;  // force several slots (see file header)
   AssemblyStats stats;
   size_t num_matches = 0;
   for (auto _ : state) {
@@ -179,7 +180,7 @@ void RunLecPruningThreads(benchmark::State& state,
   PruneOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));
   options.pool = &f.pool;
-  options.min_seeds_per_slot = 1;  // force the pool path (see file header)
+  options.min_seeds_per_slot = 1;  // force several slots (see file header)
   PruneResult prune;
   for (auto _ : state) {
     prune = LecFeaturePruning(features.features, num_query_vertices, options);

@@ -1,7 +1,6 @@
 #include "core/assembly.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -40,8 +39,6 @@ class ResultSink {
     it->second.push_back(results_.size());
     results_.push_back(std::move(binding));
   }
-
-  size_t size() const { return results_.size(); }
 
   std::vector<Binding> Take() { return std::move(results_); }
 
@@ -204,11 +201,10 @@ std::vector<Binding> LecAssembly(const std::vector<LocalPartialMatch>& lpms,
   AssemblyStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   ResultSink sink;
-  if (lpms.empty() || options.max_results == 0) return sink.Take();
+  if (lpms.empty()) return sink.Take();
   for (const LocalPartialMatch& pm : lpms) {
     GSTORED_CHECK_EQ(pm.sign.size(), num_query_vertices);
   }
-  const bool limited = options.max_results != static_cast<size_t>(-1);
 
   AssemblyContext ctx;
   ctx.lpms = &lpms;
@@ -229,68 +225,41 @@ std::vector<Binding> LecAssembly(const std::vector<LocalPartialMatch>& lpms,
   ctx.active.assign(num_groups, true);
   DeactivateIsolatedGroups(ctx.adjacency, &ctx.active);
 
-  // Serial scratch is built lazily and kept across vmin iterations; the
-  // parallel scratch set is per iteration (slot counts change with the
-  // seed-group size).
-  std::unique_ptr<SlotScratch> serial_scratch;
+  // Per-slot scratch, built once per call: it grows to the largest slot
+  // budget any vmin group asks for and is reused across groups (the stats
+  // are folded and reset after each group).
+  std::vector<SlotScratch> scratch;
 
   while (true) {
     uint32_t vmin = SelectMinActiveGroup(ctx.groups, ctx.active);
     if (vmin == kNoGroup) break;
     const std::vector<uint32_t>& seeds = ctx.groups[vmin];
 
-    // Dynamic thread budget: engage the pool only when the seed group is
-    // big enough to amortize it; a finite max_results forces serial so the
-    // cut point stays deterministic.
-    size_t slots =
-        limited ? 1
-                : JoinSlotBudget(seeds.size(), options.num_threads,
-                                 options.min_seeds_per_slot);
-    ThreadPool* pool = ResolvePool(slots, options.pool);
-
-    if (pool == nullptr) {
-      if (serial_scratch == nullptr) {
-        serial_scratch = std::make_unique<SlotScratch>(num_groups);
-      }
-      std::vector<Binding> emitted;
-      for (uint32_t pm_idx : seeds) {
-        emitted.clear();
-        RunSeedJoin(ctx, vmin, pm_idx, *serial_scratch, &emitted);
-        for (Binding& b : emitted) sink.Add(std::move(b));
-        if (sink.size() >= options.max_results) break;
-      }
-      AccumulateJoinStats(serial_scratch->stats, stats);
-      serial_scratch->stats = AssemblyStats();
-      if (sink.size() >= options.max_results) break;
-    } else {
-      std::vector<SlotScratch> scratch(slots, SlotScratch(num_groups));
-      // Per-seed emission vectors, concatenated into the sink in seed order
-      // after the ParallelFor barrier: each vector is a pure function of
-      // its seed, so the sink sees the exact sequence the serial path
-      // feeds it and the output is byte-identical across thread counts.
-      std::vector<std::vector<Binding>> emitted(seeds.size());
-      pool->ParallelFor(seeds.size(), slots, [&](size_t i, size_t slot) {
-        RunSeedJoin(ctx, vmin, seeds[i], scratch[slot], &emitted[i]);
-      });
-      for (std::vector<Binding>& per_seed : emitted) {
-        for (Binding& b : per_seed) sink.Add(std::move(b));
-      }
-      // Per-slot counters sum to the same totals as a serial run: every
-      // counted event belongs to exactly one seed's DFS.
-      for (const SlotScratch& s : scratch) {
-        AccumulateJoinStats(s.stats, stats);
-      }
+    // Dynamic thread budget: engage several slots only when the seed group
+    // is big enough to amortize the pool coordination.
+    const size_t slots = JoinSlotBudget(seeds.size(), options.num_threads,
+                                        options.min_seeds_per_slot);
+    while (scratch.size() < slots) scratch.emplace_back(num_groups);
+    // Each seed's emissions are a pure function of its seed, concatenated
+    // in seed order, so the sink sees the same sequence — and the output is
+    // byte-identical — for every slot count.
+    std::vector<Binding> emitted = ParallelForConcat<Binding>(
+        options.pool, seeds.size(), slots,
+        [&](size_t i, size_t slot, std::vector<Binding>* out) {
+          RunSeedJoin(ctx, vmin, seeds[i], scratch[slot], out);
+        });
+    for (Binding& b : emitted) sink.Add(std::move(b));
+    // Per-slot counters sum to the same totals for every slot count: every
+    // counted event belongs to exactly one seed's DFS.
+    for (size_t slot = 0; slot < slots; ++slot) {
+      AccumulateJoinStats(scratch[slot].stats, stats);
+      scratch[slot].stats = AssemblyStats();
     }
 
     ctx.active[vmin] = false;
     DeactivateIsolatedGroups(ctx.adjacency, &ctx.active);
   }
-
-  std::vector<Binding> results = sink.Take();
-  if (results.size() > options.max_results) {
-    results.resize(options.max_results);
-  }
-  return results;
+  return sink.Take();
 }
 
 std::vector<Binding> LecAssembly(const std::vector<LocalPartialMatch>& lpms,

@@ -31,19 +31,11 @@ bool MergeBindings(const Binding& a, const Binding& b, Binding* out);
 
 /// Execution-layer knobs for LecAssembly, orthogonal to the algorithm.
 struct AssemblyOptions {
-  /// Stop once this many deduplicated crossing matches were produced
-  /// (SIZE_MAX = all). The cut is checked at seed granularity — one seed's
-  /// DFS always runs to completion — and the returned vector is truncated
-  /// to exactly `max_results` entries, a prefix of the unlimited output.
-  /// A finite value forces the serial path (a deterministic result prefix
-  /// cannot be split across workers).
-  size_t max_results = static_cast<size_t>(-1);
-
-  /// Maximum worker slots for the join. With > 1, the seeds of each vmin
-  /// group are partitioned across the pool: every seed's DFS runs with
-  /// slot-local scratch and emits into a per-seed vector, and the vectors
-  /// are fed to the dedup sink in seed order — so the output is
-  /// byte-identical to a 1-thread run.
+  /// Maximum worker slots for the join. The seeds of each vmin group run
+  /// through one ParallelForConcat: every seed's DFS runs with slot-local
+  /// scratch and emits into a per-seed vector, and the vectors are fed to
+  /// the dedup sink in seed order — so the output is byte-identical for
+  /// every slot count. One slot runs the seeds inline on the caller.
   size_t num_threads = 1;
 
   /// Pool supplying the extra slots; nullptr = ThreadPool::Shared(). The
@@ -54,7 +46,7 @@ struct AssemblyOptions {
   /// Dynamic thread-budget quota (see JoinSlotBudget in group_schedule.h):
   /// a vmin group engages one slot per this many seeds, so tiny groups skip
   /// pool coordination entirely. The default amortizes the ParallelFor
-  /// barrier over a few DFS walks; tests set 1 to force the pool path on
+  /// barrier over a few DFS walks; tests set 1 to force several slots on
   /// small fixtures.
   size_t min_seeds_per_slot = 4;
 };
@@ -77,7 +69,7 @@ std::vector<Binding> LecAssembly(const std::vector<LocalPartialMatch>& lpms,
                                  const AssemblyOptions& options,
                                  AssemblyStats* stats = nullptr);
 
-/// Serial convenience overload (default AssemblyOptions).
+/// One-slot convenience overload (default AssemblyOptions).
 std::vector<Binding> LecAssembly(const std::vector<LocalPartialMatch>& lpms,
                                  size_t num_query_vertices,
                                  AssemblyStats* stats = nullptr);

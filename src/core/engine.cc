@@ -122,18 +122,10 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   std::vector<Binding> matches;
   std::atomic<size_t> lpm_cache_hits{0};
 
-  // Cancellation/deadline are polled between stages only: an abort returns
-  // the matches accumulated so far — always a sound subset, because every
-  // stage's output is either complete local matches or inputs to assembly —
-  // flagged non-exact, with the session ledger intact. The request-level
-  // cancel/deadline compose (OR) with the context's own admission fields.
-  auto aborted = [&](double elapsed_ms) {
-    if (request.cancel != nullptr && request.cancel->cancelled()) return true;
-    if (request.deadline_ms >= 0.0 && elapsed_ms > request.deadline_ms) {
-      return true;
-    }
-    return ctx.aborted(elapsed_ms);
-  };
+  // The context's cancellation/deadline is polled between stages only: an
+  // abort returns the matches accumulated so far — always a sound subset,
+  // because every stage's output is either complete local matches or
+  // inputs to assembly — flagged non-exact, with the session ledger intact.
   auto finish_aborted = [&]() {
     stats->cancelled = true;
     outcome.exact = false;
@@ -146,7 +138,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     outcome.matches = std::move(matches);
     return outcome;
   };
-  if (aborted(total_watch.ElapsedMillis())) return finish_aborted();
+  if (ctx.aborted(total_watch.ElapsedMillis())) return finish_aborted();
 
   // ---- Stage A (kFull, non-star): assemble variables' internal candidates.
   CandidateExchange exchange;
@@ -169,7 +161,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     // no-op; skip the closure entirely to keep enumeration cheap.
     use_filter = !exchange.degraded;
   }
-  if (aborted(total_watch.ElapsedMillis())) return finish_aborted();
+  if (ctx.aborted(total_watch.ElapsedMillis())) return finish_aborted();
 
   // The LPM cache key must cover the filters a site enumerated under: the
   // same template yields different LPM sets under different exchanged
@@ -377,7 +369,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     outcome.matches = std::move(matches);
     return outcome;
   }
-  if (aborted(total_watch.ElapsedMillis())) return finish_aborted();
+  if (ctx.aborted(total_watch.ElapsedMillis())) return finish_aborted();
 
   auto ensure_features = [&](int site) {
     ensure_partial_eval(site);
@@ -496,7 +488,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
       stats->lec_prune_time_ms = feat.max_millis();
     }
   }
-  if (aborted(total_watch.ElapsedMillis())) return finish_aborted();
+  if (ctx.aborted(total_watch.ElapsedMillis())) return finish_aborted();
 
   // ---- Stage D: ship the surviving LPMs to the coordinator in fixed-size
   // batches and assemble. Per-site survivor filtering preserves the site's
@@ -577,7 +569,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   stats->num_lpms_shipped = surviving.size();
   stats->lec_shipment_bytes = ledger.StageBytes(lec_stage_id);
   stats->lpm_shipment_bytes = ledger.StageBytes(lpm_stage_id);
-  if (aborted(total_watch.ElapsedMillis())) return finish_aborted();
+  if (ctx.aborted(total_watch.ElapsedMillis())) return finish_aborted();
 
   // LEC assembly joins on the same worker pool the sites borrow from; the
   // sites are done with it by now (the stage has returned), so the

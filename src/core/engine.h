@@ -185,29 +185,19 @@ struct QueryOutcome {
 };
 
 /// One query, fully described: what to evaluate, at which optimization
-/// level, over whose session, and under which lifetime knobs. This is the
-/// single entry into DistributedEngine::Run.
+/// level and over whose session. This is the single entry into
+/// DistributedEngine::Run.
 ///
 /// `context == nullptr` runs over a fresh QuerySession built for the call
 /// (the engine's fault plan, session id 0, a ledger starting at zero); a
-/// non-null context supplies the transport session, slot budget, plan
-/// artifacts and cache hooks. Either way, any number of requests may run
-/// concurrently over one engine.
-///
-/// `cancel` / `deadline_ms` are request-scoped and combined (OR) with the
-/// context's own admission fields, so a caller can bound a query without
-/// mutating a shared context.
+/// non-null context supplies the transport session, slot budget,
+/// cancellation and deadline, plan artifacts and cache hooks. Either way,
+/// any number of requests may run concurrently over one engine.
 struct QueryRequest {
   const QueryGraph* query = nullptr;
   EngineMode mode = EngineMode::kFull;
   QueryContext* context = nullptr;
 
-  /// Optional request-level cancellation, polled at stage boundaries.
-  const CancelToken* cancel = nullptr;
-  /// Optional request-level wall-clock budget (ms); negative = none.
-  double deadline_ms = -1.0;
-
-  QueryRequest() = default;
   QueryRequest(const QueryGraph& q, EngineMode m = EngineMode::kFull)
       : query(&q), mode(m) {}
   QueryRequest(const QueryGraph& q, EngineMode m, QueryContext& ctx)

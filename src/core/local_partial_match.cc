@@ -146,14 +146,12 @@ void EmitMatch(IslandSearch& ctx) {
 }
 
 void Extend(IslandSearch& ctx, size_t depth) {
-  if (ctx.out->size() >= ctx.options->max_results) return;
   if (depth == ctx.order.size()) {
     EmitMatch(ctx);
     return;
   }
   QVertexId v = ctx.order[depth];
   for (TermId u : DomainFor(ctx, depth)) {
-    if (ctx.out->size() >= ctx.options->max_results) return;
     if (!Admissible(ctx, v, u)) continue;
     if (!ConsistentWithAssigned(ctx, v, u)) continue;
     ctx.binding[v] = u;
@@ -352,8 +350,7 @@ std::vector<QVertexId> BuildIslandUnitOrder(const LocalStore& store,
 std::vector<LocalPartialMatch> EnumerateLocalPartialMatches(
     const Fragment& fragment, const LocalStore& store, const ResolvedQuery& rq,
     const EnumerateOptions& options) {
-  std::vector<LocalPartialMatch> results;
-  if (rq.impossible) return results;
+  if (rq.impossible) return {};
   const QueryGraph& q = *rq.query;
 
   // Each (island, boundary) mask pair's search is independent of the others.
@@ -369,26 +366,11 @@ std::vector<LocalPartialMatch> EnumerateLocalPartialMatches(
     return unit_orders != nullptr ? &(*unit_orders)[i] : nullptr;
   };
 
-  // A finite max_results keeps the serial path: splitting an early-exit
-  // enumeration across workers would make the result prefix depend on
-  // scheduling.
-  const bool unlimited = options.max_results == static_cast<size_t>(-1);
-  ThreadPool* pool = ResolvePool(options.num_threads, options.pool);
-  if (pool == nullptr || !unlimited) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      SearchIslandMask(fragment, store, rq, options, tasks[i].island,
-                       tasks[i].boundary, order_for(i), &results);
-      if (results.size() >= options.max_results) break;
-    }
-    return results;
-  }
-
-  // Parallel path: island masks are embarrassingly parallel — distribute
-  // them over the pool, one private result vector per mask, concatenated in
-  // ascending mask order so the output is byte-identical to the serial loop
-  // above.
+  // Island masks are embarrassingly parallel: one private result vector per
+  // mask, concatenated in ascending mask order, so the output is
+  // byte-identical for every slot count.
   return ParallelForConcat<LocalPartialMatch>(
-      *pool, tasks.size(), options.num_threads,
+      options.pool, tasks.size(), options.num_threads,
       [&](size_t i, size_t /*slot*/, std::vector<LocalPartialMatch>* out) {
         SearchIslandMask(fragment, store, rq, options, tasks[i].island,
                          tasks[i].boundary, order_for(i), out);

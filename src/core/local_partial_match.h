@@ -101,15 +101,11 @@ struct EnumerateOptions {
   /// probes are read-only, hence safe).
   std::function<bool(QVertexId, TermId)> extended_filter;
 
-  /// Safety valve for pathological inputs (SIZE_MAX = unlimited).
-  size_t max_results = static_cast<size_t>(-1);
-
-  /// Maximum worker slots for the enumeration. With > 1, island masks are
-  /// distributed over the pool; each mask's matches land in a per-mask
-  /// vector and the vectors are concatenated in ascending mask order, so
-  /// the output is byte-identical to a 1-thread run. A finite max_results
-  /// forces the serial path (an early-exit split would not be
-  /// deterministic).
+  /// Maximum worker slots for the enumeration. Island masks run through
+  /// one ParallelForConcat: each mask's matches land in a per-mask vector
+  /// and the vectors are concatenated in ascending mask order, so the
+  /// output is byte-identical for every slot count. One slot runs the masks
+  /// inline on the caller.
   size_t num_threads = 1;
 
   /// Pool supplying the extra slots; nullptr = ThreadPool::Shared().

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <unordered_map>
 
 #include "core/group_schedule.h"
@@ -72,7 +71,8 @@ struct PruneSlotScratch {
 
   /// Per-slot survivor bitmap, one bit per base feature index. Marking is a
   /// pure union, so OR-folding the slot bitmaps after the ParallelFor
-  /// barrier yields the exact serial surviving set in any fold order.
+  /// barrier yields the same surviving set for every slot count and fold
+  /// order.
   std::vector<uint64_t> survivors;
 
   size_t join_attempts = 0;
@@ -213,8 +213,8 @@ void RunSeedPrune(const PruneContext& ctx, uint32_t vmin, uint32_t f_idx,
   ComLecFJoin(ctx, s, s.seed_frontier, 0, any_exhausted);
 }
 
-/// Folds one slot's scratch into the run accumulators and resets it so a
-/// persistent (serial) scratch is never double-counted.
+/// Folds one slot's scratch into the run accumulators and resets it, so
+/// the scratch can serve the next vmin group without double-counting.
 void FoldSlot(PruneSlotScratch* s, std::vector<uint64_t>* survivor_words,
               PruneResult* result) {
   GSTORED_CHECK_EQ(s->survivors.size(), survivor_words->size());
@@ -263,10 +263,10 @@ PruneResult LecFeaturePruning(const std::vector<LecFeature>& features,
   std::vector<uint64_t> survivor_words((features.size() + 63) / 64, 0);
   std::atomic<bool> any_exhausted{false};
 
-  // Serial scratch is built lazily and kept across vmin iterations; the
-  // parallel scratch set is per iteration (slot counts change with the
-  // seed-group size).
-  std::unique_ptr<PruneSlotScratch> serial_scratch;
+  // Per-slot scratch, built once per call: it grows to the largest slot
+  // budget any vmin group asks for and is reused across groups (FoldSlot
+  // resets what a group leaves behind).
+  std::vector<PruneSlotScratch> scratch;
 
   // Main loop of Alg. 2: repeatedly expand chains from the smallest active
   // group, then retire it. Seed-major: each base feature of the vmin group
@@ -276,9 +276,11 @@ PruneResult LecFeaturePruning(const std::vector<LecFeature>& features,
     if (vmin == kNoGroup) break;
     const std::vector<uint32_t>& seeds = ctx.groups[vmin];
 
-    size_t slots = JoinSlotBudget(seeds.size(), options.num_threads,
-                                  options.min_seeds_per_slot);
-    ThreadPool* pool = ResolvePool(slots, options.pool);
+    const size_t slots = JoinSlotBudget(seeds.size(), options.num_threads,
+                                        options.min_seeds_per_slot);
+    while (scratch.size() < slots) {
+      scratch.emplace_back(num_groups, features.size());
+    }
     // Fair share of the join-space cap: the group's seeds together stay
     // within ~max_joined_features, yet each seed's bail-out decision is a
     // pure function of that seed alone (a shared counter would make it
@@ -290,32 +292,17 @@ PruneResult LecFeaturePruning(const std::vector<LecFeature>& features,
             ? 0
             : std::max<size_t>(1, options.max_joined_features / seeds.size());
 
-    if (pool == nullptr) {
-      if (serial_scratch == nullptr) {
-        serial_scratch = std::make_unique<PruneSlotScratch>(num_groups,
-                                                            features.size());
-      }
-      for (uint32_t f_idx : seeds) {
-        if (any_exhausted.load(std::memory_order_relaxed)) break;
-        RunSeedPrune(ctx, vmin, f_idx, *serial_scratch, seed_budget,
-                     &any_exhausted);
-      }
-      FoldSlot(serial_scratch.get(), &survivor_words, &result);
-    } else {
-      std::vector<PruneSlotScratch> scratch(
-          slots, PruneSlotScratch(num_groups, features.size()));
-      pool->ParallelFor(seeds.size(), slots, [&](size_t i, size_t slot) {
-        if (any_exhausted.load(std::memory_order_relaxed)) return;
-        RunSeedPrune(ctx, vmin, seeds[i], scratch[slot], seed_budget,
-                     &any_exhausted);
-      });
-      // The ParallelFor return is the merge barrier: fold the slot bitmaps
-      // (a pure union — order-independent) and counters. On non-bailed
-      // runs no walk was truncated, so the counter sums equal a serial
-      // run's totals: every counted probe belongs to exactly one seed DFS.
-      for (PruneSlotScratch& s : scratch) {
-        FoldSlot(&s, &survivor_words, &result);
-      }
+    ParallelFor(options.pool, seeds.size(), slots, [&](size_t i, size_t slot) {
+      if (any_exhausted.load(std::memory_order_relaxed)) return;
+      RunSeedPrune(ctx, vmin, seeds[i], scratch[slot], seed_budget,
+                   &any_exhausted);
+    });
+    // The ParallelFor return is the merge barrier: fold the slot bitmaps
+    // (a pure union — order-independent) and counters. On non-bailed runs
+    // no walk was truncated, so the counter sums equal the one-slot run's
+    // totals: every counted probe belongs to exactly one seed DFS.
+    for (size_t slot = 0; slot < slots; ++slot) {
+      FoldSlot(&scratch[slot], &survivor_words, &result);
     }
 
     ctx.active[vmin] = false;

@@ -45,11 +45,12 @@ struct PruneOptions {
   /// scheduling-dependent bail-outs.)
   size_t max_joined_features = 1u << 21;
 
-  /// Maximum worker slots for the chain join. With > 1, the base features
-  /// of each vmin group are partitioned across the pool: every seed's DFS
-  /// runs with slot-local scratch and marks survivors in a per-slot bitmap,
-  /// and the bitmaps are OR-folded after the ParallelFor barrier — a pure
-  /// union, so the surviving set is byte-identical to a 1-thread run.
+  /// Maximum worker slots for the chain join. The base features of each
+  /// vmin group run through one ParallelFor: every seed's DFS runs with
+  /// slot-local scratch and marks survivors in a per-slot bitmap, and the
+  /// bitmaps are OR-folded after the barrier — a pure union, so the
+  /// surviving set is byte-identical for every slot count. One slot runs
+  /// the seeds inline on the caller.
   size_t num_threads = 1;
 
   /// Pool supplying the extra slots; nullptr = ThreadPool::Shared(). The
@@ -59,7 +60,8 @@ struct PruneOptions {
 
   /// Dynamic thread-budget quota (JoinSlotBudget in group_schedule.h): a
   /// vmin group engages one slot per this many seeds, so tiny prunes skip
-  /// pool coordination entirely. Tests set 1 to force the pool path.
+  /// pool coordination entirely. Tests set 1 to force several slots on
+  /// small fixtures.
   size_t min_seeds_per_slot = 4;
 };
 
@@ -79,7 +81,7 @@ struct PruneOptions {
 ///
 /// The join is seed-major: each base feature of the current vmin group
 /// seeds one independent chain DFS (chain dedup is seed-local), distributed
-/// over the worker pool when `options.num_threads > 1`. Survivor marking is
+/// over up to `options.num_threads` worker slots. Survivor marking is
 /// order-independent — per-slot bitmaps OR-folded after the barrier — so
 /// the result is byte-identical for every thread count (see "Parallel
 /// pruning" in src/core/README.md).

@@ -254,8 +254,11 @@ Result<MatchBatch> DecodeMatchBatch(const std::vector<uint8_t>& payload) {
   batch.width = r.U32();
   uint32_t count = r.U32();
   if (!r.ok() || batch.width > (1u << 20)) return Truncated("match batch");
+  // A zero-width row takes no bytes, so no byte budget bounds `count`: a
+  // zero-width batch must carry zero rows (the engine ships width 0 only
+  // for a 0-vertex query, whose match list is empty).
   uint64_t row_bytes = uint64_t{4} * batch.width;
-  if (row_bytes > 0 && r.remaining() / row_bytes < count) {
+  if (row_bytes == 0 ? count != 0 : r.remaining() / row_bytes < count) {
     return Truncated("match batch");
   }
   batch.matches.reserve(count);

@@ -1,6 +1,7 @@
 #include "store/matcher.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -15,7 +16,6 @@ namespace {
 struct SearchContext {
   const LocalStore* store;
   const ResolvedQuery* rq;
-  const MatchOptions* options;
   const std::vector<QVertexId>* order;
   // Incident edges of each query vertex grouped by directed endpoint pair,
   // precomputed so the inner consistency check is map-free.
@@ -34,12 +34,6 @@ struct SearchContext {
 /// neighbours of v (edge existence plus parallel-edge injectivity).
 bool ConsistentWithAssigned(const SearchContext& ctx, QVertexId v, TermId u) {
   const RdfGraph& g = ctx.store->graph();
-
-  if (ctx.options->candidate_filter &&
-      !ctx.options->candidate_filter(v, u)) {
-    return false;
-  }
-
   auto image = [&](QVertexId w) -> TermId {
     return w == v ? u : ctx.binding[w];
   };
@@ -89,14 +83,12 @@ std::span<const TermId> DomainFor(SearchContext& ctx, size_t depth,
 }
 
 void Extend(SearchContext& ctx, size_t depth) {
-  if (ctx.results->size() >= ctx.options->limit) return;
   if (depth == ctx.order->size()) {
     ctx.results->push_back(ctx.binding);
     return;
   }
   QVertexId v = (*ctx.order)[depth];
   for (TermId u : DomainFor(ctx, depth, v)) {
-    if (ctx.results->size() >= ctx.options->limit) return;
     if (!ConsistentWithAssigned(ctx, v, u)) continue;
     ctx.binding[v] = u;
     ctx.assigned[v] = true;
@@ -373,12 +365,10 @@ size_t CountIntermediateResults(const LocalStore& store,
   const std::vector<QVertexId> order_vec(order.begin(), order.end());
   const std::vector<std::vector<ParallelEdgeGroup>> groups =
       BuildIncidentEdgeGroups(*rq.query);
-  const MatchOptions options;  // unlimited, no filter
 
   SearchContext ctx;
   ctx.store = &store;
   ctx.rq = &rq;
-  ctx.options = &options;
   ctx.order = &order_vec;
   ctx.groups = &groups;
   ctx.assigned.assign(rq.query->num_vertices(), false);
@@ -407,8 +397,7 @@ size_t CountIntermediateResults(const LocalStore& store,
 std::vector<Binding> MatchQuery(const LocalStore& store,
                                 const ResolvedQuery& rq,
                                 const MatchOptions& options) {
-  std::vector<Binding> results;
-  if (rq.impossible || rq.query->num_vertices() == 0) return results;
+  if (rq.impossible || rq.query->num_vertices() == 0) return {};
 
   const size_t n = rq.query->num_vertices();
   std::vector<QVertexId> scored_order;
@@ -421,51 +410,36 @@ std::vector<Binding> MatchQuery(const LocalStore& store,
   const std::vector<std::vector<ParallelEdgeGroup>> groups =
       BuildIncidentEdgeGroups(*rq.query);
 
-  auto make_context = [&](std::vector<Binding>* out) {
+  auto make_context = [&] {
     SearchContext ctx;
     ctx.store = &store;
     ctx.rq = &rq;
-    ctx.options = &options;
     ctx.order = &order;
     ctx.groups = &groups;
     ctx.assigned.assign(n, false);
     ctx.binding.assign(n, kNullTerm);
-    ctx.results = out;
+    ctx.results = nullptr;
     ctx.domain_scratch.resize(order.size());
     return ctx;
   };
 
-  // A finite limit keeps the serial path: splitting an early-exit search
-  // across workers would make the result prefix depend on scheduling.
-  const bool unlimited = options.limit == static_cast<size_t>(-1);
-  ThreadPool* pool = ResolvePool(options.num_threads, options.pool);
-  if (pool == nullptr || !unlimited) {
-    SearchContext ctx = make_context(&results);
-    Extend(ctx, 0);
-    return results;
-  }
-
-  // Parallel path: partition the search across the start vertex's candidate
-  // domain. Each worker slot owns a private SearchContext; each candidate's
+  // One private SearchContext per worker slot, at most one per start
+  // candidate. The search is partitioned across the start vertex's
+  // candidate domain, computed in slot 0's depth-0 scratch, which no deeper
+  // level touches. Growing `contexts` may move slot 0, but a moved context
+  // keeps its scratch buffers, so the span stays valid. Each candidate's
   // subtree writes to its own result vector, concatenated in candidate
-  // order, so the output is byte-identical to the serial loop above
-  // regardless of scheduling.
-  QVertexId v0 = order[0];
-  std::vector<TermId> start_domain;
-  {
-    SearchContext probe = make_context(nullptr);
-    std::span<const TermId> domain = DomainFor(probe, 0, v0);
-    start_domain.assign(domain.begin(), domain.end());
-  }
-
-  size_t max_slots = std::min(options.num_threads, pool->num_workers() + 1);
+  // order, so the output is byte-identical for every slot count.
+  static_assert(std::is_nothrow_move_constructible_v<SearchContext>);
   std::vector<SearchContext> contexts;
-  contexts.reserve(max_slots);
-  for (size_t s = 0; s < max_slots; ++s) {
-    contexts.push_back(make_context(nullptr));
-  }
+  contexts.push_back(make_context());
+  const QVertexId v0 = order[0];
+  const std::span<const TermId> start_domain = DomainFor(contexts[0], 0, v0);
+  const size_t slots = std::clamp<size_t>(
+      start_domain.size(), 1, std::max<size_t>(1, options.num_threads));
+  while (contexts.size() < slots) contexts.push_back(make_context());
   return ParallelForConcat<Binding>(
-      *pool, start_domain.size(), options.num_threads,
+      options.pool, start_domain.size(), slots,
       [&](size_t i, size_t slot, std::vector<Binding>* out) {
         SearchContext& ctx = contexts[slot];
         TermId u = start_domain[i];

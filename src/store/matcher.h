@@ -18,22 +18,11 @@ using Binding = std::vector<TermId>;
 
 /// Options for MatchQuery.
 struct MatchOptions {
-  /// Stop after this many matches (SIZE_MAX = all).
-  size_t limit = static_cast<size_t>(-1);
-
-  /// Optional per-vertex candidate filter. When set, a graph vertex u is only
-  /// considered for query vertex v if filter(v, u) returns true. Used by the
-  /// engine to apply Algorithm 4's candidate bit vectors. With num_threads >
-  /// 1 the filter is invoked concurrently and must be thread-safe (the
-  /// engine's bit-vector probes are read-only, hence safe).
-  std::function<bool(QVertexId, TermId)> candidate_filter;
-
-  /// Maximum worker slots for the search. With > 1, the backtracking is
-  /// partitioned across the start vertex's candidates: each slot owns its
-  /// own scratch state and per-candidate result vectors are concatenated in
-  /// candidate order, so the output is byte-identical to a 1-thread run.
-  /// A finite `limit` forces the serial path (an early-exit split would not
-  /// be deterministic).
+  /// Maximum worker slots for the search, which is always partitioned
+  /// across the start vertex's candidates: each slot owns its own scratch
+  /// state and per-candidate result vectors are concatenated in candidate
+  /// order, so the output is byte-identical for every slot count. One slot
+  /// runs the candidates inline on the caller.
   size_t num_threads = 1;
 
   /// Pool supplying the extra slots; nullptr = ThreadPool::Shared(). The

@@ -1,7 +1,6 @@
 #include "util/string_util.h"
 
 #include <cctype>
-#include <cstdio>
 
 namespace gstored {
 
@@ -41,28 +40,6 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
 bool EndsWith(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() &&
          text.substr(text.size() - suffix.size()) == suffix;
-}
-
-std::string JoinStrings(const std::vector<std::string>& pieces,
-                        std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(pieces[i]);
-  }
-  return out;
-}
-
-std::string HumanBytes(double bytes) {
-  const char* units[] = {"B", "KB", "MB", "GB", "TB"};
-  int unit = 0;
-  while (bytes >= 1024.0 && unit < 4) {
-    bytes /= 1024.0;
-    ++unit;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.1f %s", bytes, units[unit]);
-  return buf;
 }
 
 }  // namespace gstored

@@ -1,7 +1,6 @@
 #ifndef GSTORED_UTIL_STRING_UTIL_H_
 #define GSTORED_UTIL_STRING_UTIL_H_
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -18,13 +17,6 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 
 /// True if `text` ends with `suffix`.
 bool EndsWith(std::string_view text, std::string_view suffix);
-
-/// Joins `pieces` with `sep`.
-std::string JoinStrings(const std::vector<std::string>& pieces,
-                        std::string_view sep);
-
-/// Formats a byte count as a human-readable string, e.g. "12.3 KB".
-std::string HumanBytes(double bytes);
 
 }  // namespace gstored
 

@@ -111,10 +111,4 @@ ThreadPool& ThreadPool::Shared() {
   return *pool;
 }
 
-ThreadPool* ResolvePool(size_t num_threads, ThreadPool* pool) {
-  if (num_threads <= 1) return nullptr;
-  if (pool == nullptr) pool = &ThreadPool::Shared();
-  return pool->num_workers() == 0 ? nullptr : pool;
-}
-
 }  // namespace gstored

@@ -14,7 +14,8 @@ namespace gstored {
 /// A fixed-size worker pool with a shared task queue and a ParallelFor
 /// helper, used to parallelize the intra-site hot paths (per-site matching
 /// and LPM enumeration) underneath the cluster's per-site thread fan-out,
-/// and the coordinator-side LEC assembly join across seed groups.
+/// and the coordinator-side LEC pruning and assembly joins across seed
+/// groups. The kernels reach it through the free ParallelFor below.
 ///
 /// The scheduling discipline is work-stealing-lite: ParallelFor does not
 /// pre-partition the index space but lets every participant pull the next
@@ -68,28 +69,48 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Resolves a caller's (num_threads, pool) options to the pool to use:
-/// nullptr means "run serially" (one slot requested, or no workers to
-/// borrow); otherwise the explicit pool, defaulting to ThreadPool::Shared().
-ThreadPool* ResolvePool(size_t num_threads, ThreadPool* pool);
+/// The one entry the four parallel kernels (matcher, LPM enumerator, LEC
+/// pruning, LEC assembly) run their units through: `fn(index, slot)` for
+/// every index in [0, n). With `max_slots <= 1` or `n <= 1` it loops inline
+/// on the caller, in index order, with slot 0, and never touches
+/// ThreadPool::Shared() — so one-slot runs never create the shared pool.
+/// Otherwise it runs `pool->ParallelFor(n, max_slots, fn)`, with
+/// ThreadPool::Shared() standing in for a null `pool`. Either way the slots
+/// handed to `fn` lie in [0, min(max_slots, n)), which bounds the per-slot
+/// scratch a caller needs. A template so the one-slot loop calls `fn`
+/// directly, as a hand-written serial loop would.
+template <typename Fn>
+void ParallelFor(ThreadPool* pool, size_t n, size_t max_slots, Fn&& fn) {
+  if (max_slots <= 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i, 0);
+    return;
+  }
+  (pool != nullptr ? *pool : ThreadPool::Shared()).ParallelFor(n, max_slots,
+                                                               fn);
+}
 
-/// The deterministic fan-out/merge shape shared by the parallel matcher and
-/// LPM enumerator: `fill(index, slot, &out)` appends index `i`'s results to
-/// a private vector, and the per-index vectors are concatenated in ascending
-/// index order after the ParallelFor barrier — so the output is
-/// byte-identical to running `fill` serially in index order. Costs one
-/// (empty) vector per index plus one allocation per *productive* index —
-/// accepted deliberately: the per-index search dominates, and per-slot run
-/// buffers would complicate the determinism argument for marginal gain.
+/// The deterministic fan-out/merge shape shared by the matcher, the LPM
+/// enumerator and assembly: `fill(index, slot, &out)` appends index `i`'s
+/// results, and the output is their concatenation in ascending index order
+/// — byte-identical for every slot count. At one slot (the inline case of
+/// ParallelFor above) `fill` appends straight into the result. Otherwise
+/// each index fills a private vector and the vectors are concatenated after
+/// the ParallelFor barrier: one (empty) vector per index plus one
+/// allocation per *productive* index, accepted deliberately because the
+/// per-index search dominates.
 template <typename T, typename Fill>
-std::vector<T> ParallelForConcat(ThreadPool& pool, size_t n, size_t max_slots,
+std::vector<T> ParallelForConcat(ThreadPool* pool, size_t n, size_t max_slots,
                                  Fill&& fill) {
+  std::vector<T> out;
+  if (max_slots <= 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fill(i, 0, &out);
+    return out;
+  }
   std::vector<std::vector<T>> parts(n);
-  pool.ParallelFor(n, max_slots,
-                   [&](size_t i, size_t slot) { fill(i, slot, &parts[i]); });
+  ParallelFor(pool, n, max_slots,
+              [&](size_t i, size_t slot) { fill(i, slot, &parts[i]); });
   size_t total = 0;
   for (const auto& part : parts) total += part.size();
-  std::vector<T> out;
   out.reserve(total);
   for (auto& part : parts) {
     out.insert(out.end(), std::make_move_iterator(part.begin()),

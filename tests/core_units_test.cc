@@ -250,32 +250,6 @@ TEST(AssemblyTest, ThreeWayChainAssembles) {
   EXPECT_EQ(BasicAssembly({a, b, c}, n), matches);
 }
 
-TEST(AssemblyTest, MaxResultsYieldsExactPrefix) {
-  auto dataset = testing::BuildPaperDataset();
-  Partitioning partitioning = testing::BuildPaperPartitioning(*dataset);
-  QueryGraph query = testing::BuildPaperQuery();
-  ResolvedQuery rq = ResolveQuery(query, dataset->dict());
-  std::vector<LocalPartialMatch> all;
-  for (const Fragment& f : partitioning.fragments()) {
-    LocalStore store(&f.graph());
-    auto lpms = EnumerateLocalPartialMatches(f, store, rq);
-    all.insert(all.end(), lpms.begin(), lpms.end());
-  }
-
-  std::vector<Binding> unlimited = LecAssembly(all, query.num_vertices());
-  ASSERT_EQ(unlimited.size(), 4u);  // the paper's four crossing matches
-  for (size_t limit : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
-                       size_t{10}}) {
-    AssemblyOptions options;
-    options.max_results = limit;
-    std::vector<Binding> capped =
-        LecAssembly(all, query.num_vertices(), options, nullptr);
-    std::vector<Binding> expected = unlimited;
-    if (expected.size() > limit) expected.resize(limit);
-    EXPECT_EQ(capped, expected) << "limit=" << limit;
-  }
-}
-
 /// A seed LPM s signed {v0} and a group of `k` LPMs signed {v1}. Only the
 /// one at index 1 + k / 2 shares s's crossing mapping; the others map the
 /// same query edge to other data vertices. Fragments are distinct, so the
@@ -606,18 +580,6 @@ TEST(EnumerateLpmsTest, ImpossibleQueryYieldsNothing) {
   const Fragment& f = partitioning.fragments()[0];
   LocalStore store(&f.graph());
   EXPECT_TRUE(EnumerateLocalPartialMatches(f, store, rq).empty());
-}
-
-TEST(EnumerateLpmsTest, MaxResultsCapsEnumeration) {
-  auto dataset = testing::BuildPaperDataset();
-  Partitioning partitioning = testing::BuildPaperPartitioning(*dataset);
-  QueryGraph query = testing::BuildPaperQuery();
-  ResolvedQuery rq = ResolveQuery(query, dataset->dict());
-  const Fragment& f = partitioning.fragments()[0];
-  LocalStore store(&f.graph());
-  EnumerateOptions options;
-  options.max_results = 2;
-  EXPECT_EQ(EnumerateLocalPartialMatches(f, store, rq, options).size(), 2u);
 }
 
 TEST(EnumerateLpmsTest, EveryLpmSatisfiesDefinition5Invariants) {

@@ -1,13 +1,14 @@
 // Determinism of the worker-pool execution layer: the parallel matcher,
 // LPM enumerator, LEC pruning and LEC assembly join must produce
 // byte-identical outputs (same elements, same order) for every thread
-// count — including end to end through the engine and under a finite
-// assembly result limit — and the indexed group join graph must equal the
-// all-pairs reference construction on random LPM and feature sets.
+// count — including end to end through the engine — and the indexed group
+// join graph must equal the all-pairs reference construction on random LPM
+// and feature sets.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "core/assembly.h"
@@ -121,23 +122,6 @@ TEST_P(ParallelDeterminism, AssemblyByteIdentical) {
         << "threads=" << threads;
     EXPECT_EQ(stats.intermediate_results, baseline_stats.intermediate_results)
         << "threads=" << threads;
-  }
-
-  // A finite limit forces the serial path and yields exactly a prefix of
-  // the unlimited output, for every requested thread count.
-  for (size_t limit : {size_t{1}, size_t{2}, size_t{5}}) {
-    std::vector<Binding> expected = baseline;
-    if (expected.size() > limit) expected.resize(limit);
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      AssemblyOptions options;
-      options.num_threads = threads;
-      options.pool = &pool_;
-      options.min_seeds_per_slot = 1;
-      options.max_results = limit;
-      EXPECT_EQ(LecAssembly(lpms, query.num_vertices(), options, nullptr),
-                expected)
-          << "limit=" << limit << " threads=" << threads;
-    }
   }
 }
 
@@ -323,6 +307,29 @@ TEST(ThreadPoolTest, ParallelForVisitsEveryIndexOnce) {
   });
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
   EXPECT_LT(max_slot.load(), 4u);
+}
+
+TEST(ThreadPoolTest, OneSlotRunsInlineInIndexOrder) {
+  // At one slot the free ParallelFor needs no pool: it loops on the calling
+  // thread, in index order, always with slot 0.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  ParallelFor(nullptr, 6, 1, [&](size_t i, size_t slot) {
+    EXPECT_EQ(slot, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
+
+  // ParallelForConcat's result is the same at 1 slot and at 4 slots.
+  ThreadPool pool(3);
+  auto fill = [](size_t i, size_t /*slot*/, std::vector<size_t>* out) {
+    for (size_t k = 0; k < i % 4; ++k) out->push_back(i * 10 + k);
+  };
+  const std::vector<size_t> one = ParallelForConcat<size_t>(nullptr, 200, 1,
+                                                            fill);
+  EXPECT_EQ(one.size(), 300u);
+  EXPECT_EQ(ParallelForConcat<size_t>(&pool, 200, 4, fill), one);
 }
 
 TEST(ThreadPoolTest, ZeroWorkersRunsSerially) {

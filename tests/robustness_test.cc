@@ -1,7 +1,6 @@
-// Robustness/failure-injection tests: the parsers must reject (never crash
-// on) mutated and adversarial inputs; dataset statistics stay consistent;
-// and the engine behaves on degenerate datasets (empty, single-triple,
-// literal-heavy).
+// Robustness/failure-injection tests: the parsers and wire decoders must
+// reject (never crash on) mutated and adversarial inputs, and the engine
+// behaves on degenerate datasets (empty, single-triple, literal-heavy).
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "core/lec_feature.h"
 #include "net/wire.h"
 #include "rdf/dataset.h"
-#include "rdf/stats.h"
 #include "sparql/compound.h"
 #include "sparql/parser.h"
 #include "tests/test_fixtures.h"
@@ -110,53 +108,6 @@ TEST(ParserAdversarialTest, PathologicalInputsRejectedCleanly) {
   ASSERT_TRUE(wide_star.ok()) << wide_star.status().ToString();
   EXPECT_EQ(wide_star->num_vertices(), 21u);
   EXPECT_TRUE(wide_star->IsStar());
-}
-
-TEST(DatasetStatsTest, PaperGraphNumbers) {
-  auto dataset = testing::BuildPaperDataset();
-  DatasetStats stats = ComputeDatasetStats(*dataset);
-  EXPECT_EQ(stats.num_triples, 19u);
-  EXPECT_EQ(stats.num_vertices, 20u);
-  EXPECT_EQ(stats.num_predicates, 6u);
-  EXPECT_EQ(stats.num_iris + stats.num_literals + stats.num_blanks,
-            stats.num_vertices);
-  EXPECT_EQ(stats.num_literals, 11u);
-  EXPECT_GT(stats.max_out_degree, 0u);
-  ASSERT_FALSE(stats.top_predicates.empty());
-  // mainInterest is the most frequent predicate (5 triples).
-  EXPECT_EQ(stats.top_predicates[0].second, 5u);
-  EXPECT_FALSE(stats.ToString().empty());
-}
-
-TEST(DatasetStatsTest, NamespaceShareDistinguishesRegimes) {
-  // LUBM-style: many namespaces, small largest share.
-  Rng rng(1);
-  Dataset multi;
-  for (int ns = 0; ns < 10; ++ns) {
-    for (int i = 0; i < 10; ++i) {
-      multi.AddTripleLexical(
-          "<http://d" + std::to_string(ns) + ".org/e" + std::to_string(i) +
-              ">",
-          "<http://p.org/p>",
-          "<http://d" + std::to_string(ns) + ".org/x" + std::to_string(i) +
-              ">");
-    }
-  }
-  multi.Finalize();
-  DatasetStats multi_stats = ComputeDatasetStats(multi);
-  EXPECT_GE(multi_stats.num_namespaces, 10u);
-  EXPECT_LT(multi_stats.largest_namespace_share, 0.3);
-
-  // YAGO-style: one namespace.
-  Dataset single;
-  for (int i = 0; i < 50; ++i) {
-    single.AddTripleLexical(
-        "<http://y.org/r/e" + std::to_string(i) + ">", "<http://p.org/p>",
-        "<http://y.org/r/e" + std::to_string((i + 1) % 50) + ">");
-  }
-  single.Finalize();
-  DatasetStats single_stats = ComputeDatasetStats(single);
-  EXPECT_EQ(single_stats.largest_namespace_share, 1.0);
 }
 
 TEST(DegenerateDatasetTest, EmptyDatasetQueries) {
@@ -329,6 +280,22 @@ TEST(WireCodecTest, TruncatedAndExtendedPayloadsAreRejected) {
       EXPECT_FALSE(p.decode(extended)) << extra << " junk bytes appended";
     }
   }
+}
+
+TEST(WireCodecTest, ZeroWidthMatchBatchCarriesNoRows) {
+  // A zero-width row takes no payload bytes, so the byte budget cannot
+  // bound the row count: a 16-byte header claiming 2^32 - 1 rows must be
+  // rejected, not reserve 2^32 - 1 empty bindings.
+  std::vector<uint8_t> forged = EncodeMatchBatch(0, 0, {});
+  ASSERT_EQ(forged.size(), 16u);
+  for (size_t i = 12; i < 16; ++i) forged[i] = 0xFF;  // the row count
+  EXPECT_FALSE(DecodeMatchBatch(forged).ok());
+
+  auto empty = DecodeMatchBatch(EncodeMatchBatch(0, 0, {}));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->num_lpms, 0u);
+  EXPECT_EQ(empty->width, 0u);
+  EXPECT_TRUE(empty->matches.empty());
 }
 
 /// Random byte mutations of every valid wire payload. Each mutation must

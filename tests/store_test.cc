@@ -184,34 +184,6 @@ TEST(MatcherTest, SelfLoopPattern) {
   EXPECT_EQ(matches[0][0], data.dict().Lookup("<a>"));
 }
 
-TEST(MatcherTest, LimitStopsEarly) {
-  Rng rng(3);
-  auto dataset = testing::RandomDataset(rng, 30, 200, 2);
-  LocalStore store(&dataset->graph());
-  QueryGraph q;
-  q.AddEdge("?x", "<http://rnd.org/p0>", "?y");
-  ResolvedQuery rq = ResolveQuery(q, dataset->dict());
-  MatchOptions options;
-  options.limit = 5;
-  EXPECT_EQ(MatchQuery(store, rq, options).size(), 5u);
-}
-
-TEST(MatcherTest, CandidateFilterApplies) {
-  auto dataset = testing::BuildPaperDataset();
-  LocalStore store(&dataset->graph());
-  QueryGraph q;
-  q.AddEdge("?x", testing::kName, "?n");
-  ResolvedQuery rq = ResolveQuery(q, dataset->dict());
-  size_t all = MatchQuery(store, rq).size();
-  ASSERT_EQ(all, 4u);
-  MatchOptions options;
-  TermId phi1 = dataset->dict().Lookup(testing::kPhi1);
-  options.candidate_filter = [&](QVertexId v, TermId u) {
-    return v != 0 || u == phi1;  // restrict ?x to Phi1
-  };
-  EXPECT_EQ(MatchQuery(store, rq, options).size(), 1u);
-}
-
 TEST(MatcherTest, MatchingOrderStartsSelective) {
   auto dataset = testing::BuildPaperDataset();
   LocalStore store(&dataset->graph());

@@ -180,7 +180,7 @@ TEST(HashTest, HashRangeOrderSensitive) {
   EXPECT_EQ(HashRange(a.begin(), a.end()), HashRange(a.begin(), a.end()));
 }
 
-TEST(StringUtilTest, SplitStripJoin) {
+TEST(StringUtilTest, SplitStripAndAffixes) {
   auto pieces = SplitString("a,b,,c", ',');
   ASSERT_EQ(pieces.size(), 4u);
   EXPECT_EQ(pieces[0], "a");
@@ -192,14 +192,6 @@ TEST(StringUtilTest, SplitStripJoin) {
   EXPECT_FALSE(StartsWith("x", "xy"));
   EXPECT_TRUE(EndsWith("file.nt", ".nt"));
   EXPECT_FALSE(EndsWith("nt", "file.nt"));
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(JoinStrings({}, ","), "");
-}
-
-TEST(StringUtilTest, HumanBytes) {
-  EXPECT_EQ(HumanBytes(512), "512.0 B");
-  EXPECT_EQ(HumanBytes(2048), "2.0 KB");
-  EXPECT_EQ(HumanBytes(3 * 1024.0 * 1024.0), "3.0 MB");
 }
 
 TEST(BitvectorFilterTest, NoFalseNegatives) {
