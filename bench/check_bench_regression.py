@@ -3,7 +3,7 @@
 
 Compares benchmark JSON results against a committed baseline and fails
 (exit 1) when any gated benchmark regresses by more than the threshold.
-Four row kinds are gated:
+Five row kinds are gated:
 
   * cpu_time rows (lower is better): regression when
       current > baseline * (1 + threshold)
@@ -21,6 +21,10 @@ Four row kinds are gated:
       plans", or "coalescing must keep >= 1.5x the CPU-QPS of its
       ablation on a dup-heavy stream" — so they are immune to
       machine-speed drift and take no threshold slack.
+  * exact rows ({"name", "exact": {counter: value}}): regression when a
+      pinned count reads anything else, higher or lower, in any
+      repetition. These pin the search kernels' output sizes (LPMs,
+      search-tree nodes): a lost LPM or node is as wrong as an extra one.
 
 The baseline carries absolute numbers from a known machine, so the
 threshold is deliberately loose — the gate exists to catch
@@ -88,6 +92,11 @@ def load_metrics(path):
             # of the other lower-is-better metrics.
             entry["nodes"] = min(float(bench["nodes"]),
                                  entry.get("nodes", float("inf")))
+        # Every value each numeric field took, for the exact rows.
+        counts = entry.setdefault("counts", {})
+        for key, value in bench.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                counts.setdefault(key, set()).add(float(value))
     return metrics
 
 
@@ -98,6 +107,14 @@ def load_ratio_rows(path):
     with open(path) as f:
         doc = json.load(f)
     return [b for b in doc["benchmarks"] if "min_ratio" in b]
+
+
+def load_exact_rows(path):
+    """Returns the baseline's exact rows ({"name", "exact": {counter:
+    value}}), whose counts must match exactly."""
+    with open(path) as f:
+        doc = json.load(f)
+    return [b for b in doc["benchmarks"] if "exact" in b]
 
 
 def main():
@@ -129,6 +146,9 @@ def main():
                 merged["join_attempts"] = min(
                     entry["join_attempts"],
                     merged.get("join_attempts", float("inf")))
+            for key, values in entry["counts"].items():
+                merged.setdefault("counts", {}).setdefault(
+                    key, set()).update(values)
 
     failures = []
     limit = 1.0 + args.threshold
@@ -181,6 +201,21 @@ def main():
             failures.append(
                 f"{name} [ratio]: {row['numerator']} / {row['denominator']} "
                 f"= {ratio:.2f}x < required {row['min_ratio']:.2f}x")
+
+    for row in load_exact_rows(args.baseline):
+        name = row["name"]
+        for counter, want in sorted(row["exact"].items()):
+            seen = results.get(name, {}).get("counts", {}).get(counter)
+            if not seen:
+                failures.append(f"{name} [{counter}]: missing from results")
+                print(f"{name:<28} {'exact':>6} {want:>12} {'MISSING':>12}")
+                continue
+            got = ", ".join(f"{v:.0f}" for v in sorted(seen))
+            verdict = "" if seen == {float(want)} else "  CHANGED"
+            print(f"{name:<28} {'exact':>6} {want:>12} {got:>12}{verdict}")
+            if verdict:
+                failures.append(f"{name} [{counter}]: read {got}, pinned at "
+                                f"exactly {want}")
 
     if failures:
         print("\nbenchmark regression gate FAILED:", file=sys.stderr)

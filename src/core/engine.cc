@@ -112,7 +112,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
 
   InProcessTransport& net = *ctx.transport;
   ShipmentLedger& ledger = *ctx.ledger;
-  ThreadPool* pool = ctx.pool != nullptr ? ctx.pool : options_.pool;
+  ThreadPool* pool = options_.pool;
   const size_t num_threads =
       ctx.num_threads != 0 ? ctx.num_threads : options_.num_threads;
   const StagePolicy policy = options_.MakeStagePolicy();
@@ -200,7 +200,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   enum_options.pool = pool;
   enum_options.use_statistics = options_.use_statistics;
   enum_options.tasks = ctx.island_tasks;
-  enum_options.order_scorings = &ctx.order_scorings;
 
   // Per-site slots for orders planned inside ensure_partial_eval (pre-sized:
   // concurrent site calls each write their own slot, and the MatchOptions
@@ -263,7 +262,10 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     } else {
       // No plan-cache unit orders: let the enumerator consult the planner
       // per island task (thread-safe — each call builds its own estimator).
-      site_enum.unit_order_fn = [this, site, &rq](const IslandTask& task) {
+      // Each call is one order-scoring pass.
+      site_enum.unit_order_fn = [this, site, &rq,
+                                 &ctx](const IslandTask& task) {
+        ctx.order_scorings.fetch_add(1, std::memory_order_relaxed);
         return PlanIslandUnitOrder(*stores_[site], rq, task,
                                    options_.use_statistics, options_.plan);
       };

@@ -51,8 +51,7 @@ struct EngineOptions {
   /// Worker pool the slots above are borrowed from; nullptr = the
   /// process-wide ThreadPool::Shared(). Injecting a pool bounds an engine
   /// instance's total concurrency independently of other engines in the
-  /// process (two engines with separate pools never contend), and a
-  /// QueryContext may override it per query.
+  /// process (two engines with separate pools never contend).
   ThreadPool* pool = nullptr;
 
   /// Drive matching orders, LPM unit orders and the candidate-exchange

@@ -27,13 +27,6 @@ struct LecFeature {
 
   uint64_t Hash() const;
 
-  /// Serialized size in bytes for shipment accounting (Sec. IV-D: O(|EQ| +
-  /// |VQ|) per feature).
-  size_t ByteSize() const {
-    return sizeof(FragmentId) + crossing.size() * 4 * sizeof(TermId) +
-           sign.ByteSize();
-  }
-
   std::string ToString(const TermDict& dict) const;
 };
 

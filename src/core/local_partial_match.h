@@ -1,7 +1,6 @@
 #ifndef GSTORED_CORE_LOCAL_PARTIAL_MATCH_H_
 #define GSTORED_CORE_LOCAL_PARTIAL_MATCH_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -43,8 +42,9 @@ struct LocalPartialMatch {
   Bitset sign;
   std::vector<CrossingPairMap> crossing;
 
-  /// Serialized size in bytes, used for data-shipment accounting: one id per
-  /// query vertex, four ids per crossing mapping, plus the signature words.
+  /// Payload bytes held by this match (one id per query vertex, four ids
+  /// per crossing mapping, the signature words), used to weigh LPM-cache
+  /// entries. Shipment is accounted from the encoded wire messages.
   size_t ByteSize() const {
     return binding.size() * sizeof(TermId) +
            crossing.size() * 4 * sizeof(TermId) + sign.ByteSize() +
@@ -134,15 +134,12 @@ struct EnumerateOptions {
 
   /// Optional external unit-order planner, consulted per island task when
   /// `unit_orders` is not set: the enumerator calls it instead of
-  /// BuildIslandUnitOrder (each call still counts one order_scorings pass).
-  /// Must return a valid unit order (island first, connected, then
-  /// boundary) and be thread-safe — with num_threads > 1 island masks score
-  /// concurrently. The engine wires the src/plan/ planner through this hook.
+  /// BuildIslandUnitOrder. Must return a valid unit order (island first,
+  /// connected, then boundary) and be thread-safe — with num_threads > 1
+  /// island masks score concurrently. The engine wires the src/plan/
+  /// planner through this hook and counts each call as one order-scoring
+  /// pass.
   std::function<std::vector<QVertexId>(const IslandTask&)> unit_order_fn;
-
-  /// When non-null, incremented once per unit-order scoring pass actually
-  /// performed (i.e. not served from `unit_orders`).
-  std::atomic<size_t>* order_scorings = nullptr;
 };
 
 /// Enumerates every local partial match of the resolved query in `fragment`

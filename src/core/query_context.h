@@ -14,8 +14,6 @@
 
 namespace gstored {
 
-class ThreadPool;
-
 /// Cooperative cancellation flag shared between a query's submitter and the
 /// engine. The engine polls it at stage boundaries: a cancelled query stops
 /// before its next stage and returns the matches accumulated so far as a
@@ -51,11 +49,10 @@ struct QueryContext {
   ShipmentLedger* ledger = nullptr;
   InProcessTransport* transport = nullptr;
 
-  // ---- Execution resources. pool == nullptr falls back to the engine's
-  // EngineOptions::pool, then to ThreadPool::Shared(); num_threads == 0
-  // falls back to EngineOptions::num_threads. The scheduler uses these to
-  // give each admitted query its own slot budget on a shared pool.
-  ThreadPool* pool = nullptr;
+  // ---- Execution resources. Slots come from the engine's
+  // EngineOptions::pool; num_threads == 0 falls back to
+  // EngineOptions::num_threads. The scheduler uses it to give each admitted
+  // query its own slot budget on that pool.
   size_t num_threads = 0;
 
   // ---- Admission / lifetime.

@@ -75,35 +75,50 @@ Status Truncated(const char* what) {
   return Status::ParseError(std::string("truncated or malformed ") + what);
 }
 
-void WriteBitset(WireWriter& w, const Bitset& b) {
-  w.U32(static_cast<uint32_t>(b.size()));
+bool TestBit(const Bitset& bits, size_t i) { return bits.Test(i); }
+bool TestBit(const std::vector<bool>& bits, size_t i) { return bits[i]; }
+void SetBit(Bitset& bits, size_t i) { bits.Set(i); }
+void SetBit(std::vector<bool>& bits, size_t i) { bits[i] = true; }
+
+/// The one bit-vector layout on the wire, for LPM and feature signs
+/// (Bitset) and skip bitmaps (std::vector<bool>): a u32 bit count, then the
+/// bits LSB-first in ceil(count / 8) bytes.
+template <typename Bits>
+void WriteBits(WireWriter& w, const Bits& bits) {
+  w.U32(static_cast<uint32_t>(bits.size()));
   uint8_t acc = 0;
-  for (size_t i = 0; i < b.size(); ++i) {
-    if (b.Test(i)) acc |= static_cast<uint8_t>(1u << (i & 7));
+  for (size_t i = 0; i < bits.size(); ++i) {
+    if (TestBit(bits, i)) acc |= static_cast<uint8_t>(1u << (i & 7));
     if ((i & 7) == 7) {
       w.U8(acc);
       acc = 0;
     }
   }
-  if (b.size() % 8 != 0) w.U8(acc);
+  if (bits.size() % 8 != 0) w.U8(acc);
 }
 
-bool ReadBitset(WireReader& r, Bitset* out) {
-  uint32_t size = r.U32();
-  // A sign covers query vertices; anything huge is corruption.
-  if (!r.ok() || size > (1u << 20) || r.remaining() < (size + 7) / 8) {
+/// Reads WriteBits' layout. A count above `max_count`, or one whose bytes
+/// are not all there, fails before anything is allocated.
+template <typename Bits>
+bool ReadBits(WireReader& r, uint32_t max_count, Bits* out) {
+  const uint32_t count = r.U32();
+  if (!r.ok() || count > max_count ||
+      r.remaining() < (uint64_t{count} + 7) / 8) {
     return false;
   }
-  Bitset b(size);
+  Bits bits(count);
   uint8_t acc = 0;
-  for (uint32_t i = 0; i < size; ++i) {
+  for (uint32_t i = 0; i < count; ++i) {
     if ((i & 7) == 0) acc = r.U8();
-    if (acc & (1u << (i & 7))) b.Set(i);
+    if (acc & (1u << (i & 7))) SetBit(bits, i);
   }
   if (!r.ok()) return false;
-  *out = std::move(b);
+  *out = std::move(bits);
   return true;
 }
+
+/// A sign covers query vertices; anything larger is corruption.
+constexpr uint32_t kMaxSignBits = 1u << 20;
 
 void WriteCrossing(WireWriter& w, const std::vector<CrossingPairMap>& cross) {
   w.U32(static_cast<uint32_t>(cross.size()));
@@ -165,30 +180,16 @@ std::vector<uint8_t> EncodeBitmap(const std::vector<bool>& bits) {
   std::vector<uint8_t> out;
   out.reserve(4 + bits.size() / 8 + 1);
   WireWriter w(&out);
-  w.U32(static_cast<uint32_t>(bits.size()));
-  uint8_t acc = 0;
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) acc |= static_cast<uint8_t>(1u << (i & 7));
-    if ((i & 7) == 7) {
-      w.U8(acc);
-      acc = 0;
-    }
-  }
-  if (bits.size() % 8 != 0) w.U8(acc);
+  WriteBits(w, bits);
   return out;
 }
 
 Result<std::vector<bool>> DecodeBitmap(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
-  uint32_t count = r.U32();
-  if (!r.ok() || r.remaining() < (count + 7) / 8) return Truncated("bitmap");
-  std::vector<bool> out(count, false);
-  uint8_t acc = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    if ((i & 7) == 0) acc = r.U8();
-    out[i] = (acc & (1u << (i & 7))) != 0;
+  std::vector<bool> out;
+  if (!ReadBits(r, UINT32_MAX, &out) || !r.AtEnd()) {
+    return Truncated("bitmap");
   }
-  if (!r.ok() || !r.AtEnd()) return Truncated("bitmap");
   return out;
 }
 
@@ -278,7 +279,7 @@ std::vector<uint8_t> EncodeLecFeatureBatch(
   w.U32(static_cast<uint32_t>(features.size()));
   for (const LecFeature& f : features) {
     w.U32(static_cast<uint32_t>(f.fragment));
-    WriteBitset(w, f.sign);
+    WriteBits(w, f.sign);
     WriteCrossing(w, f.crossing);
   }
   return out;
@@ -295,7 +296,7 @@ Result<std::vector<LecFeature>> DecodeLecFeatureBatch(
   for (uint32_t i = 0; i < count; ++i) {
     LecFeature f;
     f.fragment = static_cast<FragmentId>(r.U32());
-    if (!ReadBitset(r, &f.sign) || !ReadCrossing(r, &f.crossing)) {
+    if (!ReadBits(r, kMaxSignBits, &f.sign) || !ReadCrossing(r, &f.crossing)) {
       return Truncated("feature batch");
     }
     out.push_back(std::move(f));
@@ -314,7 +315,7 @@ std::vector<uint8_t> EncodeLpmBatch(const std::vector<LocalPartialMatch>& lpms,
     w.U32(static_cast<uint32_t>(pm.fragment));
     w.U32(static_cast<uint32_t>(pm.binding.size()));
     for (TermId id : pm.binding) w.U32(id);
-    WriteBitset(w, pm.sign);
+    WriteBits(w, pm.sign);
     WriteCrossing(w, pm.crossing);
   }
   return out;
@@ -337,7 +338,8 @@ Result<std::vector<LocalPartialMatch>> DecodeLpmBatch(
     }
     pm.binding.reserve(binding_size);
     for (uint32_t v = 0; v < binding_size; ++v) pm.binding.push_back(r.U32());
-    if (!ReadBitset(r, &pm.sign) || !ReadCrossing(r, &pm.crossing)) {
+    if (!ReadBits(r, kMaxSignBits, &pm.sign) ||
+        !ReadCrossing(r, &pm.crossing)) {
       return Truncated("LPM batch");
     }
     out.push_back(std::move(pm));

@@ -248,7 +248,6 @@ void ServingEngine::RunTicket(const std::shared_ptr<QueryTicket>& ticket) {
   QueryContext ctx;
   ctx.ledger = &session.ledger;
   ctx.transport = &session.transport;
-  ctx.pool = options_.pool;
   const size_t active =
       std::max<size_t>(1, in_flight_.load(std::memory_order_relaxed));
   ctx.num_threads = std::max<size_t>(1, total_slots_ / active);

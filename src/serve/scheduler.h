@@ -64,12 +64,6 @@ struct ServeOptions {
   /// where an entry count cannot. The entry-count capacity still applies.
   size_t result_cache_capacity_bytes = 0;
 
-  /// Worker pool the per-query slots are borrowed from; nullptr falls back
-  /// to the engine's EngineOptions::pool, then to ThreadPool::Shared().
-  /// Giving each ServingEngine its own pool bounds its total concurrency
-  /// independently of other engines in the process.
-  ThreadPool* pool = nullptr;
-
   /// Test seam: when set, invoked on the dispatcher thread after the engine
   /// executed a query and before its outcome reaches cache admission and
   /// coalescing fan-out. Lets tests deterministically interleave an epoch

@@ -9,94 +9,9 @@
 namespace gstored {
 namespace {
 
-/// Recursive backtracking state shared across levels. With a parallel
-/// search, one context exists per worker slot: `order` and `groups` point at
-/// query-static structures shared read-only by every slot, while the mutable
-/// assignment state and scratch buffers below are slot-private.
-struct SearchContext {
-  const LocalStore* store;
-  const ResolvedQuery* rq;
-  const std::vector<QVertexId>* order;
-  // Incident edges of each query vertex grouped by directed endpoint pair,
-  // precomputed so the inner consistency check is map-free.
-  const std::vector<std::vector<ParallelEdgeGroup>>* groups;
-  std::vector<bool> assigned;  // indexed by query vertex
-  Binding binding;             // current partial assignment
-  std::vector<Binding>* results;
-  // Reused buffers: one domain per recursion depth (the span returned by
-  // DomainFor stays live while deeper levels run), one shared pivot list
-  // (consumed before recursing).
-  std::vector<std::vector<TermId>> domain_scratch;
-  std::vector<PivotEdge> pivot_scratch;
-};
-
-/// True if assigning u to v is consistent with all already-assigned
-/// neighbours of v (edge existence plus parallel-edge injectivity).
-bool ConsistentWithAssigned(const SearchContext& ctx, QVertexId v, TermId u) {
-  const RdfGraph& g = ctx.store->graph();
-  auto image = [&](QVertexId w) -> TermId {
-    return w == v ? u : ctx.binding[w];
-  };
-  for (const ParallelEdgeGroup& group : (*ctx.groups)[v]) {
-    QVertexId other = group.from == v ? group.to : group.from;
-    if (other != v && !ctx.assigned[other]) continue;
-    if (!ParallelEdgesSatisfiable(g, *ctx.rq, group.edges, image(group.from),
-                                  image(group.to))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Computes the candidate domain for the next query vertex `v` at recursion
-/// depth `depth`: the intersection of the expansions from every assigned
-/// neighbour. Allocation-free in steady state — spans come straight from the
-/// graph's CSR ranges and land in the per-depth scratch buffer.
-std::span<const TermId> DomainFor(SearchContext& ctx, size_t depth,
-                                  QVertexId v) {
-  const QueryGraph& q = *ctx.rq->query;
-  const RdfGraph& g = ctx.store->graph();
-  std::vector<TermId>& scratch = ctx.domain_scratch[depth];
-  scratch.clear();
-
-  TermId constant = ctx.rq->vertex_term[v];
-  if (constant != kNullTerm) {
-    if (g.HasVertex(constant)) scratch.push_back(constant);
-    return scratch;
-  }
-
-  ctx.pivot_scratch.clear();
-  for (QEdgeId eid : q.IncidentEdges(v)) {
-    const QueryEdge& e = q.edge(eid);
-    QVertexId other = e.from == v ? e.to : e.from;
-    if (other == v || !ctx.assigned[other]) continue;
-    bool v_is_subject = (e.from == v);
-    ctx.pivot_scratch.push_back(
-        {ctx.binding[other], ctx.rq->edge_pred[eid], v_is_subject});
-  }
-  if (ctx.pivot_scratch.empty()) {
-    // No assigned neighbour: this is the start vertex.
-    ctx.store->CandidatesInto(*ctx.rq, v, &scratch);
-    return scratch;
-  }
-  return PivotDomain(g, ctx.pivot_scratch, &scratch);
-}
-
-void Extend(SearchContext& ctx, size_t depth) {
-  if (depth == ctx.order->size()) {
-    ctx.results->push_back(ctx.binding);
-    return;
-  }
-  QVertexId v = (*ctx.order)[depth];
-  for (TermId u : DomainFor(ctx, depth, v)) {
-    if (!ConsistentWithAssigned(ctx, v, u)) continue;
-    ctx.binding[v] = u;
-    ctx.assigned[v] = true;
-    Extend(ctx, depth + 1);
-    ctx.assigned[v] = false;
-    ctx.binding[v] = kNullTerm;
-  }
-}
+/// The admissibility test of complete matching: every domain candidate is
+/// tried, and the consistency check alone filters it.
+constexpr auto kAnyCandidate = [](QVertexId, TermId) { return true; };
 
 /// A sorted candidate range: either a predicate group's half-edges (read
 /// `.neighbor`) or a distinct-neighbor id range.
@@ -165,6 +80,50 @@ std::span<const TermId> PivotDomain(const RdfGraph& g,
     if (keep) scratch->push_back(u);
   }
   return *scratch;
+}
+
+BacktrackSearch::BacktrackSearch(
+    const LocalStore& store, const ResolvedQuery& rq,
+    std::span<const QVertexId> order,
+    const std::vector<std::vector<ParallelEdgeGroup>>& groups,
+    const std::vector<bool>* relevant)
+    : store_(&store),
+      rq_(&rq),
+      order_(order),
+      groups_(&groups),
+      relevant_(relevant),
+      assigned_(rq.query->num_vertices(), false),
+      binding_(rq.query->num_vertices(), kNullTerm),
+      domain_scratch_(order.size()) {}
+
+std::span<const TermId> BacktrackSearch::Domain(size_t depth) {
+  const QueryGraph& q = *rq_->query;
+  const RdfGraph& g = store_->graph();
+  const QVertexId v = order_[depth];
+  std::vector<TermId>& scratch = domain_scratch_[depth];
+  scratch.clear();
+
+  TermId constant = rq_->vertex_term[v];
+  if (constant != kNullTerm) {
+    if (g.HasVertex(constant)) scratch.push_back(constant);
+    return scratch;
+  }
+
+  pivot_scratch_.clear();
+  for (QEdgeId eid : q.IncidentEdges(v)) {
+    if (relevant_ != nullptr && !(*relevant_)[eid]) continue;
+    const QueryEdge& e = q.edge(eid);
+    QVertexId other = e.from == v ? e.to : e.from;
+    if (other == v || !assigned_[other]) continue;
+    bool v_is_subject = (e.from == v);
+    pivot_scratch_.push_back(
+        {binding_[other], rq_->edge_pred[eid], v_is_subject});
+  }
+  if (pivot_scratch_.empty()) {
+    store_->CandidatesInto(*rq_, v, &scratch);
+    return scratch;
+  }
+  return PivotDomain(g, pivot_scratch_, &scratch);
 }
 
 std::vector<std::vector<ParallelEdgeGroup>> BuildIncidentEdgeGroups(
@@ -362,36 +321,11 @@ size_t CountIntermediateResults(const LocalStore& store,
                                 const ResolvedQuery& rq,
                                 std::span<const QVertexId> order) {
   if (rq.impossible || order.empty()) return 0;
-  const std::vector<QVertexId> order_vec(order.begin(), order.end());
   const std::vector<std::vector<ParallelEdgeGroup>> groups =
       BuildIncidentEdgeGroups(*rq.query);
-
-  SearchContext ctx;
-  ctx.store = &store;
-  ctx.rq = &rq;
-  ctx.order = &order_vec;
-  ctx.groups = &groups;
-  ctx.assigned.assign(rq.query->num_vertices(), false);
-  ctx.binding.assign(rq.query->num_vertices(), kNullTerm);
-  ctx.results = nullptr;
-  ctx.domain_scratch.resize(order.size());
-
-  size_t nodes = 0;
-  auto count = [&](auto&& self, size_t depth) -> void {
-    if (depth == order.size()) return;
-    QVertexId v = order[depth];
-    for (TermId u : DomainFor(ctx, depth, v)) {
-      if (!ConsistentWithAssigned(ctx, v, u)) continue;
-      ++nodes;
-      ctx.binding[v] = u;
-      ctx.assigned[v] = true;
-      self(self, depth + 1);
-      ctx.assigned[v] = false;
-      ctx.binding[v] = kNullTerm;
-    }
-  };
-  count(count, 0);
-  return nodes;
+  BacktrackSearch search(store, rq, order, groups);
+  search.Extend(0, kAnyCandidate, [](const Binding&) {});
+  return search.nodes();
 }
 
 std::vector<Binding> MatchQuery(const LocalStore& store,
@@ -399,7 +333,6 @@ std::vector<Binding> MatchQuery(const LocalStore& store,
                                 const MatchOptions& options) {
   if (rq.impossible || rq.query->num_vertices() == 0) return {};
 
-  const size_t n = rq.query->num_vertices();
   std::vector<QVertexId> scored_order;
   if (options.precomputed_order == nullptr) {
     scored_order = MatchingOrder(store, rq, options.use_statistics);
@@ -410,46 +343,27 @@ std::vector<Binding> MatchQuery(const LocalStore& store,
   const std::vector<std::vector<ParallelEdgeGroup>> groups =
       BuildIncidentEdgeGroups(*rq.query);
 
-  auto make_context = [&] {
-    SearchContext ctx;
-    ctx.store = &store;
-    ctx.rq = &rq;
-    ctx.order = &order;
-    ctx.groups = &groups;
-    ctx.assigned.assign(n, false);
-    ctx.binding.assign(n, kNullTerm);
-    ctx.results = nullptr;
-    ctx.domain_scratch.resize(order.size());
-    return ctx;
-  };
-
-  // One private SearchContext per worker slot, at most one per start
-  // candidate. The search is partitioned across the start vertex's
-  // candidate domain, computed in slot 0's depth-0 scratch, which no deeper
-  // level touches. Growing `contexts` may move slot 0, but a moved context
-  // keeps its scratch buffers, so the span stays valid. Each candidate's
-  // subtree writes to its own result vector, concatenated in candidate
-  // order, so the output is byte-identical for every slot count.
-  static_assert(std::is_nothrow_move_constructible_v<SearchContext>);
-  std::vector<SearchContext> contexts;
-  contexts.push_back(make_context());
-  const QVertexId v0 = order[0];
-  const std::span<const TermId> start_domain = DomainFor(contexts[0], 0, v0);
+  // One private search per worker slot, at most one per start candidate.
+  // The search is partitioned across the start vertex's candidate domain,
+  // computed in slot 0's depth-0 scratch, which no deeper level touches.
+  // Growing `searches` may move slot 0, but a moved search keeps its
+  // scratch buffers, so the span stays valid. Each candidate's subtree
+  // writes to its own result vector, concatenated in candidate order, so
+  // the output is byte-identical for every slot count.
+  static_assert(std::is_nothrow_move_constructible_v<BacktrackSearch>);
+  std::vector<BacktrackSearch> searches;
+  searches.emplace_back(store, rq, order, groups);
+  const std::span<const TermId> start_domain = searches[0].Domain(0);
   const size_t slots = std::clamp<size_t>(
       start_domain.size(), 1, std::max<size_t>(1, options.num_threads));
-  while (contexts.size() < slots) contexts.push_back(make_context());
+  while (searches.size() < slots) {
+    searches.emplace_back(store, rq, order, groups);
+  }
   return ParallelForConcat<Binding>(
       options.pool, start_domain.size(), slots,
       [&](size_t i, size_t slot, std::vector<Binding>* out) {
-        SearchContext& ctx = contexts[slot];
-        TermId u = start_domain[i];
-        ctx.results = out;
-        if (!ConsistentWithAssigned(ctx, v0, u)) return;
-        ctx.binding[v0] = u;
-        ctx.assigned[v0] = true;
-        Extend(ctx, 1);
-        ctx.assigned[v0] = false;
-        ctx.binding[v0] = kNullTerm;
+        searches[slot].Visit(0, start_domain[i], kAnyCandidate,
+                             [out](const Binding& b) { out->push_back(b); });
       });
 }
 

@@ -60,8 +60,8 @@ std::vector<Binding> MatchQuery(const LocalStore& store,
 /// Checks Def. 3's injective edge-label condition for the group of parallel
 /// query edges `group` (all with f(from)=a, f(to)=b): the constant labels
 /// must be distinct and present on data edges a->b, with enough remaining
-/// distinct data labels for the variable-predicate patterns. Exposed for
-/// reuse by the partial-match enumerator and for direct unit testing.
+/// distinct data labels for the variable-predicate patterns. Called by
+/// BacktrackSearch's consistency check, VerifyMatch and unit tests.
 bool ParallelEdgesSatisfiable(const RdfGraph& graph,
                               const ResolvedQuery& rq,
                               const std::vector<QEdgeId>& group, TermId a,
@@ -103,6 +103,81 @@ struct ParallelEdgeGroup {
 /// search so the backtracking inner loop never rebuilds hash maps.
 std::vector<std::vector<ParallelEdgeGroup>> BuildIncidentEdgeGroups(
     const QueryGraph& q, const std::function<bool(QEdgeId)>& keep = nullptr);
+
+/// The one backtracking search behind MatchQuery, CountIntermediateResults
+/// and EnumerateLocalPartialMatches: one worker slot's mutable state.
+/// `order`, `groups` (BuildIncidentEdgeGroups over the enforced edges) and
+/// `relevant` (the same edges as a mask over QEdgeId; nullptr = every edge)
+/// are shared read-only and must outlive the search. Visit keeps a
+/// candidate u for v = order[depth] when `admissible(v, u)` holds and u is
+/// consistent with v's assigned neighbours (edge existence plus Def. 3's
+/// label injectivity), counts it as one node and recurses; every full
+/// assignment goes to `leaf(binding)`.
+class BacktrackSearch {
+ public:
+  BacktrackSearch(const LocalStore& store, const ResolvedQuery& rq,
+                  std::span<const QVertexId> order,
+                  const std::vector<std::vector<ParallelEdgeGroup>>& groups,
+                  const std::vector<bool>* relevant = nullptr);
+
+  /// Candidate domain of order[depth]: its constant if the graph has it;
+  /// else the intersection of the expansions from every assigned neighbour
+  /// through a relevant edge; else the store's candidates. The span points
+  /// into the graph or into depth's own scratch, so it stays valid while
+  /// deeper levels run.
+  std::span<const TermId> Domain(size_t depth);
+
+  template <typename Admissible, typename Leaf>
+  void Extend(size_t depth, const Admissible& admissible, const Leaf& leaf) {
+    if (depth == order_.size()) {
+      leaf(binding_);
+      return;
+    }
+    for (TermId u : Domain(depth)) Visit(depth, u, admissible, leaf);
+  }
+
+  /// The per-candidate step of Extend.
+  template <typename Admissible, typename Leaf>
+  void Visit(size_t depth, TermId u, const Admissible& admissible,
+             const Leaf& leaf) {
+    const QVertexId v = order_[depth];
+    if (!admissible(v, u) || !Consistent(v, u)) return;
+    ++nodes_;
+    binding_[v] = u;
+    assigned_[v] = true;
+    Extend(depth + 1, admissible, leaf);
+    assigned_[v] = false;
+    binding_[v] = kNullTerm;
+  }
+
+  /// Consistent partial assignments visited so far (the search-tree size,
+  /// full assignments included).
+  size_t nodes() const { return nodes_; }
+
+ private:
+  bool Consistent(QVertexId v, TermId u) const {
+    const RdfGraph& g = store_->graph();
+    for (const ParallelEdgeGroup& group : (*groups_)[v]) {
+      const QVertexId other = group.from == v ? group.to : group.from;
+      if (other != v && !assigned_[other]) continue;
+      const TermId a = group.from == v ? u : binding_[group.from];
+      const TermId b = group.to == v ? u : binding_[group.to];
+      if (!ParallelEdgesSatisfiable(g, *rq_, group.edges, a, b)) return false;
+    }
+    return true;
+  }
+
+  const LocalStore* store_;
+  const ResolvedQuery* rq_;
+  std::span<const QVertexId> order_;
+  const std::vector<std::vector<ParallelEdgeGroup>>* groups_;
+  const std::vector<bool>* relevant_;
+  std::vector<bool> assigned_;  // indexed by query vertex
+  Binding binding_;             // kNullTerm where unassigned
+  std::vector<std::vector<TermId>> domain_scratch_;  // one per depth
+  std::vector<PivotEdge> pivot_scratch_;  // consumed before recursing
+  size_t nodes_ = 0;
+};
 
 /// Verifies that a full binding is a genuine match of the query per Def. 3:
 /// constants agree, every edge's image exists, and parallel query edges map

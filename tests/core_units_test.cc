@@ -5,12 +5,16 @@
 // the chain joins' probe counts (only crossing-index candidates are probed),
 // the seed-group scheduling helpers shared by the two vmin loops (group
 // selection, outlier fixpoint, dynamic thread budget), the SeenSet dedup,
-// and Algorithm 4's one-sided-error guarantee.
+// Algorithm 4's one-sided-error guarantee, and a brute-force Def. 5
+// oracle for the LPM enumerator.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "core/local_partial_match.h"
 #include "core/pruning.h"
 #include "core/seen_set.h"
+#include "net/wire.h"
 #include "tests/test_fixtures.h"
 #include "util/rng.h"
 
@@ -120,16 +125,22 @@ TEST(ComputeLecFeaturesTest, DedupAndMapping) {
   EXPECT_TRUE(ComputeLecFeatures({}).features.empty());
 }
 
-TEST(LecFeatureTest, ByteSizeScalesWithQueryNotData) {
+// Sec. IV-D: a feature costs O(|EQ| + |VQ|) bytes. Checked on the encoded
+// batch, whose size the shipment ledger counts: one more crossing mapping
+// adds its four ids, whatever the data ids are.
+TEST(LecFeatureTest, EncodedSizeScalesWithQueryNotData) {
   LecFeature small;
   small.fragment = 0;
   small.sign = Bitset(5);
   small.crossing = {Map(0, 1, 10, 11)};
-  LecFeature larger = small;
-  larger.crossing.push_back(Map(1, 2, 11, 12));
-  EXPECT_GT(larger.ByteSize(), small.ByteSize());
-  // Sec. IV-D: O(|EQ| + |VQ|) per feature — 4 ids per mapping + sign words.
-  EXPECT_EQ(larger.ByteSize() - small.ByteSize(), 4 * sizeof(TermId));
+  const size_t small_bytes = EncodeLecFeatureBatch({small}).size();
+  for (TermId d : {TermId{12}, TermId{1} << 31}) {
+    LecFeature larger = small;
+    larger.crossing.push_back(Map(1, 2, d, d + 1));
+    EXPECT_EQ(EncodeLecFeatureBatch({larger}).size() - small_bytes,
+              4 * sizeof(TermId))
+        << "d=" << d;
+  }
 }
 
 TEST(PruningTest, EmptyAndSingletonInputs) {
@@ -617,6 +628,191 @@ TEST(EnumerateLpmsTest, EveryLpmSatisfiesDefinition5Invariants) {
     }
   }
 }
+
+
+// ---------------------------------------------------------------------------
+// LPM oracle: every binding in (V_F ∪ {NULL})^n of each fragment, kept when
+// it satisfies Def. 5 directly. Shares no code with the enumerator's
+// search: edges come from the fragment's triple list and Def. 3's label
+// injectivity is an explicit search for distinct labels.
+
+/// One local partial match as (binding, sign, crossing mappings).
+using LpmKey =
+    std::tuple<Binding, std::vector<bool>, std::vector<CrossingPairMap>>;
+
+LpmKey KeyOf(const LocalPartialMatch& pm) {
+  std::vector<bool> sign(pm.binding.size());
+  for (size_t v = 0; v < sign.size(); ++v) sign[v] = pm.sign.Test(v);
+  return {pm.binding, sign, pm.crossing};
+}
+
+/// True when query edges group[i..] can take pairwise distinct labels from
+/// `labels`, not in `used`, each constant predicate its own label.
+bool DistinctLabels(const ResolvedQuery& rq, const std::vector<QEdgeId>& group,
+                    size_t i, const std::set<TermId>& labels,
+                    std::set<TermId>* used) {
+  if (i == group.size()) return true;
+  const TermId want = rq.edge_pred[group[i]];
+  for (TermId p : labels) {
+    if ((want != kNullTerm && p != want) || used->count(p) > 0) continue;
+    used->insert(p);
+    const bool ok = DistinctLabels(rq, group, i + 1, labels, used);
+    used->erase(p);
+    if (ok) return true;
+  }
+  return false;
+}
+
+std::vector<LpmKey> ReferenceLpms(const Fragment& f, const ResolvedQuery& rq) {
+  const QueryGraph& q = *rq.query;
+  const size_t n = q.num_vertices();
+  if (rq.impossible) return {};
+  std::map<std::pair<TermId, TermId>, std::set<TermId>> labels;
+  for (const Triple& t : f.graph().triples()) {
+    labels[{t.subject, t.object}].insert(t.predicate);
+  }
+  std::vector<TermId> domain(f.internal_vertices().begin(),
+                             f.internal_vertices().end());
+  domain.insert(domain.end(), f.extended_vertices().begin(),
+                f.extended_vertices().end());
+  domain.push_back(kNullTerm);
+
+  auto is_lpm = [&](const Binding& b, const std::vector<bool>& island) {
+    // The island is non-empty and weakly connected through its own edges.
+    std::vector<bool> reached(n, false);
+    std::vector<QVertexId> stack;
+    for (QVertexId v = 0; v < n && stack.empty(); ++v) {
+      if (island[v]) {
+        reached[v] = true;
+        stack.push_back(v);
+      }
+    }
+    if (stack.empty()) return false;
+    while (!stack.empty()) {
+      const QVertexId v = stack.back();
+      stack.pop_back();
+      for (const QueryEdge& e : q.edges()) {
+        if (!island[e.from] || !island[e.to]) continue;
+        if (e.from != v && e.to != v) continue;
+        const QVertexId w = e.from == v ? e.to : e.from;
+        if (!reached[w]) {
+          reached[w] = true;
+          stack.push_back(w);
+        }
+      }
+    }
+    // Every other bound vertex is extended and adjacent to the island, and
+    // every bound constant is its own term.
+    for (QVertexId v = 0; v < n; ++v) {
+      if (island[v] != reached[v]) return false;
+      if (b[v] == kNullTerm) continue;
+      if (rq.vertex_term[v] != kNullTerm && b[v] != rq.vertex_term[v]) {
+        return false;
+      }
+      if (island[v]) continue;
+      if (!f.IsExtended(b[v])) return false;
+      bool adjacent = false;
+      for (const QueryEdge& e : q.edges()) {
+        adjacent |= (e.from == v && island[e.to]) ||
+                    (e.to == v && island[e.from]);
+      }
+      if (!adjacent) return false;
+    }
+    // Every edge touching the island exists, parallel edges on distinct
+    // labels; at least one of them crosses.
+    std::map<std::pair<QVertexId, QVertexId>, std::vector<QEdgeId>> groups;
+    bool crosses = false;
+    for (QEdgeId eid = 0; eid < q.num_edges(); ++eid) {
+      const QueryEdge& e = q.edge(eid);
+      if (!island[e.from] && !island[e.to]) continue;
+      if (b[e.from] == kNullTerm || b[e.to] == kNullTerm) return false;
+      groups[{e.from, e.to}].push_back(eid);
+      crosses |= island[e.from] != island[e.to];
+    }
+    for (const auto& [pair, group] : groups) {
+      auto it = labels.find({b[pair.first], b[pair.second]});
+      std::set<TermId> used;
+      if (it == labels.end() || !DistinctLabels(rq, group, 0, it->second,
+                                                &used)) {
+        return false;
+      }
+    }
+    return crosses;
+  };
+
+  std::vector<LpmKey> out;
+  std::vector<size_t> idx(n, 0);
+  Binding b(n);
+  std::vector<bool> island(n);
+  while (true) {
+    for (QVertexId v = 0; v < n; ++v) {
+      b[v] = domain[idx[v]];
+      island[v] = b[v] != kNullTerm && f.IsInternal(b[v]);
+    }
+    if (is_lpm(b, island)) {
+      std::vector<CrossingPairMap> crossing;
+      for (const QueryEdge& e : q.edges()) {
+        if (island[e.from] != island[e.to]) {
+          crossing.push_back({e.from, e.to, b[e.from], b[e.to]});
+        }
+      }
+      std::sort(crossing.begin(), crossing.end());
+      crossing.erase(std::unique(crossing.begin(), crossing.end()),
+                     crossing.end());
+      out.emplace_back(b, island, crossing);
+    }
+    size_t pos = 0;
+    while (pos < n && ++idx[pos] == domain.size()) idx[pos++] = 0;
+    if (pos == n) break;
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+class LpmReference
+    : public ::testing::TestWithParam<testing::ReferenceScenario> {};
+
+TEST_P(LpmReference, EnumeratorFindsExactlyTheDefinition5Matches) {
+  const testing::ReferenceScenario& s = GetParam();
+  Rng rng(s.seed);
+  auto dataset = testing::RandomDataset(rng, s.vertices, s.edges,
+                                        s.predicates);
+  QueryGraph query = testing::RandomConnectedQuery(rng, *dataset,
+                                                   s.query_vertices,
+                                                   s.query_edges);
+  Partitioning partitioning = BuildPartitioning(
+      *dataset, testing::RandomAssignment(rng, *dataset, 3), 3, "random");
+  ResolvedQuery rq = ResolveQuery(query, dataset->dict());
+  for (const Fragment& f : partitioning.fragments()) {
+    const std::vector<LpmKey> want = ReferenceLpms(f, rq);
+    LocalStore store(&f.graph());
+    // Both unit-order builders: orders change the search, not the set.
+    for (bool use_statistics : {true, false}) {
+      EnumerateOptions options;
+      options.use_statistics = use_statistics;
+      std::vector<LpmKey> got;
+      for (const LocalPartialMatch& pm :
+           EnumerateLocalPartialMatches(f, store, rq, options)) {
+        got.push_back(KeyOf(pm));
+      }
+      std::sort(got.begin(), got.end());
+      std::vector<LpmKey> missing, extra;
+      std::set_difference(want.begin(), want.end(), got.begin(), got.end(),
+                          std::back_inserter(missing));
+      std::set_difference(got.begin(), got.end(), want.begin(), want.end(),
+                          std::back_inserter(extra));
+      EXPECT_EQ(got.size(), want.size());
+      EXPECT_TRUE(missing.empty() && extra.empty())
+          << missing.size() << " missing, " << extra.size()
+          << " extra; fragment " << f.id() << ", use_statistics "
+          << use_statistics << ", query " << query.ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, LpmReference,
+    ::testing::ValuesIn(::gstored::testing::kReferenceScenarios));
 
 }  // namespace
 }  // namespace gstored

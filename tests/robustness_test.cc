@@ -298,6 +298,17 @@ TEST(WireCodecTest, ZeroWidthMatchBatchCarriesNoRows) {
   EXPECT_TRUE(empty->matches.empty());
 }
 
+TEST(WireCodecTest, BitmapCountNearTwoTo32IsRejectedUpFront) {
+  // The byte count ceil(count / 8) of a count within 7 of 2^32 must not
+  // wrap to zero: a 4-byte payload claiming it must fail at the length
+  // check, not allocate a 512 MB bitmap and read 2^32 missing bytes first.
+  for (uint32_t count : {0xFFFFFFF9u, 0xFFFFFFFFu}) {
+    std::vector<uint8_t> forged(4);
+    for (size_t i = 0; i < 4; ++i) forged[i] = (count >> (8 * i)) & 0xFF;
+    EXPECT_FALSE(DecodeBitmap(forged).ok()) << count;
+  }
+}
+
 /// Random byte mutations of every valid wire payload. Each mutation must
 /// either decode or return a Status — never crash (the transport feeds
 /// decoder output straight into the coordinator pipeline, so a crashing

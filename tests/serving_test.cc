@@ -169,10 +169,8 @@ TEST(ServingConcurrency, TwoEnginesWithSeparatePools) {
 
   ServeOptions so1;
   so1.max_inflight = 2;
-  so1.pool = &pool1;
   ServeOptions so2;
   so2.max_inflight = 2;
-  so2.pool = &pool2;
   ServingEngine server1(&engine1, so1);
   ServingEngine server2(&engine2, so2);
   std::vector<std::shared_ptr<QueryTicket>> t1, t2;
