@@ -70,7 +70,8 @@ CandidateExchange ExchangeInternalCandidates(
             if (!decoded.ok() || decoded.value().size() != n) continue;
             site_estimates[site].push_back(std::move(decoded.value()));
           }
-        });
+        },
+        options.pool);
     result.stage_millis += est.max_millis();
     result.transport_retries += est.total_retries();
     result.hedged_sites += est.hedged_sites();
@@ -93,22 +94,20 @@ CandidateExchange ExchangeInternalCandidates(
       if (sums[v] > budget) result.exchanged[v] = false;
     }
 
-    std::vector<uint8_t> bitmap = EncodeBitmap(result.exchanged);
+    const std::vector<uint8_t> bitmap = EncodeBitmap(result.exchanged);
     site_knows_skips = net.BroadcastReliable(
         StageOrdinal(QueryStage::kCandidateEstimates), stage_id,
-        options.policy, [&](int /*site*/) {
-          return MakeMessage(MessageType::kSkipBitmap, bitmap);
-        });
+        options.policy,
+        [&](int /*site*/) -> const std::vector<uint8_t>& { return bitmap; });
   }
 
   // ---- Site side of Alg. 4 (lines 10-15): compute internal candidates per
   // exchanged variable, fold them into the site's bit vectors, and ship the
   // filter set as one wire message. Constants are never inserted or shipped.
   //
-  // The coordinator side (lines 1-8) runs in the consumer: bitwise OR is
-  // commutative, so each site's vectors are folded into the union the
-  // moment the site lands — while slower sites are still hashing
-  // candidates — without any arrival-order effect on the union.
+  // The consumer decodes and checks each site's set into that site's slot,
+  // on the thread that ran the site; the coordinator side (lines 1-8), the
+  // OR into the union, runs over the slots in site order after the stage.
   auto make_filter_row = [&] {
     std::vector<BitvectorFilter> row;
     row.reserve(n);
@@ -117,7 +116,7 @@ CandidateExchange ExchangeInternalCandidates(
     }
     return row;
   };
-  result.filters = make_filter_row();
+  std::vector<FilterSet> site_sets(num_sites);
   std::vector<uint8_t> site_lost(num_sites, 0);
 
   StageResult filt = net.StageStream(
@@ -145,19 +144,19 @@ CandidateExchange ExchangeInternalCandidates(
           Result<FilterSet> decoded = DecodeFilterSet(msg.payload);
           if (!decoded.ok()) {
             site_lost[site] = 1;
-            break;
+            return;
           }
           for (auto& [v, filter] : decoded.value()) {
             if (v >= n || !result.exchanged[v]) continue;  // skipped/constant
             if (filter.bits() != options.filter_bits) {
               site_lost[site] = 1;
-              break;
+              return;
             }
-            result.filters[v].UnionWith(filter);
+            site_sets[site].emplace_back(v, std::move(filter));
           }
-          if (site_lost[site]) break;
         }
-      });
+      },
+      options.pool);
   result.stage_millis += filt.max_millis();
   result.transport_retries += filt.total_retries();
   result.hedged_sites += filt.hedged_sites();
@@ -165,7 +164,7 @@ CandidateExchange ExchangeInternalCandidates(
   // The union is only sound when every site contributed — a missing site's
   // internal candidates would turn the one-sided error into false negatives
   // — so any unrecovered site (or undecodable filter set) degrades the
-  // whole exchange to "no filters", discarding whatever was folded so far.
+  // whole exchange to "no filters".
   bool lost = !filt.complete();
   for (int site = 0; site < num_sites; ++site) {
     if (site_lost[site]) lost = true;
@@ -177,6 +176,12 @@ CandidateExchange ExchangeInternalCandidates(
     result.shipment_bytes = ledger.StageBytes(stage_id) - bytes_before;
     return result;
   }
+  // Bitwise OR is commutative, so the site-order fold is the union any
+  // arrival order would give.
+  result.filters = make_filter_row();
+  for (const FilterSet& set : site_sets) {
+    for (const auto& [v, filter] : set) result.filters[v].UnionWith(filter);
+  }
 
   // Broadcast the union back (Alg. 4 line 8). Sites that miss it enumerate
   // unfiltered; the exchanged filters are an optimization, not required for
@@ -186,11 +191,11 @@ CandidateExchange ExchangeInternalCandidates(
     if (result.exchanged[v]) union_set.emplace_back(v, result.filters[v]);
   }
   if (!union_set.empty()) {
-    std::vector<uint8_t> union_payload = EncodeFilterSet(union_set);
+    const std::vector<uint8_t> union_payload = EncodeFilterSet(union_set);
     result.site_filter_ok = net.BroadcastReliable(
         StageOrdinal(QueryStage::kCandidateFilters), stage_id, options.policy,
-        [&](int /*site*/) {
-          return MakeMessage(MessageType::kFilterUnion, union_payload);
+        [&](int /*site*/) -> const std::vector<uint8_t>& {
+          return union_payload;
         });
   }
 

@@ -32,6 +32,11 @@ struct CandidateExchangeOptions {
 
   /// Deadline/retry/hedging policy for both exchange phases.
   StagePolicy policy;
+
+  /// Worker pool both phases run their sites on (InProcessTransport::
+  /// StageStream); nullptr = ThreadPool::Shared(). The engine passes its
+  /// EngineOptions::pool.
+  ThreadPool* pool = nullptr;
 };
 
 /// Result of Algorithm 4 ("assembling variables' internal candidates").

@@ -48,8 +48,8 @@ constexpr size_t kLpmBatchSize = 256;
 /// Per-site computation cache: the transport runs each site function at
 /// most once per stage, but stages B, C and D all read the same matches,
 /// LPMs and features, so each site computes them once per query. Each entry
-/// is touched only by its own site's stage thread, and stages run one after
-/// another.
+/// is touched only by the thread running its site in the current stage,
+/// and stages run one after another.
 struct SiteCache {
   bool computed = false;
   std::vector<Binding> matches;
@@ -150,6 +150,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     CandidateExchangeOptions exchange_options;
     exchange_options.use_statistics = options_.use_statistics;
     exchange_options.policy = policy;
+    exchange_options.pool = pool;
     exchange = ExchangeInternalCandidates(*partitioning_, store_ptrs, rq, net,
                                           ledger, exchange_options);
     stats->candidate_time_ms = exchange.stage_millis;
@@ -294,9 +295,10 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   };
 
   // Per-site staging slot for stage B: the consumer decodes each site's
-  // batches the moment that site lands, while other sites are still
-  // enumerating, and the slots are merged in site order after the stage
-  // returns — so the merged matches do not depend on arrival order.
+  // batches into that site's slot the moment the site lands, on the
+  // thread that ran it, while other sites are still enumerating; the slots
+  // are merged in site order after the stage returns — so the merged
+  // matches do not depend on arrival order.
   struct SiteStageB {
     std::vector<Binding> matches;
     size_t num_lpms = 0;
@@ -328,7 +330,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
           sb.matches.insert(sb.matches.end(), batch.value().matches.begin(),
                             batch.value().matches.end());
         }
-      });
+      },
+      pool);
   stats->partial_eval_time_ms = peval.max_millis();
   stats->partial_eval_sites = peval.sites;
   stats->transport_retries += peval.total_retries();
@@ -391,8 +394,9 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   std::vector<std::vector<bool>> site_survivors(num_sites);
   std::vector<bool> survivors_delivered(num_sites, false);
   if (mode == EngineMode::kLecPruning || mode == EngineMode::kFull) {
-    // Per-site staging for the feature batches, merged in site order below
-    // (pruning input must equal the old global Alg. 1 scan byte-for-byte).
+    // Per-site staging for the feature batches, each decoded on its site's
+    // thread and merged in site order below (pruning input must equal the
+    // old global Alg. 1 scan byte-for-byte).
     struct SiteStageC {
       std::vector<LecFeature> features;
       bool decode_ok = true;
@@ -421,7 +425,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
                                std::make_move_iterator(decoded.value().begin()),
                                std::make_move_iterator(decoded.value().end()));
           }
-        });
+        },
+        pool);
     stats->transport_retries += feat.total_retries();
     stats->hedged_sites += feat.hedged_sites();
 
@@ -476,14 +481,17 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
       }
       prune_active = true;
 
-      // Broadcast each site its survivor bitmap. A site that misses it
-      // ships all of its LPMs — a superset, so the final result is still
-      // exact, only the shipment grows.
+      // Broadcast each site its survivor bitmap, encoded once per site. A
+      // site that misses it ships all of its LPMs — a superset, so the
+      // final result is still exact, only the shipment grows.
+      std::vector<std::vector<uint8_t>> survivor_bitmaps(num_sites);
+      for (size_t site = 0; site < num_sites; ++site) {
+        survivor_bitmaps[site] = EncodeBitmap(site_survivors[site]);
+      }
       survivors_delivered = net.BroadcastReliable(
           StageOrdinal(QueryStage::kLecFeatures), lec_stage_id, policy,
-          [&](int site) {
-            return MakeMessage(MessageType::kSurvivorBitmap,
-                               EncodeBitmap(site_survivors[site]));
+          [&](int site) -> const std::vector<uint8_t>& {
+            return survivor_bitmaps[site];
           });
       stats->lec_prune_time_ms = feat.max_millis() + prune_watch.ElapsedMillis();
     } else {
@@ -498,9 +506,9 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   // the old global filter exactly.
 
   // Assembly-input staging: each site's LPM batches are decoded into its
-  // slot while slower sites are still filtering and shipping; the
-  // site-order concatenation below makes `surviving` independent of
-  // arrival order.
+  // slot, on its own thread, while slower sites are still filtering and
+  // shipping; the site-order concatenation below makes `surviving`
+  // independent of arrival order.
   struct SiteStageD {
     std::vector<LocalPartialMatch> lpms;
     bool decode_ok = true;
@@ -549,7 +557,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
                          std::make_move_iterator(decoded.value().begin()),
                          std::make_move_iterator(decoded.value().end()));
         }
-      });
+      },
+      pool);
   stats->transport_retries += ship.total_retries();
   stats->hedged_sites += ship.hedged_sites();
 
@@ -573,9 +582,9 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   stats->lpm_shipment_bytes = ledger.StageBytes(lpm_stage_id);
   if (ctx.aborted(total_watch.ElapsedMillis())) return finish_aborted();
 
-  // LEC assembly joins on the same worker pool the sites borrow from; the
-  // sites are done with it by now (the stage has returned), so the
-  // coordinator gets the full budget. The basic worklist join stays serial
+  // LEC assembly joins on the same worker pool the sites run on; the sites
+  // are done with it by now (the stage has returned), so the coordinator
+  // gets the full budget. The basic worklist join stays serial
   // — it is the ablation baseline, not a production path.
   Stopwatch assembly_watch;
   AssemblyOptions assembly_options;

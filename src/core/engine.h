@@ -38,9 +38,9 @@ const char* EngineModeName(EngineMode mode);
 struct EngineOptions {
   /// Worker slots each site may use for its local matching and LPM
   /// enumeration, and the coordinator for the LEC pruning and assembly
-  /// joins (1 = fully serial). Slots are borrowed from the cluster's shared
-  /// intra-site pool, so effective parallelism is bounded by the hardware
-  /// regardless of the number of sites; results are byte-identical across
+  /// joins (1 = serial kernels). Slots are borrowed from `pool` below, so
+  /// effective parallelism is bounded by the hardware regardless of the
+  /// number of sites; results are byte-identical across
   /// thread counts. The knob is a ceiling, not a fixed fan-out: each site
   /// scales it to its fragment size (SiteSlotBudget), and the coordinator
   /// joins scale it to the seed-group size (JoinSlotBudget via
@@ -48,10 +48,12 @@ struct EngineOptions {
   /// skip pool coordination.
   size_t num_threads = 1;
 
-  /// Worker pool the slots above are borrowed from; nullptr = the
-  /// process-wide ThreadPool::Shared(). Injecting a pool bounds an engine
-  /// instance's total concurrency independently of other engines in the
-  /// process (two engines with separate pools never contend).
+  /// Worker pool every stage's sites run on (InProcessTransport::
+  /// StageStream, one index per site, the calling thread as slot 0) and the
+  /// slots above are borrowed from; nullptr = the process-wide
+  /// ThreadPool::Shared(). Injecting a pool bounds an engine instance's
+  /// total concurrency independently of other engines in the process (two
+  /// engines with separate pools never contend).
   ThreadPool* pool = nullptr;
 
   /// Drive matching orders, LPM unit orders and the candidate-exchange

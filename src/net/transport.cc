@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
-#include <thread>
 
 #include "util/logging.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace gstored {
 
@@ -43,45 +42,80 @@ size_t StageResult::hedged_sites() const {
 
 namespace {
 
-/// One site's reassembled view of a single attempt: the inbox deduplicated
-/// by sequence number and restored to sequence order (the done marker still
-/// in place), with the done-marker completeness check applied.
+/// One message of an attempt that reached the coordinator: its sequence
+/// number, which indexes the site's send buffer, the attempt that shipped
+/// it and its virtual arrival time (injected latency plus accumulated
+/// backoff; nothing actually sleeps). A duplicated send arrives twice.
+struct Delivery {
+  uint32_t seq = 0;
+  uint32_t attempt = 0;
+  double arrival_ms = 0.0;
+};
+
+/// Ships one attempt of a site's stamped send buffer (payloads + done
+/// marker) and returns the deliveries that arrive: send-side faults drop,
+/// duplicate and delay them, and `base_offset_ms` shifts arrival times by
+/// the accumulated backoff. Nothing is copied.
+std::vector<Delivery> ShipAttempt(const FaultPlan& plan, ShipmentLedger& ledger,
+                                  int site, uint32_t stage, uint32_t attempt,
+                                  const std::vector<WireMessage>& buffer,
+                                  ShipmentLedger::StageId ledger_stage,
+                                  double base_offset_ms) {
+  std::vector<Delivery> arrived;
+  for (uint32_t seq = 0; seq < buffer.size(); ++seq) {
+    // Bytes hit the wire whether or not the message survives the trip, and
+    // a duplicated message is shipped twice — the ledger counts both, since
+    // the paper's shipment metric measures traffic, not goodput.
+    const bool dup = plan.Duplicate(site, stage, attempt, seq, false);
+    ledger.Add(ledger_stage, buffer[seq].WireSize() * (dup ? 2 : 1));
+    if (plan.Drop(site, stage, attempt, seq, false)) continue;
+    const Delivery delivered{
+        seq, attempt,
+        base_offset_ms + plan.LatencyMs(site, stage, attempt, seq, false)};
+    arrived.push_back(delivered);
+    if (dup) arrived.push_back(delivered);
+  }
+  return arrived;
+}
+
+/// One site's reassembled view of a single attempt: the deliveries
+/// deduplicated by sequence number and restored to sequence order (the done
+/// marker still in place), with the done-marker completeness check applied.
 struct ReassembledAttempt {
   bool all_arrived = false;
   double last_arrival = 0.0;
-  std::vector<DeliveredMessage> inbox;
+  std::vector<Delivery> inbox;
 };
 
 ReassembledAttempt ReassembleSiteAttempt(const FaultPlan& plan, int site,
                                          uint32_t stage,
-                                         std::vector<DeliveredMessage> inbox) {
+                                         const std::vector<WireMessage>& buffer,
+                                         std::vector<Delivery> inbox) {
   ReassembledAttempt out;
   if (plan.reorder) {
     std::sort(inbox.begin(), inbox.end(),
-              [&](const DeliveredMessage& a, const DeliveredMessage& b) {
-                return plan.ReorderKey(site, stage, a.msg.attempt, a.msg.seq) <
-                       plan.ReorderKey(site, stage, b.msg.attempt, b.msg.seq);
+              [&](const Delivery& a, const Delivery& b) {
+                return plan.ReorderKey(site, stage, a.attempt, a.seq) <
+                       plan.ReorderKey(site, stage, b.attempt, b.seq);
               });
   }
   // Deduplicate by sequence number and restore sequence order — this is
   // what makes duplication and reordering invisible to the pipeline.
   std::sort(inbox.begin(), inbox.end(),
-            [](const DeliveredMessage& a, const DeliveredMessage& b) {
-              return a.msg.seq < b.msg.seq;
-            });
+            [](const Delivery& a, const Delivery& b) { return a.seq < b.seq; });
   inbox.erase(std::unique(inbox.begin(), inbox.end(),
-                          [](const DeliveredMessage& a,
-                             const DeliveredMessage& b) {
-                            return a.msg.seq == b.msg.seq;
+                          [](const Delivery& a, const Delivery& b) {
+                            return a.seq == b.seq;
                           }),
               inbox.end());
 
   uint32_t expected = 0;
   bool have_done = false;
-  for (const DeliveredMessage& d : inbox) {
+  for (const Delivery& d : inbox) {
     out.last_arrival = std::max(out.last_arrival, d.arrival_ms);
-    if (d.msg.type == MessageType::kStageDone) {
-      auto count = DecodeDoneMarker(d.msg.payload);
+    const WireMessage& msg = buffer[d.seq];
+    if (msg.type == MessageType::kStageDone) {
+      auto count = DecodeDoneMarker(msg.payload);
       if (count.ok()) {
         have_done = true;
         expected = count.value();
@@ -93,8 +127,8 @@ ReassembledAttempt ReassembleSiteAttempt(const FaultPlan& plan, int site,
     // Payload seqs must be exactly 0..expected-1 (the done marker itself
     // is seq == expected).
     uint32_t payload_count = 0;
-    for (const DeliveredMessage& d : inbox) {
-      if (d.msg.type != MessageType::kStageDone && d.msg.seq < expected) {
+    for (const Delivery& d : inbox) {
+      if (buffer[d.seq].type != MessageType::kStageDone && d.seq < expected) {
         ++payload_count;
       }
     }
@@ -116,39 +150,14 @@ InProcessTransport::InProcessTransport(int num_sites, ShipmentLedger* ledger,
   GSTORED_CHECK(ledger != nullptr);
 }
 
-std::vector<DeliveredMessage> InProcessTransport::ShipAttempt(
-    int site, uint32_t stage, uint32_t attempt,
-    const std::vector<WireMessage>& buffer,
-    ShipmentLedger::StageId ledger_stage, double base_offset_ms) {
-  std::vector<DeliveredMessage> arrived;
-  for (const WireMessage& stamped : buffer) {
-    WireMessage msg = stamped;
-    msg.attempt = attempt;
-    // Bytes hit the wire whether or not the message survives the trip, and
-    // a duplicated message is shipped twice — the ledger counts both, since
-    // the paper's shipment metric measures traffic, not goodput.
-    const bool dup = plan_.Duplicate(site, stage, attempt, msg.seq, false);
-    ledger_->Add(ledger_stage, msg.WireSize() * (dup ? 2 : 1));
-    if (plan_.Drop(site, stage, attempt, msg.seq, false)) continue;
-    DeliveredMessage delivered;
-    delivered.arrival_ms =
-        base_offset_ms + plan_.LatencyMs(site, stage, attempt, msg.seq, false);
-    delivered.msg = std::move(msg);
-    if (dup) arrived.push_back(delivered);
-    arrived.push_back(std::move(delivered));
-  }
-  return arrived;
-}
-
 StageResult InProcessTransport::StageStream(
     uint32_t stage, ShipmentLedger::StageId ledger_stage,
     const StagePolicy& policy,
     const std::function<std::vector<WireMessage>(int site)>& site_fn,
-    const SiteBatchConsumer& on_site) {
+    const SiteBatchConsumer& on_site, ThreadPool* pool) {
   GSTORED_CHECK_GE(policy.max_attempts, 1);
   StageResult result;
   result.sites.assign(num_sites_, SiteStageReport{});
-  std::mutex consume_mu;
 
   // Runs the site function once and stamps its send buffer. The
   // end-of-stage marker carries the payload count, so the coordinator can
@@ -170,10 +179,10 @@ StageResult InProcessTransport::StageStream(
     return msgs;
   };
 
-  // One thread per site runs that site's entire attempt loop — deadlines,
-  // backoff and hedging fire per site, so a straggler never stalls delivery
-  // of the sites that already finished. All deadline math is virtual and
-  // keyed off the plan, hence byte-identical replay.
+  // One site's entire attempt loop — deadlines, backoff and hedging fire
+  // per site, so a straggler never stalls delivery of the sites that
+  // already finished. All deadline math is virtual and keyed off the plan,
+  // hence byte-identical replay on whichever thread runs the site.
   auto run_site = [&](int site) {
     SiteStageReport& report = result.sites[site];
     std::vector<WireMessage> buffer;  // stamped payloads + done marker
@@ -188,18 +197,23 @@ StageResult InProcessTransport::StageStream(
            ++attempt) {
         report.attempts = attempt + 1;
         ReassembledAttempt r = ReassembleSiteAttempt(
-            plan_, site, stage,
-            ShipAttempt(site, stage, static_cast<uint32_t>(attempt), buffer,
-                        ledger_stage, backoff));
+            plan_, site, stage, buffer,
+            ShipAttempt(plan_, *ledger_, site, stage,
+                        static_cast<uint32_t>(attempt), buffer, ledger_stage,
+                        backoff));
         if (r.all_arrived && r.last_arrival <= policy.deadline_ms + backoff) {
           report.ok = true;
           // Arrival times are offset by the backoff, which queue_wait_ms
           // already counted for every blown attempt.
           report.queue_wait_ms += r.last_arrival - backoff;
-          for (DeliveredMessage& d : r.inbox) {
-            if (d.msg.type != MessageType::kStageDone) {
-              delivered.push_back(std::move(d.msg));
-            }
+          // No later attempt or hedge can need the buffer now, so the
+          // payloads move out of it, stamped with the attempt that shipped
+          // them.
+          for (const Delivery& d : r.inbox) {
+            WireMessage& msg = buffer[d.seq];
+            if (msg.type == MessageType::kStageDone) continue;
+            msg.attempt = d.attempt;
+            delivered.push_back(std::move(msg));
           }
         } else {
           // Blown deadline: the coordinator waited the full window, then
@@ -222,25 +236,20 @@ StageResult InProcessTransport::StageStream(
       report.hedged = true;
     }
 
-    if (report.ok) {
-      std::lock_guard<std::mutex> lock(consume_mu);
-      on_site(site, std::move(delivered));
-    }
+    if (report.ok) on_site(site, std::move(delivered));
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(num_sites_);
-  for (int site = 0; site < num_sites_; ++site) {
-    threads.emplace_back(run_site, site);
-  }
-  for (std::thread& t : threads) t.join();
+  const size_t sites = static_cast<size_t>(num_sites_);
+  ParallelFor(pool, sites, sites, [&](size_t site, size_t /*slot*/) {
+    run_site(static_cast<int>(site));
+  });
   return result;
 }
 
 std::vector<bool> InProcessTransport::BroadcastReliable(
     uint32_t stage, ShipmentLedger::StageId ledger_stage,
     const StagePolicy& policy,
-    const std::function<WireMessage(int site)>& make_msg) {
+    const std::function<const std::vector<uint8_t>&(int site)>& payload) {
   GSTORED_CHECK_GE(policy.max_attempts, 1);
   std::vector<bool> delivered(num_sites_, false);
   for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
@@ -251,11 +260,12 @@ std::vector<bool> InProcessTransport::BroadcastReliable(
         all = false;
         continue;
       }
-      // The broadcast's header is fixed-size, so the message as built is
+      // The broadcast's header is fixed-size, so header plus payload is
       // exactly what the wire would carry; a duplicate ships twice.
       const uint32_t a = static_cast<uint32_t>(attempt);
       const bool dup = plan_.Duplicate(site, stage, a, 0, /*to_site=*/true);
-      ledger_->Add(ledger_stage, make_msg(site).WireSize() * (dup ? 2 : 1));
+      const size_t wire_size = WireMessage::kHeaderBytes + payload(site).size();
+      ledger_->Add(ledger_stage, wire_size * (dup ? 2 : 1));
       if (plan_.Drop(site, stage, a, 0, /*to_site=*/true) ||
           plan_.LatencyMs(site, stage, a, 0, /*to_site=*/true) >
               policy.deadline_ms) {

@@ -10,12 +10,7 @@
 
 namespace gstored {
 
-/// A message as observed by a receiver: payload plus its virtual arrival
-/// time (injected latency + retry backoff; nothing actually sleeps).
-struct DeliveredMessage {
-  WireMessage msg;
-  double arrival_ms = 0.0;
-};
+class ThreadPool;
 
 /// Deadline/retry/hedging knobs of one coordinator-driven stage. All times
 /// are virtual milliseconds compared against injected latencies, never
@@ -70,20 +65,21 @@ struct StageResult {
 };
 
 /// Receives one completed site's deduplicated, sequence-ordered payload
-/// messages from StageStream. Invocations are serialized (never concurrent)
-/// but their cross-site order follows completion time, which is
-/// scheduling-dependent: consumers must either fold commutatively (bitmap
-/// ORs) or stage per site and merge in site order after the stage returns.
+/// messages from StageStream. It is called at most once per site that ends
+/// up ok, on the thread that ran that site, and calls for different sites
+/// may overlap: each call writes only its own site's slot, and anything
+/// that folds across sites runs after the stage returns, in site order.
 using SiteBatchConsumer =
     std::function<void(int site, std::vector<WireMessage> msgs)>;
 
 /// The in-process cluster transport: typed serialized messages whose wire
-/// sizes feed the ShipmentLedger, real threads per site, virtual time for
-/// faults. Deterministic given the FaultPlan — the cross-site order of
-/// StageStream callbacks is scheduling-dependent, but every per-site
-/// decision (drop/duplicate/latency draws, sequence reassembly, deadline
-/// comparisons) is a pure function of the plan, so the stage results,
-/// ledger byte counts and query outcomes replay byte-identically.
+/// sizes feed the ShipmentLedger, sites run on a worker pool, virtual time
+/// for faults. Deterministic given the FaultPlan — which thread runs a site
+/// and when its StageStream callback fires are scheduling-dependent, but
+/// every per-site decision (drop/duplicate/latency draws, sequence
+/// reassembly, deadline comparisons) is a pure function of the plan, so the
+/// stage results, ledger byte counts and query outcomes replay
+/// byte-identically.
 class InProcessTransport {
  public:
   /// `session_id` stamps every message this transport sends — concurrent
@@ -96,49 +92,44 @@ class InProcessTransport {
   int num_sites() const { return num_sites_; }
 
   /// Runs one coordinator-driven stage: every site executes `site_fn`
-  /// concurrently and ships the returned messages to the coordinator; the
-  /// transport enforces the per-attempt deadline, retries with exponential
-  /// backoff, and finally hedges locally per `policy`. One thread per site
-  /// runs that site's whole attempt loop, and each site's batches are
-  /// handed to `on_site` the moment that site completes, while slower sites
-  /// are still executing. `ledger_stage` attributes the wire bytes
-  /// (ShipmentLedger::kUnaccounted for control/result traffic outside the
-  /// paper's shipment metric).
+  /// and ships the returned messages to the coordinator; the transport
+  /// enforces the per-attempt deadline, retries with exponential backoff,
+  /// and finally hedges locally per `policy`. Each site's whole attempt
+  /// loop is one index of ParallelFor(pool, num_sites, num_sites, ...), so
+  /// the sites run concurrently on `pool`'s free workers and on the caller
+  /// (slot 0), and each site's batches are handed to `on_site` the moment
+  /// that site completes, while slower sites are still executing. A null
+  /// `pool` means ThreadPool::Shared(), as for EngineOptions::pool.
+  /// `ledger_stage` attributes the wire bytes (ShipmentLedger::kUnaccounted
+  /// for control/result traffic outside the paper's shipment metric).
   ///
-  /// `site_fn` runs at most once per site per stage, on a transport thread:
-  /// retries re-ship its buffered bytes with only the attempt header
-  /// restamped and a hedge delivers them, so a site that is dead for the
-  /// stage never runs it unless hedging asks for its data, and then runs it
-  /// once. Each ok site's payloads reach `on_site` exactly once,
-  /// deduplicated and sequence-ordered; a site that ends up not ok never
-  /// reaches it.
+  /// `site_fn` runs at most once per site per stage: retries re-ship its
+  /// buffered bytes and a hedge delivers them, so a site that is dead for
+  /// the stage never runs it unless hedging asks for its data, and then
+  /// runs it once. `site_fn` may itself call ParallelFor on `pool` (the
+  /// pool's nesting guarantee). Each ok site's payloads reach `on_site`
+  /// exactly once, deduplicated and sequence-ordered; a site that ends up
+  /// not ok never reaches it.
   StageResult StageStream(
       uint32_t stage, ShipmentLedger::StageId ledger_stage,
       const StagePolicy& policy,
       const std::function<std::vector<WireMessage>(int site)>& site_fn,
-      const SiteBatchConsumer& on_site);
+      const SiteBatchConsumer& on_site, ThreadPool* pool = nullptr);
 
-  /// Reliable coordinator -> sites broadcast: sends `make_msg(site)` to each
-  /// site, retrying undelivered sites up to policy.max_attempts. Every send
-  /// is accounted in the ledger; sites read the broadcast content from
-  /// coordinator memory, so only its delivery is modelled. Returns per-site
-  /// delivery success; callers degrade gracefully for sites that never
-  /// received the broadcast (there is no local hedge for a receive failure).
+  /// Reliable coordinator -> sites broadcast of `payload(site)`, a payload
+  /// the caller keeps alive for the call, retrying undelivered sites up to
+  /// policy.max_attempts. Sites read the broadcast content from coordinator
+  /// memory, so only its delivery is modelled: every send is accounted in
+  /// the ledger at WireMessage::kHeaderBytes + payload(site).size().
+  /// Returns per-site delivery success; callers degrade gracefully for
+  /// sites that never received the broadcast (there is no local hedge for a
+  /// receive failure).
   std::vector<bool> BroadcastReliable(
       uint32_t stage, ShipmentLedger::StageId ledger_stage,
       const StagePolicy& policy,
-      const std::function<WireMessage(int site)>& make_msg);
+      const std::function<const std::vector<uint8_t>&(int site)>& payload);
 
  private:
-  /// Ships one attempt of an already-stamped send buffer (payloads + done
-  /// marker), restamping only the attempt header, and returns the messages
-  /// that arrive: send-side faults drop, duplicate and delay them, and
-  /// `base_offset_ms` shifts arrival times by the accumulated backoff.
-  std::vector<DeliveredMessage> ShipAttempt(
-      int site, uint32_t stage, uint32_t attempt,
-      const std::vector<WireMessage>& buffer,
-      ShipmentLedger::StageId ledger_stage, double base_offset_ms);
-
   int num_sites_;
   ShipmentLedger* ledger_;
   FaultPlan plan_;

@@ -202,11 +202,25 @@ double SelectivityEstimator::VertexCardinality(QVertexId v) const {
 double SelectivityEstimator::VertexCardinalityUncached(QVertexId v) const {
   const GraphStatistics& st = *stats_;
   const RdfGraph& g = st.graph();
+  const QueryGraph& q = *rq_->query;
   if (rq_->vertex_term[v] != kNullTerm) {
-    return g.HasVertex(rq_->vertex_term[v]) ? 1.0 : 0.0;
+    // A constant is its own one candidate, unless a pattern joining it to
+    // another constant names a data edge that does not exist: the store's
+    // candidate check rejects it then, so it has none.
+    if (!g.HasVertex(rq_->vertex_term[v])) return 0.0;
+    for (QEdgeId eid : q.IncidentEdges(v)) {
+      const QueryEdge& e = q.edge(eid);
+      const TermId s = rq_->vertex_term[e.from];
+      const TermId o = rq_->vertex_term[e.to];
+      if (e.from == e.to || s == kNullTerm || o == kNullTerm) continue;
+      const TermId pred = rq_->edge_pred[eid];
+      if (pred != kNullTerm ? !g.HasTriple(s, pred, o) : !g.HasAnyEdge(s, o)) {
+        return 0.0;
+      }
+    }
+    return 1.0;
   }
 
-  const QueryGraph& q = *rq_->query;
   double best = static_cast<double>(st.num_vertices());
   std::vector<TermId> out_preds;
   for (QEdgeId eid : q.IncidentEdges(v)) {

@@ -161,7 +161,8 @@ class SelectivityEstimator {
   SelectivityEstimator(const GraphStatistics* stats, const ResolvedQuery* rq);
 
   /// Estimated candidate-set size of query vertex v before any neighbour is
-  /// bound: 1 for constants, otherwise the tightest of the per-predicate
+  /// bound: 1 for constants (0 when a pattern joining it to another constant
+  /// names a missing data edge), otherwise the tightest of the per-predicate
   /// distinct-endpoint bounds, the exact constant-neighbour expansion sizes,
   /// and (for >= 2 constrained out-predicates) the characteristic-set count.
   double VertexCardinality(QVertexId v) const;

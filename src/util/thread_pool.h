@@ -12,21 +12,25 @@
 namespace gstored {
 
 /// A fixed-size worker pool with a shared task queue and a ParallelFor
-/// helper, used to parallelize the intra-site hot paths (per-site matching
-/// and LPM enumeration) underneath the cluster's per-site thread fan-out,
-/// and the coordinator-side LEC pruning and assembly joins across seed
-/// groups. The kernels reach it through the free ParallelFor below.
+/// helper. It runs every stage's sites (InProcessTransport::StageStream),
+/// the intra-site hot paths those sites call (per-site matching and LPM
+/// enumeration), and the coordinator-side LEC pruning and assembly joins
+/// across seed groups. All of them reach it through the free ParallelFor
+/// below.
 ///
 /// The scheduling discipline is work-stealing-lite: ParallelFor does not
 /// pre-partition the index space but lets every participant pull the next
 /// index from a shared atomic counter, so skewed per-index costs (one start
 /// candidate exploding, one island mask dominating) balance automatically.
 ///
-/// Composition / deadlock freedom: the caller of ParallelFor always
-/// participates as slot 0 and drains the counter itself, so a ParallelFor
-/// completes even when every pool worker is busy serving another site —
-/// queued helper tasks that arrive late simply find the counter exhausted.
-/// Pool workers must never call ParallelFor themselves (no nesting).
+/// Nesting / deadlock freedom: the caller of ParallelFor always
+/// participates as slot 0 and drains the counter itself, and a helper
+/// claims an index only while it runs, so a participant waits only for
+/// indices that running participants have claimed. A ParallelFor therefore
+/// completes even when every pool worker is busy — queued helper tasks
+/// that arrive late simply find the counter exhausted — and `fn` may itself
+/// call ParallelFor on the same pool (a site task running the matcher's
+/// loop): nested calls complete on any pool size, 0 workers included.
 class ThreadPool {
  public:
   /// Spawns `num_workers` worker threads (0 is allowed: every ParallelFor
@@ -53,8 +57,9 @@ class ThreadPool {
   void ParallelFor(size_t n, size_t max_slots,
                    const std::function<void(size_t index, size_t slot)>& fn);
 
-  /// Process-wide pool shared by every site of the simulated cluster, sized
-  /// to the hardware concurrency. Created on first use, never destroyed
+  /// Process-wide pool, sized to the hardware concurrency: the default of
+  /// EngineOptions::pool, so the sites and kernels of every engine without
+  /// a pool of its own share it. Created on first use, never destroyed
   /// (workers park on the queue condition variable when idle).
   static ThreadPool& Shared();
 
@@ -69,11 +74,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// The one entry the four parallel kernels (matcher, LPM enumerator, LEC
-/// pruning, LEC assembly) run their units through: `fn(index, slot)` for
-/// every index in [0, n). With `max_slots <= 1` or `n <= 1` it loops inline
-/// on the caller, in index order, with slot 0, and never touches
-/// ThreadPool::Shared() — so one-slot runs never create the shared pool.
+/// The one entry the transport's site fan-out and the four parallel kernels
+/// (matcher, LPM enumerator, LEC pruning, LEC assembly) run their units
+/// through: `fn(index, slot)` for every index in [0, n). With
+/// `max_slots <= 1` or `n <= 1` it loops inline on the caller, in index
+/// order, with slot 0, and never touches ThreadPool::Shared() — so
+/// one-slot runs never create the shared pool.
 /// Otherwise it runs `pool->ParallelFor(n, max_slots, fn)`, with
 /// ThreadPool::Shared() standing in for a null `pool`. Either way the slots
 /// handed to `fn` lie in [0, min(max_slots, n)), which bounds the per-slot

@@ -646,31 +646,11 @@ LpmKey KeyOf(const LocalPartialMatch& pm) {
   return {pm.binding, sign, pm.crossing};
 }
 
-/// True when query edges group[i..] can take pairwise distinct labels from
-/// `labels`, not in `used`, each constant predicate its own label.
-bool DistinctLabels(const ResolvedQuery& rq, const std::vector<QEdgeId>& group,
-                    size_t i, const std::set<TermId>& labels,
-                    std::set<TermId>* used) {
-  if (i == group.size()) return true;
-  const TermId want = rq.edge_pred[group[i]];
-  for (TermId p : labels) {
-    if ((want != kNullTerm && p != want) || used->count(p) > 0) continue;
-    used->insert(p);
-    const bool ok = DistinctLabels(rq, group, i + 1, labels, used);
-    used->erase(p);
-    if (ok) return true;
-  }
-  return false;
-}
-
 std::vector<LpmKey> ReferenceLpms(const Fragment& f, const ResolvedQuery& rq) {
   const QueryGraph& q = *rq.query;
   const size_t n = q.num_vertices();
   if (rq.impossible) return {};
-  std::map<std::pair<TermId, TermId>, std::set<TermId>> labels;
-  for (const Triple& t : f.graph().triples()) {
-    labels[{t.subject, t.object}].insert(t.predicate);
-  }
+  const testing::PairLabels labels = testing::LabelsByPair(f.graph());
   std::vector<TermId> domain(f.internal_vertices().begin(),
                              f.internal_vertices().end());
   domain.insert(domain.end(), f.extended_vertices().begin(),
@@ -731,9 +711,8 @@ std::vector<LpmKey> ReferenceLpms(const Fragment& f, const ResolvedQuery& rq) {
     }
     for (const auto& [pair, group] : groups) {
       auto it = labels.find({b[pair.first], b[pair.second]});
-      std::set<TermId> used;
-      if (it == labels.end() || !DistinctLabels(rq, group, 0, it->second,
-                                                &used)) {
+      if (it == labels.end() ||
+          !testing::DistinctLabels(rq, group, it->second)) {
         return false;
       }
     }

@@ -1,13 +1,16 @@
 // Cross-checks the CSR-backed matcher against a naive reference matcher:
 // the reference enumerates every total assignment of query vertices to graph
-// vertices and keeps those VerifyMatch accepts (VerifyMatch shares no code
-// with the backtracking search path — it tests Def. 3 directly on the
-// graph's label ranges). Any divergence in the predicate-grouped expansion,
-// the pivot intersection, or the scratch-buffer reuse shows up here.
+// vertices and keeps those that satisfy Def. 3, checked on the raw triple
+// list with an explicit distinct-label search. It calls nothing in
+// store/matcher, so a fault in the search's label-injectivity check cannot
+// pass both sides. Any divergence in the predicate-grouped expansion, the
+// pivot intersection, or the scratch-buffer reuse shows up here.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "core/engine.h"
 #include "store/matcher.h"
@@ -17,10 +20,37 @@
 namespace gstored {
 namespace {
 
+using ::gstored::testing::PairLabels;
 using ::gstored::testing::RandomConnectedQuery;
 using ::gstored::testing::RandomDataset;
 
-/// Enumerates all |V|^n assignments and filters with VerifyMatch.
+/// Def. 3 on the raw triple list: every constant vertex binds its own term,
+/// and the query edges of each directed pair map onto that pair's triples
+/// with pairwise-distinct labels, a constant predicate naming its triple's
+/// label.
+bool IsMatch(const PairLabels& labels, const ResolvedQuery& rq,
+             const Binding& binding) {
+  const QueryGraph& q = *rq.query;
+  for (QVertexId v = 0; v < q.num_vertices(); ++v) {
+    if (rq.vertex_term[v] != kNullTerm && binding[v] != rq.vertex_term[v]) {
+      return false;
+    }
+  }
+  std::map<std::pair<QVertexId, QVertexId>, std::vector<QEdgeId>> groups;
+  for (QEdgeId eid = 0; eid < q.num_edges(); ++eid) {
+    groups[{q.edge(eid).from, q.edge(eid).to}].push_back(eid);
+  }
+  for (const auto& [pair, group] : groups) {
+    auto it = labels.find({binding[pair.first], binding[pair.second]});
+    if (it == labels.end() ||
+        !testing::DistinctLabels(rq, group, it->second)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Enumerates all |V|^n assignments and filters with IsMatch.
 std::vector<Binding> NaiveMatch(const Dataset& dataset,
                                 const QueryGraph& query) {
   const RdfGraph& g = dataset.graph();
@@ -29,12 +59,13 @@ std::vector<Binding> NaiveMatch(const Dataset& dataset,
   std::vector<Binding> results;
   if (rq.impossible || n == 0) return results;
 
+  const PairLabels labels = testing::LabelsByPair(g);
   const std::vector<TermId>& verts = g.vertices();
   Binding binding(n, kNullTerm);
   std::vector<size_t> idx(n, 0);
   while (true) {
     for (size_t v = 0; v < n; ++v) binding[v] = verts[idx[v]];
-    if (VerifyMatch(g, rq, binding)) results.push_back(binding);
+    if (IsMatch(labels, rq, binding)) results.push_back(binding);
     size_t pos = 0;
     while (pos < n && ++idx[pos] == verts.size()) idx[pos++] = 0;
     if (pos == n) break;
@@ -73,6 +104,20 @@ TEST_P(MatcherMatchesReference, SameMatchSet) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MatcherMatchesReference,
     ::testing::ValuesIn(::gstored::testing::kReferenceScenarios));
+
+/// Every suite over the scenario table compares answers, so none of its
+/// queries may be unsatisfiable before any data is read: an impossible
+/// query makes every oracle comparison an empty-set match.
+TEST(ReferenceScenarios, NoQueryIsStaticallyImpossible) {
+  for (const ReferenceScenario& s : ::gstored::testing::kReferenceScenarios) {
+    Rng rng(s.seed);
+    auto dataset = RandomDataset(rng, s.vertices, s.edges, s.predicates);
+    QueryGraph query = RandomConnectedQuery(rng, *dataset, s.query_vertices,
+                                            s.query_edges);
+    EXPECT_FALSE(ResolveQuery(query, dataset->dict()).impossible)
+        << "seed " << s.seed << ": " << query.ToString();
+  }
+}
 
 /// The pivot intersection must also agree with the graph's raw ranges.
 TEST(PivotDomainTest, MatchesManualIntersection) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -13,6 +14,7 @@
 
 #include "net/cluster.h"
 #include "net/transport.h"
+#include "util/thread_pool.h"
 
 namespace gstored {
 namespace {
@@ -78,16 +80,21 @@ TEST(ShipmentLedgerTest, InternedStageIdsCountLockFree) {
 }
 
 /// Collects StageStream callbacks: each site's delivered batch plus the
-/// order in which sites reached the consumer.
+/// order in which sites reached the consumer. Calls for different sites may
+/// overlap, so the shared arrival order takes a lock.
 struct StreamCollector {
   std::vector<std::vector<WireMessage>> batches;
+  std::mutex arrival_mu;  // guards arrival_order
   std::vector<int> arrival_order;
 
   SiteBatchConsumer Consumer(int num_sites) {
     batches.assign(num_sites, {});
     arrival_order.clear();
     return [this](int site, std::vector<WireMessage> msgs) {
-      arrival_order.push_back(site);
+      {
+        std::lock_guard<std::mutex> lock(arrival_mu);
+        arrival_order.push_back(site);
+      }
       batches[site] = std::move(msgs);
     };
   }
@@ -204,10 +211,10 @@ TEST(InProcessTransportTest, CrashedSiteSkipsExecutionAndBroadcasts) {
   EXPECT_TRUE(at.sites[1].ok);
   EXPECT_EQ(calls.load(), 1);
   // Broadcasts to the dead site fail; the live site receives.
+  const std::vector<uint8_t> bitmap = EncodeBitmap({true});
   std::vector<bool> delivered = transport.BroadcastReliable(
-      3, ShipmentLedger::kUnaccounted, policy, [](int) {
-        return MakeMessage(MessageType::kSkipBitmap, EncodeBitmap({true}));
-      });
+      3, ShipmentLedger::kUnaccounted, policy,
+      [&](int) -> const std::vector<uint8_t>& { return bitmap; });
   EXPECT_FALSE(delivered[0]);
   EXPECT_TRUE(delivered[1]);
 }
@@ -463,6 +470,94 @@ TEST(StageStreamTest, MatchesTheFaultModelUnderEveryFaultFamily) {
   // The sweep must reach the retry and hedge branches of the model.
   EXPECT_GT(retried_sites, 0u);
   EXPECT_GT(hedged_sites, 0u);
+}
+
+TEST(StageStreamTest, SameHistoryOnEveryPoolSize) {
+  // Which thread runs a site, and whether sites overlap, must not change
+  // any site's history: over the fault plans and seeds of
+  // MatchesTheFaultModelUnderEveryFaultFamily, pools of 0, 1 and 4 workers
+  // give the same reports, ledger bytes and delivered messages, and those
+  // follow ModelStageSite.
+  auto site_fn = [](int site) {
+    std::vector<WireMessage> msgs;
+    for (uint32_t i = 0; i < 3; ++i) {
+      msgs.push_back(MakeMessage(
+          MessageType::kCandidateEstimates,
+          EncodeEstimates({static_cast<double>(site), static_cast<double>(i)})));
+    }
+    return msgs;
+  };
+  std::vector<FaultPlan> plans(5);
+  plans[0].default_fault.drop_prob = 0.3;
+  plans[1].reorder = true;
+  plans[1].default_fault.duplicate_prob = 0.5;
+  plans[1].default_fault.latency_mean_ms = 1.0;
+  plans[2].site_overrides[1].straggler = true;
+  plans[3].site_overrides[1].straggler = true;  // run unhedged below
+  plans[4].site_overrides[0].crash_at_stage = 2;
+
+  ThreadPool no_workers(0);
+  ThreadPool one_worker(1);
+  ThreadPool four_workers(4);
+  for (size_t which = 0; which < plans.size(); ++which) {
+    for (uint64_t seed : {uint64_t{5}, uint64_t{23}, uint64_t{4099}}) {
+      FaultPlan plan = plans[which];
+      plan.seed = seed;
+      StagePolicy policy;
+      policy.max_attempts = 4;
+      policy.hedge_local = which != 3;
+
+      std::vector<SiteStageReport> first_reports;
+      std::vector<std::vector<WireMessage>> first_batches;
+      for (ThreadPool* pool : {&no_workers, &one_worker, &four_workers}) {
+        const std::string context =
+            "plan=" + std::to_string(which) + " seed=" +
+            std::to_string(seed) + " workers=" +
+            std::to_string(pool->num_workers());
+        ShipmentLedger ledger;
+        InProcessTransport transport(3, &ledger, plan);
+        StreamCollector collector;
+        StageResult result =
+            transport.StageStream(2, ledger.Intern("s"), policy, site_fn,
+                                  collector.Consumer(3), pool);
+        size_t model_bytes = 0;
+        for (int site = 0; site < 3; ++site) {
+          const ModelSite m =
+              ModelStageSite(plan, policy, 2, site, site_fn(site));
+          model_bytes += m.ledger_bytes;
+          const SiteStageReport& report = result.sites[site];
+          EXPECT_EQ(report.ok, m.ok) << context << " site=" << site;
+          EXPECT_EQ(report.crashed, m.crashed) << context << " site=" << site;
+          EXPECT_EQ(report.hedged, m.hedged) << context << " site=" << site;
+          EXPECT_EQ(report.attempts, m.attempts) << context << " site=" << site;
+        }
+        EXPECT_EQ(ledger.TotalBytes(), model_bytes) << context;
+
+        if (first_reports.empty()) {
+          first_reports = result.sites;
+          first_batches = collector.batches;
+          continue;
+        }
+        for (int site = 0; site < 3; ++site) {
+          // Virtual queue wait replays exactly; exec_ms is real time.
+          EXPECT_EQ(result.sites[site].queue_wait_ms,
+                    first_reports[site].queue_wait_ms)
+              << context << " site=" << site;
+          const std::vector<WireMessage>& got = collector.batches[site];
+          const std::vector<WireMessage>& want = first_batches[site];
+          ASSERT_EQ(got.size(), want.size()) << context << " site=" << site;
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].type, want[i].type) << context;
+            EXPECT_EQ(got[i].sender, want[i].sender) << context;
+            EXPECT_EQ(got[i].stage, want[i].stage) << context;
+            EXPECT_EQ(got[i].attempt, want[i].attempt) << context;
+            EXPECT_EQ(got[i].seq, want[i].seq) << context;
+            EXPECT_EQ(got[i].payload, want[i].payload) << context;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(StageStreamTest, SiteFunctionRunsOncePerSitePerStage) {

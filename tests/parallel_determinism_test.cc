@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -330,6 +331,42 @@ TEST(ThreadPoolTest, OneSlotRunsInlineInIndexOrder) {
                                                             fill);
   EXPECT_EQ(one.size(), 300u);
   EXPECT_EQ(ParallelForConcat<size_t>(&pool, 200, 4, fill), one);
+}
+
+TEST(ThreadPoolTest, NestedParallelForCompletesOnAnyPoolSize) {
+  // A participant waits only for indices that running participants have
+  // claimed, so a pool task may call ParallelFor on its own pool — as a
+  // stage's site task calls the matcher's loop — and the nested loops
+  // complete however few workers there are.
+  constexpr size_t kOuter = 6;
+  constexpr size_t kInner = 32;
+  for (size_t workers : {0, 1, 2}) {
+    ThreadPool pool(workers);
+    std::vector<std::atomic<int>> runs(kOuter * kInner);
+    ParallelFor(&pool, kOuter, kOuter, [&](size_t outer, size_t) {
+      ParallelFor(&pool, kInner, 4, [&](size_t inner, size_t) {
+        runs[outer * kInner + inner].fetch_add(1);
+      });
+    });
+    for (size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1)
+          << "workers=" << workers << " outer=" << i / kInner
+          << " inner=" << i % kInner;
+    }
+
+    // An exception from one inner index reaches the outer caller.
+    EXPECT_THROW(
+        ParallelFor(&pool, kOuter, kOuter,
+                    [&](size_t outer, size_t) {
+                      ParallelFor(&pool, kInner, 4, [&](size_t inner, size_t) {
+                        if (outer == 3 && inner == 17) {
+                          throw std::runtime_error("inner");
+                        }
+                      });
+                    }),
+        std::runtime_error)
+        << "workers=" << workers;
+  }
 }
 
 TEST(ThreadPoolTest, ZeroWorkersRunsSerially) {

@@ -157,13 +157,67 @@ QueryGraph RandomConnectedQuery(Rng& rng, const Dataset& dataset,
       q.AddEdge(labels[anchor], pred_label(), labels[i]);
     }
   }
+  // An extra edge that repeated a (from, constant predicate, to) pattern
+  // would make the query statically impossible (Def. 3's label
+  // injectivity, HasImpossibleDuplicatePattern), so its predicate is
+  // redrawn until it does not; a query that never draws a repeat consumes
+  // no extra randomness.
+  auto repeats_pattern = [&](QVertexId from, const std::string& pred,
+                             QVertexId to) {
+    for (const QueryEdge& e : q.edges()) {
+      if (!e.pred_is_variable && e.from == from && e.to == to &&
+          e.pred_label == pred) {
+        return true;
+      }
+    }
+    return false;
+  };
   for (size_t e = num_vertices - 1; e < num_edges; ++e) {
     size_t a = rng.Uniform(num_vertices);
     size_t b = rng.Uniform(num_vertices);
     if (a == b) b = (b + 1) % num_vertices;
-    q.AddEdge(labels[a], pred_label(), labels[b]);
+    const QVertexId from = q.AddVertex(labels[a]);
+    const QVertexId to = q.AddVertex(labels[b]);
+    std::string pred = pred_label();
+    while (repeats_pattern(from, pred, to)) pred = pred_label();
+    q.AddEdge(labels[a], pred, labels[b]);
   }
   return q;
+}
+
+PairLabels LabelsByPair(const RdfGraph& graph) {
+  PairLabels labels;
+  for (const Triple& t : graph.triples()) {
+    labels[{t.subject, t.object}].insert(t.predicate);
+  }
+  return labels;
+}
+
+namespace {
+
+/// DistinctLabels over group[i..], with the labels in `used` taken.
+bool DistinctLabelsFrom(const ResolvedQuery& rq,
+                        const std::vector<QEdgeId>& group, size_t i,
+                        const std::set<TermId>& labels,
+                        std::set<TermId>* used) {
+  if (i == group.size()) return true;
+  const TermId want = rq.edge_pred[group[i]];
+  for (TermId p : labels) {
+    if ((want != kNullTerm && p != want) || used->count(p) > 0) continue;
+    used->insert(p);
+    const bool ok = DistinctLabelsFrom(rq, group, i + 1, labels, used);
+    used->erase(p);
+    if (ok) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+bool DistinctLabels(const ResolvedQuery& rq, const std::vector<QEdgeId>& group,
+                    const std::set<TermId>& labels) {
+  std::set<TermId> used;
+  return DistinctLabelsFrom(rq, group, 0, labels, &used);
 }
 
 VertexAssignment RandomAssignment(Rng& rng, const Dataset& dataset, int k) {

@@ -1,8 +1,11 @@
 #ifndef GSTORED_TESTS_TEST_FIXTURES_H_
 #define GSTORED_TESTS_TEST_FIXTURES_H_
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/local_partial_match.h"
@@ -65,11 +68,25 @@ std::unique_ptr<Dataset> RandomDataset(Rng& rng, size_t num_vertices,
 /// and `num_edges >= num_vertices - 1` triple patterns. With probability
 /// `constant_prob`, a query vertex is a constant sampled from the dataset;
 /// predicates are constants with probability `pred_constant_prob` (variables
-/// otherwise).
+/// otherwise). An extra (non-spanning-tree) edge never repeats an existing
+/// (from, constant predicate, to) pattern, which would make the query
+/// statically impossible.
 QueryGraph RandomConnectedQuery(Rng& rng, const Dataset& dataset,
                                 size_t num_vertices, size_t num_edges,
                                 double constant_prob = 0.3,
                                 double pred_constant_prob = 0.85);
+
+/// Data edge labels by directed (subject, object) pair, read from a graph's
+/// raw triple list: the brute-force oracles' view of the data, which shares
+/// no code with the CSR indexes or the matcher.
+using PairLabels = std::map<std::pair<TermId, TermId>, std::set<TermId>>;
+PairLabels LabelsByPair(const RdfGraph& graph);
+
+/// Def. 3's label injectivity by explicit search: true when the query edges
+/// of `group`, all on one directed pair, can take pairwise-distinct labels
+/// from `labels`, each constant predicate its own label.
+bool DistinctLabels(const ResolvedQuery& rq, const std::vector<QEdgeId>& group,
+                    const std::set<TermId>& labels);
 
 /// Produces a random vertex assignment over `k` fragments.
 VertexAssignment RandomAssignment(Rng& rng, const Dataset& dataset, int k);
