@@ -46,9 +46,10 @@ int main() {
   for (size_t bits : {1u << 8, 1u << 10, 1u << 12, 1u << 14, 1u << 16,
                       1u << 18}) {
     QuerySession session(static_cast<int>(p.num_fragments()));
-    // Legacy protocol (no statistics skip pre-phase): this sweep measures
-    // the raw bit-length trade-off, and the pre-phase would skip exactly
-    // the saturating small-vector rows it exists to show.
+    // The fixed-length Alg. 4 as written, broadcasting every union: this
+    // sweep measures the raw bit-length trade-off, and withholding
+    // saturated unions would drop exactly the small-vector rows it exists
+    // to show.
     CandidateExchangeOptions exchange_options;
     exchange_options.filter_bits = bits;
     exchange_options.use_statistics = false;

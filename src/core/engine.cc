@@ -273,10 +273,10 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     }
     if (use_filter && exchange.site_filter_ok[site]) {
       // Read-only probes of the exchanged bit vectors — safe to call from
-      // the intra-site worker slots. Variables skipped by the exchange's
-      // statistics pre-phase carry no filter and pass everything; a site
-      // that missed the union broadcast enumerates unfiltered (a safe
-      // superset — filters only ever prune).
+      // the intra-site worker slots. Variables whose union was withheld
+      // are not exchanged and pass everything; a site that missed the union
+      // broadcast enumerates unfiltered (a safe superset — filters only
+      // ever prune).
       site_enum.extended_filter = [&](QVertexId v, TermId u) {
         if (!query.vertex(v).is_variable) return true;
         if (!exchange.exchanged[v]) return true;

@@ -56,12 +56,13 @@ struct EngineOptions {
   /// engines with separate pools never contend).
   ThreadPool* pool = nullptr;
 
-  /// Drive matching orders, LPM unit orders and the candidate-exchange
-  /// skip decision with the per-site GraphStatistics selectivity model.
-  /// false reverts to the pre-statistics heuristics (greedy candidate
-  /// counts, BFS unit orders, exchange every variable) — the ablation
-  /// baseline. Results are identical either way; only enumeration cost and
-  /// shipment volume change.
+  /// Drive matching orders and LPM unit orders with the per-site
+  /// GraphStatistics selectivity model, and let Alg. 4 withhold saturated
+  /// unions (CandidateExchangeOptions::use_statistics). false reverts to
+  /// the pre-statistics heuristics (greedy candidate counts, BFS unit
+  /// orders) and broadcasts every union — the ablation baseline. Results
+  /// are identical either way; only enumeration cost and shipment volume
+  /// change.
   bool use_statistics = true;
 
   /// Fault-injection plan of the QuerySession a context-free Run builds

@@ -11,12 +11,13 @@ namespace gstored {
 /// message and fault decision. The ordinals are identical across all
 /// EngineModes (a mode that skips a stage simply never reaches its ordinal),
 /// so one FaultPlan targets the same protocol step at every ablation level.
+/// Fault plans and tests address stages by number, so a deleted stage's
+/// ordinal (0) is not reused.
 enum class QueryStage : uint32_t {
-  kCandidateEstimates = 0,  ///< Alg. 4 statistics pre-phase + skip bitmap
-  kCandidateFilters = 1,    ///< Alg. 4 bit vectors up, union broadcast down
-  kPartialEval = 2,         ///< local matches to the coordinator
-  kLecFeatures = 3,         ///< LEC features up, survivor bitmap down
-  kLpmShipment = 4,         ///< surviving LPM batches to the coordinator
+  kCandidateFilters = 1,  ///< Alg. 4 bit vectors up, union broadcast down
+  kPartialEval = 2,       ///< local matches to the coordinator
+  kLecFeatures = 3,       ///< LEC features up, survivor bitmap down
+  kLpmShipment = 4,       ///< surviving LPM batches to the coordinator
 };
 
 constexpr uint32_t StageOrdinal(QueryStage s) {

@@ -14,7 +14,6 @@ class WireWriter {
   void U8(uint8_t v) { out_->push_back(v); }
   void U32(uint32_t v) { Raw(&v, sizeof(v)); }
   void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
 
  private:
   void Raw(const void* p, size_t n) {
@@ -50,11 +49,6 @@ class WireReader {
     Raw(&v, sizeof(v));
     return v;
   }
-  double F64() {
-    double v = 0;
-    Raw(&v, sizeof(v));
-    return v;
-  }
 
  private:
   void Raw(void* p, size_t n) {
@@ -81,8 +75,8 @@ void SetBit(Bitset& bits, size_t i) { bits.Set(i); }
 void SetBit(std::vector<bool>& bits, size_t i) { bits[i] = true; }
 
 /// The one bit-vector layout on the wire, for LPM and feature signs
-/// (Bitset) and skip bitmaps (std::vector<bool>): a u32 bit count, then the
-/// bits LSB-first in ceil(count / 8) bytes.
+/// (Bitset) and survivor bitmaps (std::vector<bool>): a u32 bit count, then
+/// the bits LSB-first in ceil(count / 8) bytes.
 template <typename Bits>
 void WriteBits(WireWriter& w, const Bits& bits) {
   w.U32(static_cast<uint32_t>(bits.size()));
@@ -153,27 +147,6 @@ WireMessage MakeMessage(MessageType type, std::vector<uint8_t> payload) {
   msg.type = type;
   msg.payload = std::move(payload);
   return msg;
-}
-
-std::vector<uint8_t> EncodeEstimates(const std::vector<double>& estimates) {
-  std::vector<uint8_t> out;
-  out.reserve(4 + estimates.size() * 8);
-  WireWriter w(&out);
-  w.U32(static_cast<uint32_t>(estimates.size()));
-  for (double e : estimates) w.F64(e);
-  return out;
-}
-
-Result<std::vector<double>> DecodeEstimates(
-    const std::vector<uint8_t>& payload) {
-  WireReader r(payload);
-  uint32_t count = r.U32();
-  if (!r.ok() || r.remaining() / 8 < count) return Truncated("estimates");
-  std::vector<double> out;
-  out.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) out.push_back(r.F64());
-  if (!r.ok() || !r.AtEnd()) return Truncated("estimates");
-  return out;
 }
 
 std::vector<uint8_t> EncodeBitmap(const std::vector<bool>& bits) {

@@ -13,20 +13,19 @@
 
 namespace gstored {
 
-/// The typed messages of the cluster transport. Every byte that crosses a
-/// site boundary is one of these, serialized through the codecs below; the
-/// wire-format sizes (header + payload) are what the ShipmentLedger records,
-/// replacing the caller-estimated byte counts of the old RunStage barrier.
+/// The typed messages of the cluster transport. Every message a site sends
+/// the coordinator is one of these, serialized through the codecs below, and
+/// the ShipmentLedger records each send's wire size (header + payload).
+/// Coordinator -> site broadcasts (the Alg. 4 union, survivor bitmaps) carry
+/// no wire type: InProcessTransport::BroadcastReliable models only the
+/// delivery of a payload the caller keeps, at the same header size. The
+/// values are fixed wire codes; deleted ones are not reused.
 enum class MessageType : uint8_t {
-  kCandidateEstimates = 1,  ///< site -> coord: 8-byte estimate per variable
-  kSkipBitmap = 2,          ///< coord -> site: variables whose filter is skipped
-  kCandidateFilters = 3,    ///< site -> coord: per-variable candidate bit vectors
-  kFilterUnion = 4,         ///< coord -> site: OR-ed bit vectors broadcast back
-  kMatchBatch = 5,          ///< site -> coord: complete local matches
-  kLecFeatureBatch = 6,     ///< site -> coord: the site's LEC features (Alg. 1)
-  kSurvivorBitmap = 7,      ///< coord -> site: which features survived pruning
-  kLpmBatch = 8,            ///< site -> coord: surviving local partial matches
-  kStageDone = 9,           ///< site -> coord: end-of-stage marker with count
+  kCandidateFilters = 3,  ///< per-variable candidate bit vectors (Alg. 4)
+  kMatchBatch = 5,        ///< complete local matches
+  kLecFeatureBatch = 6,   ///< the site's LEC features (Alg. 1)
+  kLpmBatch = 8,          ///< surviving local partial matches
+  kStageDone = 9,         ///< end-of-stage marker with count
 };
 
 /// One transport message: a fixed header plus a typed payload. The header
@@ -60,9 +59,6 @@ WireMessage MakeMessage(MessageType type, std::vector<uint8_t> payload);
 // (element counts are validated against the remaining byte budget before any
 // reservation).
 // ---------------------------------------------------------------------------
-
-std::vector<uint8_t> EncodeEstimates(const std::vector<double>& estimates);
-Result<std::vector<double>> DecodeEstimates(const std::vector<uint8_t>& payload);
 
 std::vector<uint8_t> EncodeBitmap(const std::vector<bool>& bits);
 Result<std::vector<bool>> DecodeBitmap(const std::vector<uint8_t>& payload);

@@ -150,8 +150,8 @@ class GraphStatistics {
 
 /// Estimates candidate cardinalities and per-row expansion costs of one
 /// resolved query over one graph's statistics — the shared selectivity model
-/// behind MatchingOrder, the LPM enumerator's unit ordering and the
-/// candidate-exchange pruning decision.
+/// behind MatchingOrder, the src/plan/ planner and the LPM enumerator's unit
+/// ordering.
 ///
 /// Both referents are borrowed and must outlive the estimator. Instances
 /// memoize characteristic-set probes and are therefore NOT thread-safe:

@@ -57,7 +57,8 @@ class BitvectorFilter {
     words_ = std::move(words);
   }
 
-  /// Fraction of set bits; used in tests to check saturation behaviour.
+  /// Fraction of set bits; Alg. 4 withholds a union past 0.75
+  /// (CandidateExchangeOptions::use_statistics).
   double FillRatio() const {
     size_t set = 0;
     for (uint64_t w : words_) set += static_cast<size_t>(__builtin_popcountll(w));

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -478,39 +479,92 @@ TEST(SeenSetTest, MatchesStdSetReference) {
   EXPECT_EQ(set.size(), 1u);
 }
 
-TEST(CandidateExchangeTest, FiltersAreSoundOverSites) {
-  auto dataset = testing::BuildPaperDataset();
-  Partitioning partitioning = testing::BuildPaperPartitioning(*dataset);
-  QueryGraph query = testing::BuildPaperQuery();
-  ResolvedQuery rq = ResolveQuery(query, dataset->dict());
-
-  std::vector<std::unique_ptr<LocalStore>> stores;
-  std::vector<const LocalStore*> store_ptrs;
-  for (const Fragment& f : partitioning.fragments()) {
-    stores.push_back(std::make_unique<LocalStore>(&f.graph()));
-    store_ptrs.push_back(stores.back().get());
-  }
-  QuerySession session(3);
-  CandidateExchange exchange = ExchangeInternalCandidates(
-      partitioning, store_ptrs, rq, session.transport, session.ledger);
-
-  // One-sided error: every vertex of every true match passes its variable's
-  // OR-ed filter (when the variable was exchanged at all).
-  LocalStore oracle(&dataset->graph());
-  for (const Binding& m : MatchQuery(oracle, rq)) {
-    for (QVertexId v = 0; v < query.num_vertices(); ++v) {
-      if (!query.vertex(v).is_variable || !exchange.exchanged[v]) continue;
-      EXPECT_TRUE(exchange.filters[v].MayContain(m[v])) << "v=" << v;
+/// Alg. 4's fixture: the paper's example over its three fragments, one
+/// LocalStore per fragment.
+class CandidateExchangeTest : public ::testing::Test {
+ protected:
+  CandidateExchangeTest() {
+    for (const Fragment& f : partitioning_.fragments()) {
+      stores_.push_back(std::make_unique<LocalStore>(&f.graph()));
+      store_ptrs_.push_back(stores_.back().get());
     }
   }
-  // Shipment accounting is the serialized wire traffic: the statistics
-  // pre-phase (estimates up, the skip bitmap down), then the per-site
-  // filter sets up and the union broadcast back. The raw vector words are a
-  // strict lower bound (wire framing only adds bytes), and the ledger must
-  // agree with the exchange's own number exactly.
+
+  CandidateExchange Exchange(QuerySession& session,
+                             const CandidateExchangeOptions& options = {}) {
+    return ExchangeInternalCandidates(partitioning_, store_ptrs_, rq_,
+                                      session.transport, session.ledger,
+                                      options);
+  }
+
+  /// What `site` ships in one round: every variable's `bits`-bit vector
+  /// over the site's internal candidates.
+  FilterSet SiteFilters(size_t site, size_t bits) const {
+    const Fragment& fragment = partitioning_.fragments()[site];
+    FilterSet set;
+    for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+      if (!query_.vertex(v).is_variable) continue;
+      BitvectorFilter filter(bits);
+      for (TermId u : store_ptrs_[site]->Candidates(rq_, v)) {
+        if (fragment.IsInternal(u)) filter.Insert(u);
+      }
+      set.emplace_back(v, std::move(filter));
+    }
+    return set;
+  }
+
+  /// The `candidates` ledger of a fault-free round: each site's filter set
+  /// and done marker, then one union broadcast per site over the exchanged
+  /// variables (none when no variable is exchanged).
+  size_t ExpectedLedgerBytes(const CandidateExchange& exchange,
+                             size_t bits) const {
+    const size_t h = WireMessage::kHeaderBytes;
+    size_t bytes = 0;
+    for (size_t site = 0; site < store_ptrs_.size(); ++site) {
+      bytes += h + EncodeFilterSet(SiteFilters(site, bits)).size();
+      bytes += h + EncodeDoneMarker(1).size();
+    }
+    FilterSet union_set;
+    for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+      if (exchange.exchanged[v]) union_set.emplace_back(v, exchange.filters[v]);
+    }
+    if (!union_set.empty()) {
+      bytes += store_ptrs_.size() * (h + EncodeFilterSet(union_set).size());
+    }
+    return bytes;
+  }
+
+  /// One-sided error: every vertex of every true match passes its
+  /// variable's union, for every variable that was exchanged.
+  void ExpectOneSidedError(const CandidateExchange& exchange) const {
+    LocalStore oracle(&dataset_->graph());
+    for (const Binding& m : MatchQuery(oracle, rq_)) {
+      for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+        if (!query_.vertex(v).is_variable || !exchange.exchanged[v]) continue;
+        EXPECT_TRUE(exchange.filters[v].MayContain(m[v])) << "v=" << v;
+      }
+    }
+  }
+
+  std::unique_ptr<Dataset> dataset_ = testing::BuildPaperDataset();
+  Partitioning partitioning_ = testing::BuildPaperPartitioning(*dataset_);
+  QueryGraph query_ = testing::BuildPaperQuery();
+  ResolvedQuery rq_ = ResolveQuery(query_, dataset_->dict());
+  std::vector<std::unique_ptr<LocalStore>> stores_;
+  std::vector<const LocalStore*> store_ptrs_;
+};
+
+TEST_F(CandidateExchangeTest, FiltersAreSoundOverSites) {
+  QuerySession session(3);
+  CandidateExchange exchange = Exchange(session);
+  ExpectOneSidedError(exchange);
+  // Shipment accounting is the serialized wire traffic: the per-site filter
+  // sets up and the union broadcast back. The raw vector words are a strict
+  // lower bound (wire framing only adds bytes), and the ledger must agree
+  // with the exchange's own number exactly.
   size_t per_vec = BitvectorFilter().ByteSize();
   size_t exchanged = 0;
-  for (QVertexId v = 0; v < query.num_vertices(); ++v) {
+  for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
     if (exchange.exchanged[v]) ++exchanged;
   }
   EXPECT_GT(exchange.shipment_bytes, 2u * 3u * exchanged * per_vec);
@@ -519,65 +573,96 @@ TEST(CandidateExchangeTest, FiltersAreSoundOverSites) {
   EXPECT_FALSE(exchange.degraded);
   for (bool ok : exchange.site_filter_ok) EXPECT_TRUE(ok);
 
-  // The legacy protocol (no pre-phase) ships every variable's vector, and a
+  // Without the saturation rule every variable's union is broadcast, and a
   // fault-free exchange is byte-deterministic: re-running it on a fresh
   // session reproduces the ledger exactly.
   QuerySession legacy_session(3);
   CandidateExchangeOptions legacy;
   legacy.use_statistics = false;
-  CandidateExchange full = ExchangeInternalCandidates(
-      partitioning, store_ptrs, rq, legacy_session.transport,
-      legacy_session.ledger, legacy);
+  CandidateExchange full = Exchange(legacy_session, legacy);
   EXPECT_GT(full.shipment_bytes, 2u * 3u * 4u * per_vec);
-  for (QVertexId v = 0; v < query.num_vertices(); ++v) {
-    EXPECT_EQ(full.exchanged[v], query.vertex(v).is_variable);
+  for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+    EXPECT_EQ(full.exchanged[v], query_.vertex(v).is_variable);
   }
   QuerySession replay_session(3);
-  CandidateExchange replay = ExchangeInternalCandidates(
-      partitioning, store_ptrs, rq, replay_session.transport,
-      replay_session.ledger, legacy);
+  CandidateExchange replay = Exchange(replay_session, legacy);
   EXPECT_EQ(replay.shipment_bytes, full.shipment_bytes);
 }
 
-TEST(CandidateExchangeTest, SaturatedFiltersAreSkippedAndStaySound) {
-  auto dataset = testing::BuildPaperDataset();
-  Partitioning partitioning = testing::BuildPaperPartitioning(*dataset);
-  QueryGraph query = testing::BuildPaperQuery();
-  ResolvedQuery rq = ResolveQuery(query, dataset->dict());
-
-  std::vector<std::unique_ptr<LocalStore>> stores;
-  std::vector<const LocalStore*> store_ptrs;
-  for (const Fragment& f : partitioning.fragments()) {
-    stores.push_back(std::make_unique<LocalStore>(&f.graph()));
-    store_ptrs.push_back(stores.back().get());
-  }
+TEST_F(CandidateExchangeTest, OneRoundShipsFilterSetsAndOneUnionBroadcast) {
+  // Alg. 4 is one round: each site's filter set and done marker up, the
+  // union back to each site, every message at header plus payload. No
+  // other traffic reaches the ledger.
   QuerySession session(3);
-  // One-bit vectors: any variable with more than one estimated candidate
-  // saturates them, so the pre-phase must skip the unselective variables
-  // (the name-anchored ?p1 may legitimately stay under budget).
-  CandidateExchangeOptions options;
-  options.filter_bits = 1;
-  CandidateExchange exchange = ExchangeInternalCandidates(
-      partitioning, store_ptrs, rq, session.transport, session.ledger,
-      options);
-  size_t exchanged = 0;
-  for (QVertexId v = 0; v < query.num_vertices(); ++v) {
-    if (exchange.exchanged[v]) ++exchanged;
-  }
-  EXPECT_LT(exchanged, 4u);
-  EXPECT_GT(exchange.shipment_bytes, 0u);
+  CandidateExchange exchange = Exchange(session);
+  ASSERT_FALSE(exchange.degraded);
+  const size_t bits = BitvectorFilter::kDefaultBits;
   EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
-            exchange.shipment_bytes);
+            ExpectedLedgerBytes(exchange, bits));
+  EXPECT_EQ(exchange.shipment_bytes, ExpectedLedgerBytes(exchange, bits));
+  EXPECT_EQ(exchange.transport_retries, 0u);
+  EXPECT_EQ(exchange.hedged_sites, 0u);
 
-  // One-sided error must hold for whatever was still exchanged; skipped
-  // variables are pass-through and can only admit more assignments.
-  LocalStore oracle(&dataset->graph());
-  for (const Binding& m : MatchQuery(oracle, rq)) {
-    for (QVertexId v = 0; v < query.num_vertices(); ++v) {
-      if (!query.vertex(v).is_variable || !exchange.exchanged[v]) continue;
-      EXPECT_TRUE(exchange.filters[v].MayContain(m[v])) << "v=" << v;
+  // At the default width nothing saturates, so every variable is exchanged,
+  // and its union is exactly the OR of what the sites shipped.
+  for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+    EXPECT_EQ(exchange.exchanged[v], query_.vertex(v).is_variable);
+  }
+  std::vector<BitvectorFilter> want(query_.num_vertices(),
+                                    BitvectorFilter(bits));
+  for (size_t site = 0; site < store_ptrs_.size(); ++site) {
+    for (const auto& [v, filter] : SiteFilters(site, bits)) {
+      want[v].UnionWith(filter);
     }
   }
+  for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+    if (!exchange.exchanged[v]) continue;
+    EXPECT_EQ(exchange.filters[v].words(), want[v].words()) << "v=" << v;
+  }
+}
+
+TEST_F(CandidateExchangeTest, SaturatedFiltersAreSkippedAndStaySound) {
+  // One-bit vectors: a variable with an internal candidate at any site has
+  // a full union, so the coordinator withholds it. A variable with none
+  // keeps an empty union and stays exchanged.
+  CandidateExchangeOptions options;
+  options.filter_bits = 1;
+  QuerySession session(3);
+  CandidateExchange exchange = Exchange(session, options);
+  ASSERT_FALSE(exchange.degraded);
+  std::vector<bool> has_candidate(query_.num_vertices(), false);
+  for (size_t site = 0; site < store_ptrs_.size(); ++site) {
+    for (const auto& [v, filter] : SiteFilters(site, 1)) {
+      if (filter.FillRatio() > 0) has_candidate[v] = true;
+    }
+  }
+  size_t withheld = 0;
+  for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+    if (!query_.vertex(v).is_variable) continue;
+    EXPECT_EQ(exchange.exchanged[v], !has_candidate[v]) << "v=" << v;
+    if (has_candidate[v]) ++withheld;
+  }
+  EXPECT_GT(withheld, 0u);
+  // The ledger holds the sites' full filter sets and a union broadcast
+  // without the withheld variables (none at all when nothing is left).
+  EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
+            ExpectedLedgerBytes(exchange, 1));
+  EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
+            exchange.shipment_bytes);
+  // Withheld variables are pass-through and can only admit more
+  // assignments; one-sided error holds for whatever was still exchanged.
+  ExpectOneSidedError(exchange);
+
+  // Without the saturation rule every variable is exchanged, full or not.
+  options.use_statistics = false;
+  QuerySession fixed_session(3);
+  CandidateExchange fixed = Exchange(fixed_session, options);
+  for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+    EXPECT_EQ(fixed.exchanged[v], query_.vertex(v).is_variable) << "v=" << v;
+  }
+  EXPECT_EQ(fixed_session.ledger.StageBytes(kCandidateStage),
+            ExpectedLedgerBytes(fixed, 1));
+  ExpectOneSidedError(fixed);
 }
 
 TEST(EnumerateLpmsTest, ImpossibleQueryYieldsNothing) {

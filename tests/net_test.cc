@@ -79,6 +79,15 @@ TEST(ShipmentLedgerTest, InternedStageIdsCountLockFree) {
   EXPECT_EQ(breakdown[1].first, "beta");
 }
 
+/// A payload for transport tests that decodes back to what it carries: a
+/// match batch whose num_lpms holds `tag` and whose one-column rows hold
+/// `values`.
+WireMessage Tagged(uint64_t tag, const std::vector<TermId>& values = {}) {
+  std::vector<Binding> rows;
+  for (TermId value : values) rows.push_back({value});
+  return MakeMessage(MessageType::kMatchBatch, EncodeMatchBatch(tag, 1, rows));
+}
+
 /// Collects StageStream callbacks: each site's delivered batch plus the
 /// order in which sites reached the consumer. Calls for different sites may
 /// overlap, so the shared arrival order takes a lock.
@@ -109,11 +118,8 @@ TEST(InProcessTransportTest, NoFaultStageDeliversEverythingFirstAttempt) {
       0, stage_id, StagePolicy{},
       [](int site) {
         std::vector<WireMessage> msgs;
-        msgs.push_back(MakeMessage(
-            MessageType::kCandidateEstimates,
-            EncodeEstimates({static_cast<double>(site), 1.0})));
-        msgs.push_back(MakeMessage(MessageType::kCandidateEstimates,
-                                   EncodeEstimates({2.0})));
+        msgs.push_back(Tagged(site, {1}));
+        msgs.push_back(Tagged(2));
         return msgs;
       },
       collector.Consumer(3));
@@ -131,14 +137,15 @@ TEST(InProcessTransportTest, NoFaultStageDeliversEverythingFirstAttempt) {
     ASSERT_EQ(collector.batches[site].size(), 2u);
     EXPECT_EQ(collector.batches[site][0].seq, 0u);
     EXPECT_EQ(collector.batches[site][1].seq, 1u);
-    auto est = DecodeEstimates(collector.batches[site][0].payload);
-    ASSERT_TRUE(est.ok());
-    EXPECT_EQ((*est)[0], static_cast<double>(site));
+    auto batch = DecodeMatchBatch(collector.batches[site][0].payload);
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(batch->num_lpms, static_cast<uint64_t>(site));
   }
-  // Every send is accounted at wire size: per site two estimate payloads
-  // (header + count 4 + 8 per double) plus the done marker (header + 4).
+  // Every send is accounted at wire size: per site two tagged payloads
+  // (header + 16-byte batch header + 4 per row) plus the done marker
+  // (header + 4).
   const size_t h = WireMessage::kHeaderBytes;
-  size_t per_site = (h + 4 + 16) + (h + 4 + 8) + (h + 4);
+  size_t per_site = (h + 16 + 4) + (h + 16) + (h + 4);
   EXPECT_EQ(ledger.StageBytes(stage_id), 3 * per_site);
 }
 
@@ -151,8 +158,7 @@ TEST(InProcessTransportTest, StragglerExhaustsRetriesThenHedges) {
   policy.max_attempts = 3;
   auto site_fn = [](int site) {
     std::vector<WireMessage> msgs;
-    msgs.push_back(MakeMessage(MessageType::kCandidateEstimates,
-                               EncodeEstimates({static_cast<double>(site)})));
+    msgs.push_back(Tagged(site));
     return msgs;
   };
   StreamCollector collector;
@@ -192,8 +198,7 @@ TEST(InProcessTransportTest, CrashedSiteSkipsExecutionAndBroadcasts) {
   auto site_fn = [&](int) {
     ++calls;
     std::vector<WireMessage> msgs;
-    msgs.push_back(
-        MakeMessage(MessageType::kCandidateEstimates, EncodeEstimates({1.0})));
+    msgs.push_back(Tagged(1));
     return msgs;
   };
   StreamCollector collector;
@@ -223,9 +228,7 @@ TEST(InProcessTransportTest, DuplicationAndReorderAreInvisible) {
   auto site_fn = [](int site) {
     std::vector<WireMessage> msgs;
     for (uint32_t i = 0; i < 4; ++i) {
-      msgs.push_back(MakeMessage(
-          MessageType::kCandidateEstimates,
-          EncodeEstimates({static_cast<double>(site), static_cast<double>(i)})));
+      msgs.push_back(Tagged(site, {i}));
     }
     return msgs;
   };
@@ -276,10 +279,8 @@ TEST(InProcessTransportTest, DropsAreRecoveredByRetryDeterministically) {
   policy.hedge_local = false;
   auto site_fn = [](int site) {
     std::vector<WireMessage> msgs;
-    msgs.push_back(MakeMessage(MessageType::kCandidateEstimates,
-                               EncodeEstimates({static_cast<double>(site)})));
-    msgs.push_back(
-        MakeMessage(MessageType::kCandidateEstimates, EncodeEstimates({9.0})));
+    msgs.push_back(Tagged(site));
+    msgs.push_back(Tagged(9));
     return msgs;
   };
   auto run_once = [&]() {
@@ -330,9 +331,7 @@ TEST(InProcessTransportTest, QueueWaitCountsOneRetryOnce) {
   StageResult result = transport.StageStream(
       stage, ShipmentLedger::kUnaccounted, policy,
       [](int site) {
-        return std::vector<WireMessage>{
-            MakeMessage(MessageType::kCandidateEstimates,
-                        EncodeEstimates({static_cast<double>(site)}))};
+        return std::vector<WireMessage>{Tagged(site)};
       },
       collector.Consumer(2));
   ASSERT_TRUE(result.sites[0].ok);
@@ -402,9 +401,7 @@ TEST(StageStreamTest, MatchesTheFaultModelUnderEveryFaultFamily) {
   auto site_fn = [](int site) {
     std::vector<WireMessage> msgs;
     for (uint32_t i = 0; i < 3; ++i) {
-      msgs.push_back(MakeMessage(
-          MessageType::kCandidateEstimates,
-          EncodeEstimates({static_cast<double>(site), static_cast<double>(i)})));
+      msgs.push_back(Tagged(site, {i}));
     }
     return msgs;
   };
@@ -481,9 +478,7 @@ TEST(StageStreamTest, SameHistoryOnEveryPoolSize) {
   auto site_fn = [](int site) {
     std::vector<WireMessage> msgs;
     for (uint32_t i = 0; i < 3; ++i) {
-      msgs.push_back(MakeMessage(
-          MessageType::kCandidateEstimates,
-          EncodeEstimates({static_cast<double>(site), static_cast<double>(i)})));
+      msgs.push_back(Tagged(site, {i}));
     }
     return msgs;
   };
@@ -595,9 +590,7 @@ TEST(StageStreamTest, SiteFunctionRunsOncePerSitePerStage) {
         2, ShipmentLedger::kUnaccounted, policy,
         [&calls](int site) {
           ++calls[site];
-          return std::vector<WireMessage>{
-              MakeMessage(MessageType::kCandidateEstimates,
-                          EncodeEstimates({static_cast<double>(site)}))};
+          return std::vector<WireMessage>{Tagged(site)};
         },
         collector.Consumer(3));
     for (int site = 0; site < 3; ++site) {
@@ -625,9 +618,7 @@ TEST(StageStreamTest, OnlyRecoveredSitesReachTheConsumer) {
   StageResult result = transport.StageStream(
       0, ShipmentLedger::kUnaccounted, policy,
       [](int site) {
-        return std::vector<WireMessage>{
-            MakeMessage(MessageType::kCandidateEstimates,
-                        EncodeEstimates({static_cast<double>(site)}))};
+        return std::vector<WireMessage>{Tagged(site)};
       },
       collector.Consumer(2));
   EXPECT_FALSE(result.complete());

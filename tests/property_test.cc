@@ -117,6 +117,21 @@ std::vector<Scenario> MakeScenarios() {
 INSTANTIATE_TEST_SUITE_P(Sweep, DistributedEqualsCentralized,
                          ::testing::ValuesIn(MakeScenarios()));
 
+TEST(RandomConnectedQueryTest, EqualSeedsGiveEqualQueryText) {
+  // Predicate variables are numbered within each query, so the same seed
+  // gives the same query however many queries the process drew before.
+  auto generate = [](uint64_t seed) {
+    Rng rng(seed);
+    auto dataset = RandomDataset(rng, 12, 40, 3);
+    return RandomConnectedQuery(rng, *dataset, 4, 5, 0.3,
+                                /*pred_constant_prob=*/0.0)
+        .ToString();
+  };
+  const std::string first = generate(17);
+  ASSERT_NE(first.find("?p0"), std::string::npos) << first;
+  EXPECT_EQ(generate(17), first);
+}
+
 // ---------------------------------------------------------------------------
 // Theorem-level properties on generated LPM populations.
 

@@ -174,9 +174,6 @@ std::vector<WirePayload> BuildWireCorpus() {
 
   std::vector<WirePayload> corpus;
   corpus.push_back(
-      {"estimates", EncodeEstimates({0.0, 12.5, 1e9, -3.0}),
-       [](const std::vector<uint8_t>& b) { return DecodeEstimates(b).ok(); }});
-  corpus.push_back(
       {"bitmap", EncodeBitmap({true, false, true, true, false}),
        [](const std::vector<uint8_t>& b) { return DecodeBitmap(b).ok(); }});
   corpus.push_back(
@@ -207,11 +204,6 @@ TEST(WireCodecTest, RoundTripsPreserveEveryPayloadType) {
       testing::EnumerateAllLpms(partitioning, rq);
   ASSERT_GE(lpms.size(), 3u);
   LecFeatureSet lec = ComputeLecFeatures(lpms);
-
-  std::vector<double> estimates = {0.0, 12.5, 1e9, -3.0};
-  auto est = DecodeEstimates(EncodeEstimates(estimates));
-  ASSERT_TRUE(est.ok());
-  EXPECT_EQ(*est, estimates);
 
   std::vector<bool> bits = {true, false, true, true, false};
   auto bitmap = DecodeBitmap(EncodeBitmap(bits));

@@ -137,13 +137,15 @@ QueryGraph RandomConnectedQuery(Rng& rng, const Dataset& dataset,
       labels.push_back("?x" + std::to_string(i));
     }
   }
+  // Predicate variables are numbered within this query (?p0, ?p1, ...), so
+  // the query text depends on the seed alone, not on what ran before.
+  size_t next_pred_var = 0;
   auto pred_label = [&]() -> std::string {
     if (rng.Chance(pred_constant_prob) && !graph.predicates().empty()) {
       TermId p = graph.predicates()[rng.Uniform(graph.predicates().size())];
       return dict.lexical(p);
     }
-    static int counter = 0;
-    return "?p" + std::to_string(counter++);
+    return "?p" + std::to_string(next_pred_var++);
   };
 
   QueryGraph q;

@@ -70,7 +70,8 @@ std::unique_ptr<Dataset> RandomDataset(Rng& rng, size_t num_vertices,
 /// predicates are constants with probability `pred_constant_prob` (variables
 /// otherwise). An extra (non-spanning-tree) edge never repeats an existing
 /// (from, constant predicate, to) pattern, which would make the query
-/// statically impossible.
+/// statically impossible. The query depends on `rng`'s state alone: equal
+/// seeds give equal query text in any process.
 QueryGraph RandomConnectedQuery(Rng& rng, const Dataset& dataset,
                                 size_t num_vertices, size_t num_edges,
                                 double constant_prob = 0.3,
