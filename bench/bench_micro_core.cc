@@ -202,8 +202,10 @@ void BM_ComputeLecFeatures(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeLecFeatures);
 
-// The two chain-join rows report their FeaturesJoinable probe count, an
-// exact and machine-independent figure the CI gate holds absolutely.
+// The two chain-join rows report their FeaturesJoinable probe count and
+// what the join produced (surviving features; materialized partials and
+// crossing matches), exact and machine-independent figures the CI gate
+// holds absolutely.
 void BM_LecFeaturePruning(benchmark::State& state) {
   MicroFixture& f = Fixture();
   PruneResult prune;
@@ -212,18 +214,25 @@ void BM_LecFeaturePruning(benchmark::State& state) {
     benchmark::DoNotOptimize(prune);
   }
   state.counters["join_attempts"] = static_cast<double>(prune.join_attempts);
+  state.counters["surviving"] =
+      static_cast<double>(prune.surviving_features);
 }
 BENCHMARK(BM_LecFeaturePruning);
 
 void BM_LecAssembly(benchmark::State& state) {
   MicroFixture& f = Fixture();
   AssemblyStats stats;
+  size_t matches = 0;
   for (auto _ : state) {
     stats = AssemblyStats();
-    auto matches = LecAssembly(f.lpms, f.query.num_vertices(), &stats);
-    benchmark::DoNotOptimize(matches);
+    auto result = LecAssembly(f.lpms, f.query.num_vertices(), &stats);
+    matches = result.size();
+    benchmark::DoNotOptimize(result);
   }
   state.counters["join_attempts"] = static_cast<double>(stats.join_attempts);
+  state.counters["intermediate_results"] =
+      static_cast<double>(stats.intermediate_results);
+  state.counters["matches"] = static_cast<double>(matches);
 }
 BENCHMARK(BM_LecAssembly);
 

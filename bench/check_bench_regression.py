@@ -24,7 +24,8 @@ Five row kinds are gated:
   * exact rows ({"name", "exact": {counter: value}}): regression when a
       pinned count reads anything else, higher or lower, in any
       repetition. These pin the search kernels' output sizes (LPMs,
-      search-tree nodes): a lost LPM or node is as wrong as an extra one.
+      surviving features, materialized partials, crossing matches,
+      search-tree nodes): a lost one is as wrong as an extra one.
 
 The baseline carries absolute numbers from a known machine, so the
 threshold is deliberately loose — the gate exists to catch

@@ -4,12 +4,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/group_schedule.h"
 #include "core/lec_feature.h"
 #include "core/local_partial_match.h"
 
 namespace gstored {
-
-class ThreadPool;
 
 /// Statistics of one assembly run, used by the ablation benchmarks to show
 /// the join-space reduction of the LEC grouping.
@@ -29,41 +28,22 @@ struct AssemblyStats {
 /// vertex bound to different graph vertices). Exposed for testing.
 bool MergeBindings(const Binding& a, const Binding& b, Binding* out);
 
-/// Execution-layer knobs for LecAssembly, orthogonal to the algorithm.
-struct AssemblyOptions {
-  /// Maximum worker slots for the join. The seeds of each vmin group run
-  /// through one ParallelForConcat: every seed's DFS runs with slot-local
-  /// scratch and emits into a per-seed vector, and the vectors are fed to
-  /// the dedup sink in seed order — so the output is byte-identical for
-  /// every slot count. One slot runs the seeds inline on the caller.
-  size_t num_threads = 1;
-
-  /// Pool supplying the extra slots; nullptr = ThreadPool::Shared(). The
-  /// calling (coordinator) thread always participates, so a pool busy with
-  /// site-side work degrades throughput, never correctness.
-  ThreadPool* pool = nullptr;
-
-  /// Dynamic thread-budget quota (see JoinSlotBudget in group_schedule.h):
-  /// a vmin group engages one slot per this many seeds, so tiny groups skip
-  /// pool coordination entirely. The default amortizes the ParallelFor
-  /// barrier over a few DFS walks; tests set 1 to force several slots on
-  /// small fixtures.
-  size_t min_seeds_per_slot = 4;
-};
+/// Execution-layer knobs for LecAssembly: exactly the chain join's.
+struct AssemblyOptions : ChainJoinOptions {};
 
 /// Algorithm 3: LEC feature-based assembly. Groups the LPMs by LECSign
 /// (Def. 11 / Thm. 5), builds the group join graph, and DFS-joins across
 /// groups from the smallest group outward; a chain whose combined sign is
 /// all ones yields a complete crossing match. Returns deduplicated full
-/// bindings. One crossing-mapping index (core/join_graph.h) builds the
-/// group join graph and lists, at each DFS step, the only LPMs of the next
-/// group that can join the partial.
+/// bindings. The search is the chain join shared with LecFeaturePruning
+/// (ChainJoin in core/join_graph.h); assembly's policy carries a binding,
+/// merges bindings on each join, dedups (sign, binding) over the whole
+/// seed and emits complete bindings.
 ///
-/// The join is seed-major: each LPM of the current vmin group seeds one
-/// independent DFS (its dedup state is seed-local — partials grown from
-/// different seeds can never collide, see the threading notes in
-/// src/core/README.md), and the per-seed emissions are deduplicated in seed
-/// order. This makes the result independent of `options.num_threads`.
+/// Each seed's dedup state is seed-local — partials grown from different
+/// seeds can never collide, see "The chain join" in src/core/README.md —
+/// and the per-seed emissions reach the dedup sink in seed order. This
+/// makes the result independent of `options.num_threads`.
 std::vector<Binding> LecAssembly(const std::vector<LocalPartialMatch>& lpms,
                                  size_t num_query_vertices,
                                  const AssemblyOptions& options,

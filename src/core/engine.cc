@@ -386,17 +386,15 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   };
 
   // ---- Stage C (kLecPruning and up): ship LEC features, prune globally.
-  // Per-site feature sets concatenated in site order equal the old global
-  // Alg. 1 scan (fragments never share a feature), so the pruning input —
-  // and therefore the surviving LPM set — is byte-identical to the
-  // synchronous engine in a fault-free run.
+  // The sites' feature sets are concatenated in site order, so the pruning
+  // input — and therefore the surviving LPM set — does not depend on the
+  // order in which sites arrive.
   bool prune_active = false;
   std::vector<std::vector<bool>> site_survivors(num_sites);
   std::vector<bool> survivors_delivered(num_sites, false);
   if (mode == EngineMode::kLecPruning || mode == EngineMode::kFull) {
     // Per-site staging for the feature batches, each decoded on its site's
-    // thread and merged in site order below (pruning input must equal the
-    // old global Alg. 1 scan byte-for-byte).
+    // thread and concatenated in site order below.
     struct SiteStageC {
       std::vector<LecFeature> features;
       bool decode_ok = true;
@@ -501,9 +499,9 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   if (ctx.aborted(total_watch.ElapsedMillis())) return finish_aborted();
 
   // ---- Stage D: ship the surviving LPMs to the coordinator in fixed-size
-  // batches and assemble. Per-site survivor filtering preserves the site's
-  // enumeration order and sites are concatenated in site order, matching
-  // the old global filter exactly.
+  // batches and assemble. Survivor filtering keeps each site's enumeration
+  // order and sites are concatenated in site order, so the assembly input
+  // does not depend on the order in which sites arrive.
 
   // Assembly-input staging: each site's LPM batches are decoded into its
   // slot, on its own thread, while slower sites are still filtering and

@@ -37,15 +37,15 @@ const char* EngineModeName(EngineMode mode);
 /// optimization levels.
 struct EngineOptions {
   /// Worker slots each site may use for its local matching and LPM
-  /// enumeration, and the coordinator for the LEC pruning and assembly
-  /// joins (1 = serial kernels). Slots are borrowed from `pool` below, so
-  /// effective parallelism is bounded by the hardware regardless of the
-  /// number of sites; results are byte-identical across
-  /// thread counts. The knob is a ceiling, not a fixed fan-out: each site
-  /// scales it to its fragment size (SiteSlotBudget), and the coordinator
-  /// joins scale it to the seed-group size (JoinSlotBudget via
-  /// AssemblyOptions/PruneOptions::min_seeds_per_slot), so small inputs
-  /// skip pool coordination.
+  /// enumeration, and the coordinator for the chain join of LEC pruning
+  /// and assembly (1 = serial kernels). Slots are borrowed from `pool`
+  /// below, so effective parallelism is bounded by the hardware regardless
+  /// of the number of sites; results are byte-identical across thread
+  /// counts. The knob is a ceiling, not a fixed fan-out: each site scales
+  /// it to its fragment size (SiteSlotBudget), and the coordinator's join
+  /// scales it to the seed-group size (JoinSlotBudget via
+  /// ChainJoinOptions::min_seeds_per_slot), so small inputs skip pool
+  /// coordination.
   size_t num_threads = 1;
 
   /// Worker pool every stage's sites run on (InProcessTransport::

@@ -7,21 +7,44 @@
 
 namespace gstored {
 
+class ThreadPool;
+
+/// The execution knobs of the chain join (ChainJoin in core/join_graph.h),
+/// shared by PruneOptions (Alg. 2) and AssemblyOptions (Alg. 3) and
+/// orthogonal to both algorithms.
+struct ChainJoinOptions {
+  /// Maximum worker slots for the join. The seeds of each vmin group run
+  /// through one ParallelFor, each seed's DFS with slot-local scratch; the
+  /// group fold makes the result byte-identical for every slot count. One
+  /// slot runs the seeds inline on the caller.
+  size_t num_threads = 1;
+
+  /// Pool supplying the extra slots; nullptr = ThreadPool::Shared(). The
+  /// calling (coordinator) thread always participates, so a pool busy with
+  /// site-side work degrades throughput, never correctness.
+  ThreadPool* pool = nullptr;
+
+  /// Dynamic thread-budget quota (JoinSlotBudget below): a vmin group
+  /// engages one slot per this many seeds, so tiny groups skip pool
+  /// coordination entirely. The default amortizes the ParallelFor barrier
+  /// over a few DFS walks; tests set 1 to force several slots on small
+  /// fixtures.
+  size_t min_seeds_per_slot = 4;
+};
+
 /// Sentinel returned by SelectMinActiveGroup when no group is active.
 inline constexpr uint32_t kNoGroup = static_cast<uint32_t>(-1);
 
-/// The vmin selection shared by Alg. 2 (LecFeaturePruning) and Alg. 3
-/// (LecAssembly): the active group with the fewest members, lowest index on
-/// ties, or kNoGroup when none is active. Both algorithms seed their DFS
-/// join from this group and retire it afterwards; hoisting the selection
-/// here keeps the two loops from drifting apart.
+/// The vmin selection of the chain join: the active group with the fewest
+/// members, lowest index on ties, or kNoGroup when none is active. The join
+/// seeds its DFS walks from this group and retires it afterwards.
 uint32_t SelectMinActiveGroup(const std::vector<std::vector<uint32_t>>& groups,
                               const std::vector<bool>& active);
 
-/// The outlier-removal fixpoint shared by the same two loops: repeatedly
-/// deactivates every active group with no active neighbor in the group join
-/// graph. Such a group can never participate in a multi-group chain, and
-/// retiring one can isolate others, hence the fixpoint.
+/// The chain join's outlier-removal fixpoint: repeatedly deactivates every
+/// active group with no active neighbor in the group join graph. Such a
+/// group can never participate in a multi-group chain, and retiring one can
+/// isolate others, hence the fixpoint.
 void DeactivateIsolatedGroups(
     const std::vector<std::vector<uint32_t>>& adjacency,
     std::vector<bool>* active);

@@ -1,11 +1,18 @@
 #ifndef GSTORED_CORE_JOIN_GRAPH_H_
 #define GSTORED_CORE_JOIN_GRAPH_H_
 
-// The crossing-mapping index shared by the two LEC chain joins — feature
-// pruning (Alg. 2, items = LEC features) and assembly (Alg. 3, items =
-// LPMs). Def. 9 condition 2 makes a shared crossing mapping necessary for
-// two items to join, so one sorted (crossing mapping, group, item) index
-// per run answers both questions the joins ask:
+// The one chain join behind LEC feature pruning (Alg. 2, items = LEC
+// features) and LEC assembly (Alg. 3, items = LPMs), and the
+// crossing-mapping index it runs on. Both algorithms group their items by
+// LECSign (Def. 10/11), build the group join graph, DFS-join chains from
+// the smallest active group outward and then retire that group (Thm. 4/5);
+// ChainJoin below does all of that, and each algorithm passes a policy
+// saying what a chain carries and what a join, a completion, an admission
+// and a group fold do.
+//
+// Def. 9 condition 2 makes a shared crossing mapping necessary for two
+// items to join, so one sorted (crossing mapping, group, item) index per
+// run answers both questions the join asks:
 //
 //   * which LECSign groups are linked in the group join graph
 //     (CrossingIndex::JoinGraph), and
@@ -20,13 +27,17 @@
 #include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "core/group_schedule.h"
 #include "core/lec_feature.h"
 #include "util/bitset.h"
+#include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace gstored {
 
@@ -38,7 +49,7 @@ struct JoinGraphStats {
 
 /// Def. 10 / Def. 11: partitions item indices into groups of identical
 /// LECSign, in first-appearance order. Each group lists its items in
-/// ascending index order — the order both chain joins scan it in.
+/// ascending index order — the order the chain join scans it in.
 ///
 /// `Item` must expose `.sign` (Bitset) — LocalPartialMatch and LecFeature
 /// both qualify.
@@ -228,6 +239,180 @@ class CrossingIndex {
   const std::vector<Item>* items_;
   size_t num_groups_;
   std::vector<Entry> entries_;
+};
+
+/// The chain join of Alg. 2 and Alg. 3, seed-major: each item of the
+/// current vmin group seeds one independent DFS over the active groups, the
+/// seeds run through one ParallelFor, and the group is folded and retired
+/// before the next vmin is chosen. The kernel owns the run setup (sign
+/// width check, grouping, index, group join graph, isolated-group
+/// fixpoint), the vmin loop and the DFS step. `Policy` supplies the rest,
+/// called directly (no virtual or std::function call per probe):
+///
+///   * types `Chain` (`.sign`, `.crossing` plus a payload), `Slot` (per-slot
+///     state, from `NewSlot(num_groups)`) and `Emit` (a completion's output);
+///   * `StartSeed(slot, item, group_size)` resets the slot's per-seed state
+///     and returns the seed's chain;
+///   * `Stopped()` is polled before each seed and each group expansion;
+///   * `Join(slot, chain, item, &joined)` sets `joined`'s payload after a
+///     successful probe, or returns false to drop it;
+///   * `Complete(slot, joined, out)` takes an all-ones chain, which is never
+///     extended; `Admit(slot, depth, joined, &next)` takes (or merges) any
+///     other into the depth's next frontier, or returns false to end the
+///     walk;
+///   * `FoldGroup(slots, emitted)` runs on the caller after each group's
+///     barrier, with the slots the group used and its emissions in seed
+///     order.
+///
+/// Determinism: `active` changes only between vmin groups, on the caller;
+/// everything a walk mutates lives in its slot and is reset per seed, so a
+/// seed's walk is a pure function of (seed, frozen context), whichever slot
+/// runs it. Every probe belongs to exactly one seed, so the probe count is
+/// the same for every slot count on runs the policy does not stop.
+template <typename Item, typename Policy>
+class ChainJoin {
+ public:
+  using Chain = typename Policy::Chain;
+  using Slot = typename Policy::Slot;
+  using Emit = typename Policy::Emit;
+
+  /// `items` and `policy` must outlive the join.
+  ChainJoin(const std::vector<Item>& items, size_t num_query_vertices,
+            Policy& policy)
+      : items_(items),
+        policy_(policy),
+        groups_(GroupBySign(items)),
+        index_(items, groups_) {
+    for (const Item& item : items) {
+      GSTORED_CHECK_EQ(item.sign.size(), num_query_vertices);
+    }
+    adjacency_ = index_.JoinGraph(&graph_);
+    active_.assign(groups_.size(), true);
+    DeactivateIsolatedGroups(adjacency_, &active_);
+  }
+
+  /// Runs the vmin loop to the end, or until the policy stops it. Sets
+  /// `stats->num_groups` and adds the group graph's edges and every
+  /// FeaturesJoinable probe (the graph's bucket probes plus one per DFS
+  /// candidate) to `num_join_graph_edges` and `join_attempts`;
+  /// PruneResult and AssemblyStats both have those fields.
+  template <typename Stats>
+  void Run(const ChainJoinOptions& options, Stats* stats) {
+    stats->num_groups = groups_.size();
+    stats->num_join_graph_edges += graph_.num_edges;
+    stats->join_attempts += graph_.join_attempts;
+    // Slot scratch, built once per run: it grows to the largest slot budget
+    // any vmin group asks for and is reused across groups.
+    std::vector<Dfs> dfs;
+    std::vector<Slot> slots;
+    while (!policy_.Stopped()) {
+      const uint32_t vmin = SelectMinActiveGroup(groups_, active_);
+      if (vmin == kNoGroup) break;
+      const std::vector<uint32_t>& seeds = groups_[vmin];
+      const size_t budget = JoinSlotBudget(seeds.size(), options.num_threads,
+                                           options.min_seeds_per_slot);
+      while (dfs.size() < budget) {
+        dfs.emplace_back(groups_.size());
+        slots.push_back(policy_.NewSlot(groups_.size()));
+      }
+      std::vector<Emit> emitted = ParallelForConcat<Emit>(
+          options.pool, seeds.size(), budget,
+          [&](size_t i, size_t slot, std::vector<Emit>* out) {
+            if (policy_.Stopped()) return;
+            Dfs& d = dfs[slot];
+            d.visited.assign(groups_.size(), false);
+            d.visited[vmin] = true;
+            d.seed_frontier.clear();
+            d.seed_frontier.push_back(
+                policy_.StartSeed(slots[slot], seeds[i], seeds.size()));
+            Expand(d, slots[slot], d.seed_frontier, 0, out);
+          });
+      // The ParallelFor return is the merge barrier.
+      for (Dfs& d : dfs) {
+        stats->join_attempts += d.join_attempts;
+        d.join_attempts = 0;
+      }
+      policy_.FoldGroup(std::span<Slot>(slots.data(), budget),
+                        std::move(emitted));
+      active_[vmin] = false;
+      DeactivateIsolatedGroups(adjacency_, &active_);
+    }
+  }
+
+ private:
+  /// The kernel's per-slot search state, beside the policy's Slot.
+  struct Dfs {
+    // One reusable next-frontier vector per DFS depth, sized to the deepest
+    // possible recursion (one level per group) up front: deeper levels use
+    // slots > depth, so they never touch a frontier a shallower level is
+    // iterating.
+    std::vector<std::vector<Chain>> frontier_arena;
+    std::vector<bool> visited;
+    std::vector<Chain> seed_frontier;  // always exactly one element
+    std::vector<uint32_t> candidates;  // index candidates of one step
+    Chain joined;                      // the chain one probe builds
+    size_t join_attempts = 0;
+
+    explicit Dfs(size_t num_groups)
+        : frontier_arena(num_groups), visited(num_groups, false) {}
+  };
+
+  /// One DFS step, the recursive join of Alg. 2 and Alg. 3: joins the
+  /// chains in `frontier` with the items of every active, unvisited group
+  /// adjacent to the visited set, then recurses on each group's fresh
+  /// chains. A group whose sign overlaps a chain's is skipped for it
+  /// outright, and only the crossing index's candidates are probed, in
+  /// ascending item order: exactly the subsequence of a full-group scan
+  /// that can join, so the frontiers, admissions and emissions are those
+  /// of that scan.
+  void Expand(Dfs& d, Slot& slot, const std::vector<Chain>& frontier,
+              size_t depth, std::vector<Emit>* out) {
+    for (uint32_t g = 0; g < groups_.size(); ++g) {
+      if (!active_[g] || d.visited[g] ||
+          std::none_of(adjacency_[g].begin(), adjacency_[g].end(),
+                       [&](uint32_t nb) { return d.visited[nb]; })) {
+        continue;
+      }
+      if (policy_.Stopped()) return;
+      std::vector<Chain>& next = d.frontier_arena[depth];
+      next.clear();
+      // Every item of a group carries the group's sign (Def. 10/11).
+      const Bitset& group_sign = items_[groups_[g].front()].sign;
+      for (const Chain& chain : frontier) {
+        if (!chain.sign.DisjointWith(group_sign)) continue;
+        index_.Candidates(chain.crossing, g, &d.candidates);
+        for (uint32_t i : d.candidates) {
+          const Item& item = items_[i];
+          ++d.join_attempts;
+          if (!FeaturesJoinable(chain.sign, chain.crossing, item.sign,
+                                item.crossing) ||
+              !policy_.Join(slot, chain, i, &d.joined)) {
+            continue;
+          }
+          d.joined.sign = chain.sign | item.sign;
+          d.joined.crossing = MergeCrossing(chain.crossing, item.crossing);
+          if (d.joined.sign.All()) {
+            policy_.Complete(slot, d.joined, out);
+          } else if (!policy_.Admit(slot, depth, d.joined, &next)) {
+            return;
+          }
+        }
+      }
+      if (!next.empty()) {
+        d.visited[g] = true;
+        Expand(d, slot, next, depth + 1, out);
+        d.visited[g] = false;
+      }
+    }
+  }
+
+  const std::vector<Item>& items_;
+  Policy& policy_;
+  const std::vector<std::vector<uint32_t>> groups_;  // item indices
+  const CrossingIndex<Item> index_;                  // over `groups_`
+  std::vector<std::vector<uint32_t>> adjacency_;     // group join graph
+  JoinGraphStats graph_;
+  std::vector<bool> active_;                         // per group
 };
 
 }  // namespace gstored

@@ -4,11 +4,10 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/group_schedule.h"
 #include "core/lec_feature.h"
 
 namespace gstored {
-
-class ThreadPool;
 
 /// Outcome of the LEC feature-based pruning (Algorithm 2).
 struct PruneResult {
@@ -33,8 +32,9 @@ struct PruneResult {
   bool bailed_out = false;
 };
 
-/// Tuning and execution-layer knobs for LecFeaturePruning.
-struct PruneOptions {
+/// Knobs of LecFeaturePruning: the chain join's execution knobs plus the
+/// join-space cap.
+struct PruneOptions : ChainJoinOptions {
   /// Upper bound on materialized intermediate joined features before the
   /// safe bail-out triggers. Shared fairly across a vmin group's seeds:
   /// each seed DFS gets a budget of max_joined_features / num_seeds
@@ -44,47 +44,27 @@ struct PruneOptions {
   /// scheduling. (A global shared counter would reintroduce
   /// scheduling-dependent bail-outs.)
   size_t max_joined_features = 1u << 21;
-
-  /// Maximum worker slots for the chain join. The base features of each
-  /// vmin group run through one ParallelFor: every seed's DFS runs with
-  /// slot-local scratch and marks survivors in a per-slot bitmap, and the
-  /// bitmaps are OR-folded after the barrier — a pure union, so the
-  /// surviving set is byte-identical for every slot count. One slot runs
-  /// the seeds inline on the caller.
-  size_t num_threads = 1;
-
-  /// Pool supplying the extra slots; nullptr = ThreadPool::Shared(). The
-  /// calling (coordinator) thread always participates, so a busy pool
-  /// degrades throughput, never correctness.
-  ThreadPool* pool = nullptr;
-
-  /// Dynamic thread-budget quota (JoinSlotBudget in group_schedule.h): a
-  /// vmin group engages one slot per this many seeds, so tiny prunes skip
-  /// pool coordination entirely. Tests set 1 to force several slots on
-  /// small fixtures.
-  size_t min_seeds_per_slot = 4;
 };
 
 /// Algorithm 2: groups features by LECSign (Def. 10 / Thm. 5), builds the
 /// group join graph, and DFS-explores joinable chains from the smallest
 /// group outward. Whenever a chain's combined sign reaches all ones, every
-/// base feature that contributed to the chain is marked as surviving. One
-/// crossing-mapping index (core/join_graph.h) builds the group join graph
-/// and lists, at each DFS step, the only features of the next group that
-/// can join the chain.
+/// base feature that contributed to the chain is marked as surviving. The
+/// search is the chain join shared with LecAssembly (ChainJoin in
+/// core/join_graph.h); pruning's policy carries contributor sets, merges
+/// chains equal in (sign, crossing) within a seed's step, charges each
+/// fresh chain to the seed's budget and marks survivors in per-slot
+/// bitmaps.
 ///
-/// This refines the paper's pseudocode slightly: line 8 of ComLECFJoin
-/// inserts whole groups into the result set, whereas we track the exact
-/// contributing features per joined chain — strictly more precise and still
-/// safe, because every complete match corresponds to some all-ones chain
-/// whose members all get marked.
+/// This refines the paper's pseudocode slightly: line 8 of Alg. 2's join
+/// procedure inserts whole groups into the result set, whereas we track the
+/// exact contributing features per joined chain — strictly more precise and
+/// still safe, because every complete match corresponds to some all-ones
+/// chain whose members all get marked.
 ///
-/// The join is seed-major: each base feature of the current vmin group
-/// seeds one independent chain DFS (chain dedup is seed-local), distributed
-/// over up to `options.num_threads` worker slots. Survivor marking is
-/// order-independent — per-slot bitmaps OR-folded after the barrier — so
-/// the result is byte-identical for every thread count (see "Parallel
-/// pruning" in src/core/README.md).
+/// Survivor marking is a pure union, OR-folded over the slots after each
+/// vmin group, so the result is byte-identical for every
+/// `options.num_threads` (see "The chain join" in src/core/README.md).
 ///
 /// `num_query_vertices` is |VQ| (the LECSign width).
 PruneResult LecFeaturePruning(const std::vector<LecFeature>& features,

@@ -96,7 +96,7 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t max_slots, Fn&& fn) {
 }
 
 /// The deterministic fan-out/merge shape shared by the matcher, the LPM
-/// enumerator and assembly: `fill(index, slot, &out)` appends index `i`'s
+/// enumerator and the LEC chain join: `fill(index, slot, &out)` appends index `i`'s
 /// results, and the output is their concatenation in ascending index order
 /// — byte-identical for every slot count. At one slot (the inline case of
 /// ParallelFor above) `fill` appends straight into the result. Otherwise

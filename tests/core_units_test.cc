@@ -1,11 +1,11 @@
 // Focused unit tests of the core building blocks: LEC features and
 // joinability (including the cyclic-query endpoint-consistency regression),
 // crossing-map merging, binding merges, Algorithm 1's dedup, Algorithm 2's
-// edge cases (empty input, outlier removal, bail-out), assembly edge cases,
-// the chain joins' probe counts (only crossing-index candidates are probed),
-// the seed-group scheduling helpers shared by the two vmin loops (group
-// selection, outlier fixpoint, dynamic thread budget), the SeenSet dedup,
-// Algorithm 4's one-sided-error guarantee, and a brute-force Def. 5
+// edge cases (empty input, outlier removal, bail-out before and during the
+// walk), assembly edge cases, the chain join's probe counts (only
+// crossing-index candidates are probed), its seed-group scheduling helpers
+// (group selection, outlier fixpoint, dynamic thread budget), the SeenSet
+// dedup, Algorithm 4's one-sided-error guarantee, and a brute-force Def. 5
 // oracle for the LPM enumerator.
 
 #include <gtest/gtest.h>
@@ -31,6 +31,8 @@
 #include "net/wire.h"
 #include "tests/test_fixtures.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
+#include "workload/lubm.h"
 
 namespace gstored {
 namespace {
@@ -216,6 +218,64 @@ TEST(PruningTest, BailOutKeepsEverything) {
       LecFeaturePruning(set.features, query.num_vertices(), options);
   EXPECT_TRUE(result.bailed_out);
   EXPECT_EQ(result.surviving_features, set.features.size());
+}
+
+TEST(PruningTest, MidWalkBailOutKeepsEverythingAtEverySlotCount) {
+  LubmConfig config;
+  config.universities = 3;
+  Workload workload = MakeLubmWorkload(config);
+  Partitioning partitioning =
+      HashPartitioner().Partition(*workload.dataset, 4);
+  auto features_of = [&](const QueryGraph& query) {
+    ResolvedQuery rq = ResolveQuery(query, workload.dataset->dict());
+    return ComputeLecFeatures(testing::EnumerateAllLpms(partitioning, rq))
+        .features;
+  };
+
+  // LQ7 over 4 hash sites: 1,391 features whose chain join fits a cap of
+  // 1,224 chains and no fewer. One chain less runs a seed out after chains
+  // were materialized, where the zero cap above bails at once.
+  const QueryGraph& lq7 = workload.queries[6].query;
+  const std::vector<LecFeature> features = features_of(lq7);
+  ASSERT_EQ(features.size(), 1391u);
+  const size_t n = lq7.num_vertices();
+  PruneResult unbounded = LecFeaturePruning(features, n);
+  ASSERT_FALSE(unbounded.bailed_out);
+  EXPECT_EQ(unbounded.surviving_features, 168u);
+
+  ThreadPool pool(3);
+  for (size_t threads : {1, 2, 8}) {
+    PruneOptions options;
+    options.num_threads = threads;
+    options.pool = &pool;
+    options.min_seeds_per_slot = 1;
+    options.max_joined_features = 1223;
+    PruneResult bailed = LecFeaturePruning(features, n, options);
+    EXPECT_TRUE(bailed.bailed_out) << threads;
+    EXPECT_EQ(bailed.surviving_features, features.size()) << threads;
+    if (threads == 1) {
+      // One slot stops right where its seed runs out: past the group
+      // graph's 191 probes, short of the full join's 3,845.
+      EXPECT_EQ(bailed.join_attempts, 2292u);
+    }
+
+    options.max_joined_features = 1224;
+    PruneResult fits = LecFeaturePruning(features, n, options);
+    EXPECT_FALSE(fits.bailed_out) << threads;
+    EXPECT_EQ(fits.survives, unbounded.survives) << threads;
+    EXPECT_EQ(fits.join_attempts, unbounded.join_attempts) << threads;
+  }
+
+  // LQ1 at a cap of 100: the seed runs out one level below the top of its
+  // walk, so only the poll inside the walk stops the enclosing level from
+  // probing its next group (3,912 probes without it).
+  const QueryGraph& lq1 = workload.queries[0].query;
+  PruneOptions options;
+  options.max_joined_features = 100;
+  PruneResult bailed =
+      LecFeaturePruning(features_of(lq1), lq1.num_vertices(), options);
+  EXPECT_TRUE(bailed.bailed_out);
+  EXPECT_EQ(bailed.join_attempts, 3911u);
 }
 
 TEST(AssemblyTest, EmptyAndUnjoinableInputs) {

@@ -29,6 +29,14 @@ using ::gstored::testing::kReferenceScenarios;
 const EngineMode kAllModes[] = {EngineMode::kBasic, EngineMode::kLecAssembly,
                                 EngineMode::kLecPruning, EngineMode::kFull};
 
+// Every stage a site can crash at. A crash at an ordinal below the first
+// stage would be the same plan as a crash at the first (FaultPlan::SiteDead
+// kills the site from that ordinal on).
+const QueryStage kAllStages[] = {QueryStage::kCandidateFilters,
+                                 QueryStage::kPartialEval,
+                                 QueryStage::kLecFeatures,
+                                 QueryStage::kLpmShipment};
+
 std::vector<Binding> Oracle(const Dataset& dataset, const QueryGraph& query) {
   LocalStore store(&dataset.graph());
   ResolvedQuery rq = ResolveQuery(query, dataset.dict());
@@ -125,7 +133,8 @@ TEST(FaultInjectionTest, CrashAtEveryStageHedgingRecoversExactly) {
   QueryGraph query = testing::BuildPaperQuery();
   std::vector<Binding> expected = Oracle(*dataset, query);
 
-  for (uint32_t stage = 0; stage <= 4; ++stage) {
+  for (QueryStage crash_stage : kAllStages) {
+    const uint32_t stage = StageOrdinal(crash_stage);
     for (int victim = 0; victim < 3; ++victim) {
       FaultPlan plan;
       plan.seed = 100 + stage;
@@ -150,7 +159,8 @@ TEST(FaultInjectionTest, CrashWithoutHedgingIsFlaggedPartialSubset) {
   QueryGraph query = testing::BuildPaperQuery();
   std::vector<Binding> expected = Oracle(*dataset, query);
 
-  for (uint32_t stage = 0; stage <= 4; ++stage) {
+  for (QueryStage crash_stage : kAllStages) {
+    const uint32_t stage = StageOrdinal(crash_stage);
     for (int victim = 0; victim < 3; ++victim) {
       FaultPlan plan;
       plan.seed = 200 + stage;
