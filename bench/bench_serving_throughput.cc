@@ -23,7 +23,9 @@
 //
 // --json <path> additionally writes the measurements in the hand-written
 // baseline format bench/check_bench_regression.py accepts (cpu_time_ns per
-// query plus a higher-is-better "qps" field on the served rows).
+// query plus a higher-is-better "qps" field on the served rows), and each
+// served run's engine executions and plan-cache misses and hits, which the
+// CI gate pins exactly.
 
 #include <ctime>
 
@@ -338,21 +340,22 @@ int main(int argc, char** argv) {
     std::fprintf(
         f, "    { \"name\": \"BM_ServingSerial\", \"cpu_time_ns\": %.0f },\n",
         serial.cpu_per_query_ns);
-    for (int i = 0; i < 3; ++i) {
+    auto served_row = [&](const std::string& name, const RunReport& r,
+                          bool last) {
       std::fprintf(f,
-                   "    { \"name\": \"BM_ServingThroughput/%zu\", "
-                   "\"cpu_time_ns\": %.0f, \"qps\": %.1f },\n",
-                   kInflightLevels[i], served[i].cpu_per_query_ns,
-                   served[i].cpu_qps);
+                   "    { \"name\": \"%s\", \"cpu_time_ns\": %.0f, "
+                   "\"qps\": %.1f, \"executed\": %zu, \"plan_misses\": %zu, "
+                   "\"plan_hits\": %zu }%s\n",
+                   name.c_str(), r.cpu_per_query_ns, r.cpu_qps,
+                   r.counters.executed, r.counters.plan_misses,
+                   r.counters.plan_hits, last ? "" : ",");
+    };
+    for (int i = 0; i < 3; ++i) {
+      served_row("BM_ServingThroughput/" + std::to_string(kInflightLevels[i]),
+                 served[i], false);
     }
-    std::fprintf(f,
-                 "    { \"name\": \"BM_ServingDupHeavy/coalesce_on\", "
-                 "\"cpu_time_ns\": %.0f, \"qps\": %.1f },\n",
-                 coalesce_on.cpu_per_query_ns, coalesce_on.cpu_qps);
-    std::fprintf(f,
-                 "    { \"name\": \"BM_ServingDupHeavy/coalesce_off\", "
-                 "\"cpu_time_ns\": %.0f, \"qps\": %.1f }\n",
-                 coalesce_off.cpu_per_query_ns, coalesce_off.cpu_qps);
+    served_row("BM_ServingDupHeavy/coalesce_on", coalesce_on, false);
+    served_row("BM_ServingDupHeavy/coalesce_off", coalesce_off, true);
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());

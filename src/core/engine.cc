@@ -87,7 +87,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   QueryOutcome outcome;
   QueryStats* stats = &outcome.stats;
   stats->selective = query.HasSelectiveTriple();
-  stats->plan_cache_hit = ctx.has_plan;
+  const QueryPlan* plan = ctx.plan;
+  stats->plan_cache_hit = plan != nullptr;
 
   Stopwatch total_watch;
   const size_t num_sites = partitioning_->num_fragments();
@@ -100,8 +101,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
       ResolveQueryTerms(query, partitioning_->dataset().dict());
   if (!rq.impossible) {
     const bool dup_impossible =
-        ctx.has_plan ? ctx.statically_impossible
-                     : HasImpossibleDuplicatePattern(query, rq.edge_pred);
+        plan != nullptr ? plan->statically_impossible
+                        : HasImpossibleDuplicatePattern(query, rq.edge_pred);
     if (dup_impossible) rq.impossible = true;
   }
 
@@ -200,7 +201,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   enum_options.num_threads = num_threads;
   enum_options.pool = pool;
   enum_options.use_statistics = options_.use_statistics;
-  enum_options.tasks = ctx.island_tasks;
+  if (plan != nullptr) enum_options.tasks = &plan->island_tasks;
 
   // Per-site slots for orders planned inside ensure_partial_eval (pre-sized:
   // concurrent site calls each write their own slot, and the MatchOptions
@@ -222,9 +223,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     }
     const Fragment& fragment = partitioning_->fragments()[site];
     MatchOptions site_match = match_options;
-    if (ctx.site_match_orders != nullptr &&
-        !(*ctx.site_match_orders)[site].empty()) {
-      site_match.precomputed_order = &(*ctx.site_match_orders)[site];
+    if (plan != nullptr) {
+      site_match.precomputed_order = &plan->site_match_orders[site];
     } else if (!rq.impossible && n > 0) {
       // No plan-cache order: plan the site's matching order here (the
       // src/plan/ planner — DP when in range, the cost greedy otherwise)
@@ -257,9 +257,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     site_match.num_threads = site_slots;
     EnumerateOptions site_enum = enum_options;
     site_enum.num_threads = site_slots;
-    if (ctx.site_unit_orders != nullptr &&
-        !(*ctx.site_unit_orders)[site].empty()) {
-      site_enum.unit_orders = &(*ctx.site_unit_orders)[site];
+    if (plan != nullptr) {
+      site_enum.unit_orders = &plan->site_unit_orders[site];
     } else {
       // No plan-cache unit orders: let the enumerator consult the planner
       // per island task (thread-safe — each call builds its own estimator).

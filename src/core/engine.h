@@ -144,7 +144,7 @@ struct QueryStats {
 
   // ---- Serving-layer columns (zero / false for a standalone query).
   bool cancelled = false;        ///< stopped at a stage boundary (see ctx)
-  bool plan_cache_hit = false;   ///< executed with plan-cache artifacts
+  bool plan_cache_hit = false;   ///< executed with a cached QueryPlan
   bool result_cache_hit = false; ///< whole outcome served from cache
   bool coalesced_hit = false;    ///< outcome copied from an in-flight twin
   size_t lpm_cache_hits = 0;     ///< sites whose stage B came from cache
@@ -193,7 +193,7 @@ struct QueryOutcome {
 /// `context == nullptr` runs over a fresh QuerySession built for the call
 /// (the engine's fault plan, session id 0, a ledger starting at zero); a
 /// non-null context supplies the transport session, slot budget,
-/// cancellation and deadline, plan artifacts and cache hooks. Either way,
+/// cancellation and deadline, cached plan and cache hooks. Either way,
 /// any number of requests may run concurrently over one engine.
 struct QueryRequest {
   const QueryGraph* query = nullptr;

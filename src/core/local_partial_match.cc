@@ -246,7 +246,7 @@ std::vector<LocalPartialMatch> EnumerateLocalPartialMatches(
 
   // Each (island, boundary) mask pair's search is independent of the others.
   // A plan cache can supply the task list (and per-task orders) computed for
-  // an isomorphic template; otherwise enumerate the masks here.
+  // another instance of the template; otherwise enumerate the masks here.
   std::vector<IslandTask> own_tasks;
   if (options.tasks == nullptr) own_tasks = EnumerateIslandTasks(q);
   const std::vector<IslandTask>& tasks =

@@ -121,15 +121,16 @@ struct EnumerateOptions {
   bool use_statistics = true;
 
   /// Precomputed island tasks (a previous EnumerateIslandTasks result for
-  /// this query's shape, in instance vertex numbering). nullptr = enumerate
-  /// internally.
+  /// this query's shape, in this query's vertex numbering). nullptr =
+  /// enumerate internally.
   const std::vector<IslandTask>* tasks = nullptr;
 
   /// Per-task precomputed backtracking orders, aligned with `tasks` (or with
   /// the internal enumeration order when `tasks` is null). When set, unit
   /// ordering skips the SelectivityEstimator scoring pass — a plan-cache
   /// hit. Orders must come from PlanIslandUnitOrder or BuildIslandUnitOrder
-  /// for an isomorphic template on the same fragment.
+  /// for the same template, in the same vertex numbering, on the same
+  /// fragment.
   const std::vector<std::vector<QVertexId>>* unit_orders = nullptr;
 
   /// Optional external unit-order planner, consulted per island task when

@@ -31,17 +31,33 @@ class CancelToken {
   std::atomic<bool> cancelled_{false};
 };
 
+/// A query template's plan: everything the serving layer's plan cache fills
+/// once per template and replays for every later instance. It is written in
+/// the vertex numbering of the query it was filled from, and the plan
+/// cache's key fixes that numbering, so an instance reads it as is. Every
+/// field is heuristic-only: final matches are always sorted + deduplicated,
+/// so a replayed order changes enumeration cost, never the result.
+struct QueryPlan {
+  /// HasImpossibleDuplicatePattern verdict for the template. The
+  /// constant-lookup half of resolution (missing dictionary terms) is always
+  /// recomputed per instance — it depends on the bindings, not the shape.
+  bool statically_impossible = false;
+  /// EnumerateIslandTasks of the template; empty for a star, which never
+  /// reaches LPM enumeration.
+  std::vector<IslandTask> island_tasks;
+  /// site_match_orders[site] feeds MatchOptions::precomputed_order.
+  std::vector<std::vector<QVertexId>> site_match_orders;
+  /// site_unit_orders[site] feeds EnumerateOptions::unit_orders, aligned
+  /// with `island_tasks`.
+  std::vector<std::vector<std::vector<QVertexId>>> site_unit_orders;
+};
+
 /// Everything one in-flight query needs that is not shared immutable state:
 /// its transport session (ledger + transport), its slot budget, its
-/// deadline/cancellation, and the plan artifacts a plan cache may have
-/// precomputed for its template. DistributedEngine::Run is const — all
-/// per-query mutable state lives here, so any number of contexts can run
-/// concurrently over one engine's shared LocalStores and GraphStatistics.
-///
-/// Plan artifacts are expressed in the *instance's* vertex numbering (the
-/// serving layer translates from the plan cache's canonical numbering) and
-/// are heuristic-only: final matches are always sorted + deduplicated, so a
-/// replayed order changes enumeration cost, never the result.
+/// deadline/cancellation, and the plan a plan cache may have filled for its
+/// template. DistributedEngine::Run is const — all per-query mutable state
+/// lives here, so any number of contexts can run concurrently over one
+/// engine's shared LocalStores and GraphStatistics.
 struct QueryContext {
   // ---- Transport session (required). Each concurrent query runs over its
   // own ledger + transport (see QuerySession); sharing one across queries
@@ -61,22 +77,9 @@ struct QueryContext {
   /// negative = no deadline. Expiry behaves exactly like cancellation.
   double deadline_ms = -1.0;
 
-  // ---- Plan-cache artifacts (optional, instance vertex space).
-  /// True when the fields below were filled from a plan-cache entry.
-  bool has_plan = false;
-  /// Cached HasImpossibleDuplicatePattern verdict for the template. The
-  /// constant-lookup half of resolution (missing dictionary terms) is always
-  /// recomputed per instance — it depends on the bindings, not the shape.
-  bool statically_impossible = false;
-  /// Precomputed island tasks (EnumerateIslandTasks of the template).
-  const std::vector<IslandTask>* island_tasks = nullptr;
-  /// Per-site matching orders: site_match_orders[site] feeds
-  /// MatchOptions::precomputed_order. Empty inner vectors are skipped.
-  const std::vector<std::vector<QVertexId>>* site_match_orders = nullptr;
-  /// Per-site per-task unit orders, aligned with `island_tasks`:
-  /// site_unit_orders[site] feeds EnumerateOptions::unit_orders.
-  const std::vector<std::vector<std::vector<QVertexId>>>* site_unit_orders =
-      nullptr;
+  /// Optional cached plan for the query's template; it must outlive the
+  /// execution. nullptr = the engine plans every site itself.
+  const QueryPlan* plan = nullptr;
 
   // ---- LPM cache hooks (optional). The engine calls `lpm_cache_get(site,
   // fingerprint, &matches, &lpms)` before a site's partial evaluation and

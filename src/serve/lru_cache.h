@@ -1,7 +1,6 @@
 #ifndef GSTORED_SERVE_LRU_CACHE_H_
 #define GSTORED_SERVE_LRU_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -16,9 +15,9 @@ namespace gstored::serve {
 /// A thread-safe string-keyed LRU map shared by the serving-layer caches
 /// (plan, result and LPM caches). Values are returned by copy / shared
 /// ownership so an eviction never invalidates data an in-flight query is
-/// still reading. Keys are *exact* encodings (see plan_cache.h /
-/// result_cache.h) — equality is full-key comparison, so hash collisions
-/// can cost a miss but never return a wrong value.
+/// still reading. Keys are complete encodings (see result_cache.h) —
+/// equality is full-key comparison, so hash collisions can cost a miss but
+/// never return a wrong value.
 ///
 /// Two bounds compose: the entry-count capacity always applies, and the
 /// byte-bounded constructor additionally weighs every value (via the
@@ -58,12 +57,8 @@ class LruCache {
   bool Get(const std::string& key, V* value) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
-    if (it == map_.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+    if (it == map_.end()) return false;
     lru_.splice(lru_.begin(), lru_, it->second.pos);
-    hits_.fetch_add(1, std::memory_order_relaxed);
     *value = it->second.value;
     return true;
   }
@@ -102,11 +97,9 @@ class LruCache {
     auto it = map_.find(key);
     if (it != map_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.pos);
-      hits_.fetch_add(1, std::memory_order_relaxed);
       if (created != nullptr) *created = false;
       return it->second.value;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     if (created != nullptr) *created = true;
     V value = make();
     const size_t weight = WeightOf(value);
@@ -135,9 +128,6 @@ class LruCache {
     std::lock_guard<std::mutex> lock(mu_);
     return total_bytes_;
   }
-
-  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  size_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
  private:
   struct Entry {
@@ -186,8 +176,6 @@ class LruCache {
   std::unordered_map<std::string, Entry> map_;
   size_t total_bytes_ = 0;
   uint64_t gen_ = 0;  ///< bumped by Clear(); guards PutIfGeneration
-  std::atomic<size_t> hits_{0};
-  std::atomic<size_t> misses_{0};
 };
 
 }  // namespace gstored::serve

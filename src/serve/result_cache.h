@@ -14,12 +14,25 @@ namespace gstored::serve {
 
 /// Exact, order-sensitive encoding of a query instance: vertex labels
 /// verbatim (constants included) and the edge list in input order. Binding
-/// columns are indexed by the instance's own vertex numbering, so the result
-/// and LPM caches must never canonicalize — two isomorphic instances with
-/// different numbering have differently-ordered binding columns. Equal keys
-/// therefore mean byte-identical queries, and a hit is byte-identical to
-/// recomputing.
+/// columns are indexed by the instance's own vertex numbering, which the
+/// key fixes, so equal keys mean byte-identical queries and a result- or
+/// LPM-cache hit is byte-identical to recomputing.
 std::string ExactQueryKey(const QueryGraph& query);
+
+/// The plan cache's key: ExactQueryKey's encoding without the vertex labels
+/// and predicate-variable names. The variable/constant flags, the vertex
+/// numbering, the edge order and every constant predicate label stay, so
+/// two queries share a key only when they are one template written in one
+/// vertex numbering, and a cached plan replays as is. One template written
+/// with its patterns in another order gets other vertex numbers, and so
+/// another key.
+std::string QueryShapeKey(const QueryGraph& query);
+
+/// An exact key qualified by the engine mode: the result cache's key and
+/// the coalescing identity. Modes differ in pruning/exchange strategy, so
+/// their stats — and under faults their degradation — are not
+/// interchangeable.
+std::string ExactModeKey(const std::string& exact_key, EngineMode mode);
 
 /// Whole-outcome cache for hot (query instance, mode) pairs. Only exact,
 /// fault-free, non-cancelled outcomes are admitted (the scheduler checks the
@@ -43,13 +56,14 @@ class ResultCache {
       : cache_(capacity, capacity_bytes, &WeighOutcome) {}
 
   bool Get(const std::string& key, EngineMode mode, QueryOutcome* outcome) {
-    return cache_.Get(WithMode(key, mode), outcome);
+    return cache_.Get(ExactModeKey(key, mode), outcome);
   }
   /// Inserts only when the cache has not been flushed since `generation`
   /// was read (see class comment). Returns whether the insert happened.
   bool Put(const std::string& key, EngineMode mode,
            const QueryOutcome& outcome, uint64_t generation) {
-    return cache_.PutIfGeneration(WithMode(key, mode), outcome, generation);
+    return cache_.PutIfGeneration(ExactModeKey(key, mode), outcome,
+                                  generation);
   }
 
   /// Flush counter to stamp into Put; bumped by every Clear().
@@ -59,8 +73,6 @@ class ResultCache {
   size_t size() const { return cache_.size(); }
   /// Resident payload bytes (0 unless byte-bounded).
   size_t bytes() const { return cache_.bytes(); }
-  size_t hits() const { return cache_.hits(); }
-  size_t misses() const { return cache_.misses(); }
 
  private:
   /// Resident bytes of one cached outcome: the match rows (dominant for
@@ -73,13 +85,6 @@ class ResultCache {
     }
     bytes += outcome.sites.capacity() * sizeof(SiteReport);
     return bytes;
-  }
-
-  static std::string WithMode(const std::string& key, EngineMode mode) {
-    std::string out = key;
-    out.push_back('\x1f');
-    out.push_back(static_cast<char>('0' + static_cast<int>(mode)));
-    return out;
   }
 
   LruCache<QueryOutcome> cache_;
@@ -137,8 +142,6 @@ class LpmCache {
   size_t size() const { return cache_.size(); }
   /// Resident payload bytes (0 unless byte-bounded).
   size_t bytes() const { return cache_.bytes(); }
-  size_t hits() const { return cache_.hits(); }
-  size_t misses() const { return cache_.misses(); }
 
  private:
   /// Resident bytes of one stage-B entry: binding rows plus each LPM's

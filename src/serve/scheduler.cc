@@ -9,6 +9,12 @@ namespace gstored::serve {
 
 namespace {
 
+/// Entry-count capacities of the three caches. The result and LPM caches
+/// can add a byte budget on top (ServeOptions::*_capacity_bytes).
+constexpr size_t kPlanCacheCapacity = 256;
+constexpr size_t kResultCacheCapacity = 512;
+constexpr size_t kLpmCacheCapacity = 4096;
+
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -24,16 +30,6 @@ bool CleanRun(const QueryOutcome& outcome) {
   return outcome.exact && !stats.cancelled && stats.transport_retries == 0 &&
          stats.hedged_sites == 0 && !stats.exchange_degraded &&
          !stats.pruning_degraded;
-}
-
-/// Coalescing identity: same exact instance (constants included) *and* same
-/// mode. Modes differ in pruning/exchange strategy, so their stats — and
-/// under faults their degradation behavior — are not interchangeable.
-std::string CoalesceKey(const std::string& exact_key, EngineMode mode) {
-  std::string key = exact_key;
-  key.push_back('\x1f');
-  key.push_back(static_cast<char>('0' + static_cast<int>(mode)));
-  return key;
 }
 
 QueryOutcome CancelledOutcome() {
@@ -65,11 +61,10 @@ ServingEngine::ServingEngine(const DistributedEngine* engine,
                        ? options.total_slots
                        : std::max<size_t>(
                              1, std::thread::hardware_concurrency())),
-      plan_cache_(options.plan_cache_capacity),
-      result_cache_(options.result_cache_capacity,
+      plan_cache_(kPlanCacheCapacity),
+      result_cache_(kResultCacheCapacity,
                     options.result_cache_capacity_bytes),
-      lpm_cache_(options.lpm_cache_capacity,
-                 options.lpm_cache_capacity_bytes) {
+      lpm_cache_(kLpmCacheCapacity, options.lpm_cache_capacity_bytes) {
   GSTORED_CHECK(engine != nullptr);
   last_epoch_sum_.store(StoreEpochSum(), std::memory_order_relaxed);
   const size_t dispatchers = std::max<size_t>(1, options_.max_inflight);
@@ -186,7 +181,7 @@ void ServingEngine::RunTicket(const std::shared_ptr<QueryTicket>& ticket) {
   // in-flight entry, so a duplicate that finds the entry gone is guaranteed
   // to find the cache filled — probing first would leave a window where the
   // duplicate misses both and re-executes.
-  const std::string coalesce_key = CoalesceKey(exact_key, mode);
+  const std::string coalesce_key = ExactModeKey(exact_key, mode);
   if (options_.coalesce_inflight) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = inflight_.find(coalesce_key);
@@ -219,25 +214,18 @@ void ServingEngine::RunTicket(const std::shared_ptr<QueryTicket>& ticket) {
     }
   }
 
-  // ---- Plan cache: canonicalize the shape, fill the entry on first sight
-  // (scoring orders against the shared stores), then translate the
-  // canonical artifacts into this instance's vertex numbering. The fill
-  // happens outside the engine, so a filled plan executes with
+  // ---- Plan cache: look up the shape as written and fill the entry on
+  // first sight (scoring orders against the shared stores). The key fixes
+  // the vertex numbering, so the engine reads the cached plan as is. The
+  // fill happens outside the engine, so a filled plan executes with
   // stats.order_scorings == 0 — the "hit skips order scoring" contract.
-  PlanArtifacts plan;
-  if (options_.use_plan_cache) {
-    const CanonicalForm form = CanonicalizeQueryShape(query);
-    bool created = false;
-    std::shared_ptr<CachedPlan> entry =
-        plan_cache_.FindOrCreate(form.key, &created);
-    (created ? plan_misses_ : plan_hits_)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (!entry->ready.load(std::memory_order_acquire)) {
-      FillCachedPlan(*engine_, query, form, entry.get());
-    }
-    if (entry->ready.load(std::memory_order_acquire)) {
-      plan = InstantiatePlan(*entry, form);
-    }
+  bool created = false;
+  const std::shared_ptr<CachedPlan> entry =
+      plan_cache_.FindOrCreate(QueryShapeKey(query), &created);
+  (created ? plan_misses_ : plan_hits_)
+      .fetch_add(1, std::memory_order_relaxed);
+  if (!entry->ready.load(std::memory_order_acquire)) {
+    FillCachedPlan(*engine_, query, entry.get());
   }
 
   // ---- Per-query session and context: fresh ledger + transport stamped
@@ -253,7 +241,7 @@ void ServingEngine::RunTicket(const std::shared_ptr<QueryTicket>& ticket) {
   ctx.num_threads = std::max<size_t>(1, total_slots_ / active);
   ctx.cancel = &ticket->cancel_;
   ctx.deadline_ms = ticket->deadline_ms_;
-  plan.Bind(&ctx);
+  if (entry->ready.load(std::memory_order_acquire)) ctx.plan = &entry->plan;
   if (options_.use_lpm_cache) {
     ctx.lpm_cache_get = [this, &exact_key](
                             int site, uint64_t fingerprint,

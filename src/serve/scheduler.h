@@ -44,24 +44,20 @@ struct ServeOptions {
   /// ablation baseline.
   bool coalesce_inflight = true;
 
-  bool use_plan_cache = true;
   bool use_result_cache = true;
   bool use_lpm_cache = true;
-  size_t plan_cache_capacity = 256;
-  size_t result_cache_capacity = 512;
-  size_t lpm_cache_capacity = 4096;
 
   /// Byte budget for the LPM cache (0 = entry-count bound only). Stage-B
   /// entries vary by orders of magnitude — a site's LPM set for an
   /// unselective template dwarfs a selective one's — so bounding bytes keeps
   /// the cache's memory footprint flat where an entry count cannot. The
-  /// entry-count capacity above still applies as a second ceiling.
+  /// 4,096-entry capacity still applies as a second ceiling.
   size_t lpm_cache_capacity_bytes = 0;
 
   /// Byte budget for the result cache (0 = entry-count bound only), same
   /// rationale: whole outcomes vary by orders of magnitude with the
   /// template's selectivity, so bounding bytes keeps the footprint flat
-  /// where an entry count cannot. The entry-count capacity still applies.
+  /// where an entry count cannot. The 512-entry capacity still applies.
   size_t result_cache_capacity_bytes = 0;
 
   /// Test seam: when set, invoked on the dispatcher thread after the engine
@@ -151,8 +147,8 @@ class QueryTicket {
 /// degraded-leader release and follower-cancel detach rules.
 ///
 /// Three caches sit in front of execution (see README.md for the key
-/// derivations and invalidation rules): the plan cache (canonical template
-/// shape -> orders/islands/static verdict), the LPM cache
+/// derivations and invalidation rules): the plan cache (template shape as
+/// written -> orders/islands/static verdict, replayed as is), the LPM cache
 /// (exact instance x site x filter fingerprint -> stage-B results) and the
 /// result cache (exact instance x mode -> whole outcome). All three are
 /// invalidated when any fragment graph's finalize_epoch() changes, checked

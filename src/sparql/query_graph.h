@@ -124,7 +124,7 @@ ResolvedQuery ResolveQueryTerms(const QueryGraph& query, const TermDict& dict);
 /// same constant predicate — Def. 3's injectivity makes such a query
 /// statically unsatisfiable. Depends only on the query shape and predicate
 /// ids, never on vertex constants, so the verdict is shared by every instance
-/// of a canonicalized template.
+/// of a template.
 bool HasImpossibleDuplicatePattern(const QueryGraph& query,
                                    const std::vector<TermId>& edge_pred);
 

@@ -55,7 +55,7 @@ TEST_P(PlanQuality, DpNeverWorseThanGreedyAndAnswersUnchanged) {
   std::vector<QVertexId> greedy = MatchingOrder(store, rq);
 
   // The plan's cost is exactly the linear metric's replay of its order —
-  // the number CachedPlan::cost aggregates for kCostAware admission.
+  // the estimate perfbench's q-error row compares with actual nodes.
   EXPECT_DOUBLE_EQ(dp.cost, EstimateOrderCost(store, rq, dp.match_order));
 
   size_t dp_nodes = CountIntermediateResults(store, rq, dp.match_order);

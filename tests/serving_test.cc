@@ -1,9 +1,10 @@
 // The serving layer: concurrent queries over one stateless engine must be
 // byte-identical to running them serially; cancellation and deadlines stop
 // at stage boundaries with a sound flagged-partial result; the plan cache
-// unifies isomorphic templates (and never collides distinct predicate
-// bindings) while cache hits skip order scoring; the result/LPM caches
-// replay exact outcomes and flush when a fragment's finalize epoch changes.
+// shares one entry among instances of a template written in one vertex
+// numbering (and never collides distinct predicates) while cache hits skip
+// order scoring; the result/LPM caches replay exact outcomes and flush when
+// a fragment's finalize epoch changes.
 
 #include <gtest/gtest.h>
 
@@ -30,10 +31,9 @@
 namespace gstored {
 namespace {
 
-using ::gstored::serve::CanonicalForm;
-using ::gstored::serve::CanonicalizeQueryShape;
 using ::gstored::serve::ExactQueryKey;
 using ::gstored::serve::LruCache;
+using ::gstored::serve::QueryShapeKey;
 using ::gstored::serve::QueryTicket;
 using ::gstored::serve::ServeOptions;
 using ::gstored::serve::ServingEngine;
@@ -59,7 +59,7 @@ std::vector<Binding> Serial(DistributedEngine& engine, const QueryGraph& q,
 // ---------------------------------------------------------------------------
 // Concurrent determinism: a mixed LQ1-LQ7 stream submitted from 8 client
 // threads (one lane each) is byte-identical to the serial run, with every
-// cache on and with every cache off.
+// cache on and with the result and LPM caches off.
 
 TEST(ServingConcurrency, MixedLubmStreamByteIdenticalToSerial) {
   Workload w = SmallLubm();
@@ -82,7 +82,6 @@ TEST(ServingConcurrency, MixedLubmStreamByteIdenticalToSerial) {
     ServeOptions options;
     options.max_inflight = 4;
     options.total_slots = 8;
-    options.use_plan_cache = caches;
     options.use_result_cache = caches;
     options.use_lpm_cache = caches;
     ServingEngine server(&engine, options);
@@ -256,7 +255,7 @@ TEST(ServingCancellation, CancelledStreamYieldsExactPrefixOrFlaggedSubset) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan cache: canonicalization and hit semantics.
+// Plan cache: the shape key and hit semantics.
 
 QueryGraph TripleChain(const std::string& a, const std::string& pa,
                        const std::string& b, const std::string& pb,
@@ -267,21 +266,19 @@ QueryGraph TripleChain(const std::string& a, const std::string& pa,
   return q;
 }
 
-TEST(PlanCacheCanonicalization, IsomorphicShapesShareOneKey) {
-  // Same template: different variable names, different constants, and the
-  // patterns added in the opposite order (different vertex numbering).
+TEST(PlanCacheShapeKey, OneNumberingSharesOneKey) {
+  // Same template under one vertex numbering: different variable names and
+  // different constants share a key.
   QueryGraph a = TripleChain("?x", "<p1>", "?y", "<p2>", "<c1>");
   QueryGraph b = TripleChain("?u", "<p1>", "?v", "<p2>", "<c2>");
+  EXPECT_EQ(QueryShapeKey(a), QueryShapeKey(b));
+
+  // The patterns added in the opposite order number the vertices
+  // differently, so the cached orders would not fit: a key of its own.
   QueryGraph c;
   c.AddEdge("?v", "<p2>", "<c3>");
   c.AddEdge("?u", "<p1>", "?v");
-
-  CanonicalForm fa = CanonicalizeQueryShape(a);
-  CanonicalForm fb = CanonicalizeQueryShape(b);
-  CanonicalForm fc = CanonicalizeQueryShape(c);
-  EXPECT_TRUE(fa.canonical);
-  EXPECT_EQ(fa.key, fb.key);
-  EXPECT_EQ(fa.key, fc.key);
+  EXPECT_NE(QueryShapeKey(a), QueryShapeKey(c));
 
   // Exact keys must all differ (constants and numbering are significant).
   EXPECT_NE(ExactQueryKey(a), ExactQueryKey(b));
@@ -289,33 +286,32 @@ TEST(PlanCacheCanonicalization, IsomorphicShapesShareOneKey) {
   EXPECT_NE(ExactQueryKey(b), ExactQueryKey(c));
 }
 
-TEST(PlanCacheCanonicalization, DistinctPredicatesNeverCollide) {
+TEST(PlanCacheShapeKey, DistinctPredicatesNeverCollide) {
   QueryGraph a = TripleChain("?x", "<p1>", "?y", "<p2>", "<c>");
   QueryGraph b = TripleChain("?x", "<p1>", "?y", "<p3>", "<c>");
   QueryGraph c = TripleChain("?x", "<p1>", "?y", "?p", "<c>");
-  // (Compared as a bool: a failure would otherwise print both long keys.)
-  EXPECT_TRUE(CanonicalizeQueryShape(a).key != CanonicalizeQueryShape(b).key);
-  EXPECT_NE(CanonicalizeQueryShape(a).key, CanonicalizeQueryShape(c).key);
+  EXPECT_NE(QueryShapeKey(a), QueryShapeKey(b));
+  EXPECT_NE(QueryShapeKey(a), QueryShapeKey(c));
 
   // Variable vs constant vertices are shape-significant too.
   QueryGraph d = TripleChain("?x", "<p1>", "?y", "<p2>", "?z");
-  EXPECT_NE(CanonicalizeQueryShape(a).key, CanonicalizeQueryShape(d).key);
+  EXPECT_NE(QueryShapeKey(a), QueryShapeKey(d));
 }
 
-TEST(PlanCacheCanonicalization, SymmetricShapeStaysStableAcrossNumbering) {
-  // A 4-cycle with one predicate everywhere: color refinement cannot split
-  // the variables, so the minimal-encoding search does the tie-breaking.
-  auto cycle = [](const std::vector<std::string>& v) {
+TEST(PlanCacheShapeKey, RenamingVariablesKeepsTheKey) {
+  // A 4-cycle written in one order: renaming its vertex variables and its
+  // predicate variable changes the exact key but not the shape key.
+  auto cycle = [](const std::vector<std::string>& v, const std::string& p) {
     QueryGraph q;
     for (size_t i = 0; i < v.size(); ++i) {
-      q.AddEdge(v[i], "<p>", v[(i + 1) % v.size()]);
+      q.AddEdge(v[i], i == 0 ? p : "<p>", v[(i + 1) % v.size()]);
     }
     return q;
   };
-  CanonicalForm fa = CanonicalizeQueryShape(cycle({"?a", "?b", "?c", "?d"}));
-  CanonicalForm fb = CanonicalizeQueryShape(cycle({"?w", "?z", "?y", "?x"}));
-  EXPECT_TRUE(fa.canonical);
-  EXPECT_EQ(fa.key, fb.key);
+  QueryGraph a = cycle({"?a", "?b", "?c", "?d"}, "?p");
+  QueryGraph b = cycle({"?w", "?z", "?y", "?x"}, "?q");
+  EXPECT_EQ(QueryShapeKey(a), QueryShapeKey(b));
+  EXPECT_NE(ExactQueryKey(a), ExactQueryKey(b));
 }
 
 TEST(PlanCache, SecondInstanceHitsAndSkipsOrderScoring) {
@@ -335,7 +331,7 @@ TEST(PlanCache, SecondInstanceHitsAndSkipsOrderScoring) {
     EXPECT_EQ(first->Wait().matches, expected) << bq.name;
     auto second = server.Submit(bq.query);
     EXPECT_EQ(second->Wait().matches, expected) << bq.name;
-    // Both executions ran with plan artifacts (the first filled the entry
+    // Both executions ran with the cached plan (the first filled the entry
     // before executing), so neither scored a matching order inside the
     // engine — the whole point of the plan cache.
     EXPECT_TRUE(second->stats().plan_cache_hit) << bq.name;
@@ -345,17 +341,13 @@ TEST(PlanCache, SecondInstanceHitsAndSkipsOrderScoring) {
   EXPECT_EQ(counters.plan_misses, w.queries.size());
   EXPECT_EQ(counters.plan_hits, w.queries.size());
 
-  // Control: with the plan cache off, every query scores orders.
-  ServeOptions off = options;
-  off.use_plan_cache = false;
-  ServingEngine unplanned(&engine, off);
-  auto ticket = unplanned.Submit(w.queries[0].query);
-  ticket->Wait();
-  EXPECT_FALSE(ticket->stats().plan_cache_hit);
-  EXPECT_GT(ticket->stats().order_scorings, 0u);
+  // Control: without a plan, the engine scores orders itself.
+  const QueryOutcome unplanned = engine.Run({w.queries[0].query});
+  EXPECT_FALSE(unplanned.stats.plan_cache_hit);
+  EXPECT_GT(unplanned.stats.order_scorings, 0u);
 }
 
-TEST(PlanCache, IsomorphicInstancesShareOneEntry) {
+TEST(PlanCache, InstancesOfOneTemplateShareOneEntry) {
   Workload w = SmallLubm();
   Partitioning p = HashPartitioner().Partition(*w.dataset, 3);
   DistributedEngine engine(&p);
@@ -390,6 +382,47 @@ TEST(PlanCache, IsomorphicInstancesShareOneEntry) {
   DistributedEngine oracle(&p);
   EXPECT_EQ(t1->stats().num_matches,
             Serial(oracle, instance(unis[0]), EngineMode::kFull).size());
+}
+
+TEST(PlanCache, DifferentlyNumberedInstancesDoNotShareAPlan) {
+  Workload w = SmallLubm();
+  Partitioning p = HashPartitioner().Partition(*w.dataset, 3);
+  DistributedEngine engine(&p);
+  ServeOptions options;
+  options.max_inflight = 1;
+  options.use_result_cache = false;
+  options.use_lpm_cache = false;
+  ServingEngine server(&engine, options);
+
+  // One non-star template (so island tasks and unit orders are replayed),
+  // written with its patterns in both orders: the two texts number the
+  // vertices differently, so each fills its own entry, and each answer's
+  // binding columns follow its own numbering.
+  const std::string ont = "<http://lubm.org/ont#";
+  const std::vector<std::vector<std::string>> patterns = {
+      {"?s", ont + "takesCourse>", "?c"},
+      {"?p", ont + "teacherOf>", "?c"},
+      {"?p", ont + "worksFor>", "?d"}};
+  QueryGraph forward;
+  for (const auto& t : patterns) forward.AddEdge(t[0], t[1], t[2]);
+  QueryGraph backward;
+  for (auto t = patterns.rbegin(); t != patterns.rend(); ++t) {
+    backward.AddEdge((*t)[0], (*t)[1], (*t)[2]);
+  }
+  ASSERT_FALSE(forward.IsStar());
+  ASSERT_NE(QueryShapeKey(forward), QueryShapeKey(backward));
+
+  for (const QueryGraph* q : {&forward, &backward}) {
+    const std::vector<Binding> expected = Serial(engine, *q, EngineMode::kFull);
+    ASSERT_FALSE(expected.empty());
+    auto ticket = server.Submit(*q);
+    EXPECT_EQ(ticket->Wait().matches, expected);
+    EXPECT_TRUE(ticket->stats().plan_cache_hit);
+    EXPECT_EQ(ticket->stats().order_scorings, 0u);
+  }
+  ServingEngine::Counters counters = server.counters();
+  EXPECT_EQ(counters.plan_misses, 2u);
+  EXPECT_EQ(counters.plan_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -657,7 +690,8 @@ TEST(ServingStreaming, ByteBoundedLpmCacheStaysCorrectUnderServing) {
 // their followers; follower cancellation never propagates to the leader.
 
 /// Two-edge template anchored at one department constant; 8 distinct
-/// isomorphic instances exist in SmallLubm (2 universities x 4 departments).
+/// instances exist in SmallLubm (2 universities x 4 departments), all
+/// written in one vertex numbering.
 QueryGraph DeptQuery(int univ, int dept) {
   const std::string d = "<http://www.univ" + std::to_string(univ) +
                         ".edu/dept" + std::to_string(dept) + "#dept>";
@@ -984,7 +1018,7 @@ TEST(PlanCache, ConcurrentFirstSightFillsOnce) {
   options.use_lpm_cache = false;
   ServingEngine server(&engine, options);
 
-  // All 8 isomorphic instances of one never-seen template at once: exactly
+  // All 8 instances of one never-seen template at once: exactly
   // one dispatcher fills the shared entry (under the entry's fill mutex),
   // the other 7 wait for it and replay — one miss, seven hits, zero
   // duplicate fill work, and every run skips in-engine order scoring.
@@ -1097,9 +1131,9 @@ TEST(Admission, BurstOnOneLaneDoesNotRunAheadOfAnotherLane) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-cache keys of shapes past 255 vertices: the key encodes the vertex
-// count and every position at full width, so position 257 never aliases
-// position 1 and two different shapes never share an entry.
+// Plan-cache keys of shapes past 255 vertices: the key writes every
+// position in full, so position 257 never aliases position 1 and two
+// different shapes never share an entry.
 
 TEST(PlanCache, ShapesAbove255VerticesNeverShareAKey) {
   auto iri = [](const std::string& name) {
@@ -1133,7 +1167,7 @@ TEST(PlanCache, ShapesAbove255VerticesNeverShareAKey) {
   ASSERT_EQ(a.num_vertices(), 258u);
   ASSERT_EQ(b.num_vertices(), 258u);
   // (Compared as a bool: a failure would otherwise print both long keys.)
-  EXPECT_TRUE(CanonicalizeQueryShape(a).key != CanonicalizeQueryShape(b).key);
+  EXPECT_TRUE(QueryShapeKey(a) != QueryShapeKey(b));
 
   const std::vector<Binding> expected = Serial(engine, b, EngineMode::kFull);
   ASSERT_EQ(expected.size(), 1u);
