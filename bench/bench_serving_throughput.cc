@@ -3,18 +3,18 @@
 // 1 / 4 / 8 queries in flight, versus a serial baseline that executes the
 // same stream one at a time on the bare engine with no caches. Both sides
 // get the same thread budget; the win on a 1-CPU CI container therefore
-// comes from the serving caches (plan / LPM / result), not raw parallelism —
+// comes from the serving caches (plan / result), not raw parallelism —
 // repeated templates skip order scoring and repeated instances skip stages
-// B-D entirely. Reported per configuration: CPU-time QPS (queries per second
+// A-D entirely. Reported per configuration: CPU-time QPS (queries per second
 // of process CPU burned, the machine-budget metric the acceptance gate
 // uses), wall QPS, and p50/p99 submit-to-completion latency.
 //
 // A second, dup-heavy section models the cold-cache dogpile: every arrival
-// is a back-to-back burst of 8 identical submissions, with the result and
-// LPM caches disabled so in-flight request coalescing is the only dedup
-// mechanism. It runs once with coalescing on (one leader per burst
-// executes, the rest receive copies) and once with it off (every duplicate
-// executes), and reports the CPU-QPS ratio between the two.
+// is a back-to-back burst of 8 identical submissions, with the result cache
+// disabled so in-flight request coalescing is the only dedup mechanism. It
+// runs once with coalescing on (one leader per burst executes, the rest
+// receive copies) and once with it off (every duplicate executes), and
+// reports the CPU-QPS ratio between the two.
 //
 // Acceptance (exit code): every served outcome byte-identical to the serial
 // answer, the plan cache observed hits, CPU-time QPS at 8 in flight at
@@ -168,8 +168,8 @@ RunReport RunServed(const DistributedEngine& engine,
 
 /// Dup-heavy open-loop run: the stream arrives as back-to-back bursts of
 /// identical submissions (kDupBurst copies of one query, then the next
-/// query's burst) — the cold-cache dogpile shape. Result and LPM caches are
-/// OFF so the only dedup mechanism in play is in-flight coalescing: with it
+/// query's burst) — the cold-cache dogpile shape. The result cache is OFF
+/// so the only dedup mechanism in play is in-flight coalescing: with it
 /// on, one leader per burst executes and the rest fan out; with it off,
 /// every duplicate burns a full execution. The CPU-QPS ratio between the
 /// two is the coalescing win the acceptance gate checks.
@@ -180,7 +180,6 @@ RunReport RunDupHeavy(const DistributedEngine& engine,
   options.max_inflight = 8;
   options.total_slots = kTotalSlots;
   options.use_result_cache = false;
-  options.use_lpm_cache = false;
   options.coalesce_inflight = coalesce;
   ServingEngine server(&engine, options);
 
@@ -254,14 +253,13 @@ int main(int argc, char** argv) {
       "=== Serving throughput (LUBM-3, 4 sites, %zu-query mixed LQ1-LQ7 "
       "stream, open-loop %dus gap) ===\n",
       stream.size(), kArrivalGapUs);
-  std::printf("%-10s | %10s | %10s | %9s | %9s | %6s | %6s | %6s\n", "config",
-              "cpuQPS", "wallQPS", "p50 ms", "p99 ms", "plan+", "lpm+",
-              "res+");
+  std::printf("%-10s | %10s | %10s | %9s | %9s | %6s | %6s\n", "config",
+              "cpuQPS", "wallQPS", "p50 ms", "p99 ms", "plan+", "res+");
 
   const RunReport serial = RunSerial(engine, stream);
-  std::printf("%-10s | %10.1f | %10.1f | %9.3f | %9.3f | %6s | %6s | %6s\n",
+  std::printf("%-10s | %10.1f | %10.1f | %9.3f | %9.3f | %6s | %6s\n",
               "serial", serial.cpu_qps, serial.wall_qps, serial.p50_ms,
-              serial.p99_ms, "-", "-", "-");
+              serial.p99_ms, "-", "-");
 
   const size_t kInflightLevels[] = {1, 4, 8};
   RunReport served[3];
@@ -269,15 +267,14 @@ int main(int argc, char** argv) {
     served[i] = RunServed(engine, stream, kInflightLevels[i]);
     char name[24];
     std::snprintf(name, sizeof(name), "served/%zu", kInflightLevels[i]);
-    std::printf(
-        "%-10s | %10.1f | %10.1f | %9.3f | %9.3f | %6zu | %6zu | %6zu\n",
-        name, served[i].cpu_qps, served[i].wall_qps, served[i].p50_ms,
-        served[i].p99_ms, served[i].counters.plan_hits,
-        served[i].counters.lpm_hits, served[i].counters.result_hits);
+    std::printf("%-10s | %10.1f | %10.1f | %9.3f | %9.3f | %6zu | %6zu\n",
+                name, served[i].cpu_qps, served[i].wall_qps, served[i].p50_ms,
+                served[i].p99_ms, served[i].counters.plan_hits,
+                served[i].counters.result_hits);
   }
 
   // Dup-heavy bursts: 8 identical arrivals at a time, coalescing on vs off
-  // (result/LPM caches disabled on both sides, so the delta is coalescing
+  // (result cache disabled on both sides, so the delta is coalescing
   // alone). One pass over LQ1-LQ7 per round keeps the runtime CI-sized.
   constexpr size_t kDupBurst = 8;
   constexpr int kDupRounds = 4;
@@ -290,8 +287,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "--- dup-heavy: bursts of %zu identical arrivals, result/LPM caches "
-      "off ---\n",
+      "--- dup-heavy: bursts of %zu identical arrivals, result cache off "
+      "---\n",
       kDupBurst);
   const RunReport coalesce_on =
       RunDupHeavy(engine, dup_stream, kDupBurst, /*coalesce=*/true);

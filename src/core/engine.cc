@@ -7,7 +7,6 @@
 #include "core/lec_feature.h"
 #include "net/transport.h"
 #include "net/wire.h"
-#include "util/hash.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -121,7 +120,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   const ShipmentLedger::StageId lpm_stage_id = ledger.Intern(kLpmShipmentStage);
 
   std::vector<Binding> matches;
-  std::atomic<size_t> lpm_cache_hits{0};
 
   // The context's cancellation/deadline is polled between stages only: an
   // abort returns the matches accumulated so far — always a sound subset,
@@ -134,7 +132,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     stats->num_matches = matches.size();
     stats->order_scorings =
         ctx.order_scorings.load(std::memory_order_relaxed);
-    stats->lpm_cache_hits = lpm_cache_hits.load(std::memory_order_relaxed);
     stats->total_time_ms = total_watch.ElapsedMillis();
     outcome.matches = std::move(matches);
     return outcome;
@@ -165,25 +162,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   }
   if (ctx.aborted(total_watch.ElapsedMillis())) return finish_aborted();
 
-  // The LPM cache key must cover the filters a site enumerated under: the
-  // same template yields different LPM sets under different exchanged
-  // filters. Fingerprint the union filters once; a site that missed the
-  // union broadcast enumerated unfiltered and keys as such.
-  uint64_t filter_fp = 0;
-  if (use_filter) {
-    uint64_t h = 0x9ae16a3b2f90404fULL;
-    for (QVertexId v = 0; v < n; ++v) {
-      if (!exchange.exchanged[v]) continue;
-      h = HashCombine(h, v);
-      const std::vector<uint64_t>& words = exchange.filters[v].words();
-      h = HashCombine(h, HashRange(words.begin(), words.end()));
-    }
-    filter_fp = h | 1;  // never collides with the "unfiltered" sentinel 0
-  }
-  auto site_fingerprint = [&](int site) -> uint64_t {
-    return use_filter && exchange.site_filter_ok[site] ? filter_fp : 0;
-  };
-
   // ---- Stage B: partial evaluation. Every site computes its complete local
   // matches; non-star queries additionally enumerate local partial matches
   // and fold them into LEC features (Alg. 1 runs on the fly per site). Only
@@ -211,16 +189,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   auto ensure_partial_eval = [&](int site) {
     SiteCache& c = cache[site];
     if (c.computed) return;
-    // Hot (template, fragment) pairs skip the whole local evaluation: the
-    // serving layer's result cache keys on the exact query encoding plus
-    // the filter fingerprint, so a hit is byte-identical to recomputing.
-    const uint64_t fp = site_fingerprint(site);
-    if (ctx.lpm_cache_get != nullptr &&
-        ctx.lpm_cache_get(site, fp, &c.matches, &c.lpms)) {
-      lpm_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      c.computed = true;
-      return;
-    }
     const Fragment& fragment = partitioning_->fragments()[site];
     MatchOptions site_match = match_options;
     if (plan != nullptr) {
@@ -288,9 +256,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
                                             site_enum);
     }
     c.computed = true;
-    if (ctx.lpm_cache_put != nullptr) {
-      ctx.lpm_cache_put(site, fp, c.matches, c.lpms);
-    }
   };
 
   // Per-site staging slot for stage B: the consumer decodes each site's
@@ -359,7 +324,6 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   auto finalize_counters = [&] {
     stats->order_scorings =
         ctx.order_scorings.load(std::memory_order_relaxed);
-    stats->lpm_cache_hits = lpm_cache_hits.load(std::memory_order_relaxed);
   };
 
   if (star) {

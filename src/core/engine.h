@@ -147,7 +147,6 @@ struct QueryStats {
   bool plan_cache_hit = false;   ///< executed with a cached QueryPlan
   bool result_cache_hit = false; ///< whole outcome served from cache
   bool coalesced_hit = false;    ///< outcome copied from an in-flight twin
-  size_t lpm_cache_hits = 0;     ///< sites whose stage B came from cache
   size_t order_scorings = 0;     ///< order scoring passes this query ran
 
   AssemblyStats assembly;
@@ -193,8 +192,8 @@ struct QueryOutcome {
 /// `context == nullptr` runs over a fresh QuerySession built for the call
 /// (the engine's fault plan, session id 0, a ledger starting at zero); a
 /// non-null context supplies the transport session, slot budget,
-/// cancellation and deadline, cached plan and cache hooks. Either way,
-/// any number of requests may run concurrently over one engine.
+/// cancellation and deadline, and cached plan. Either way, any number of
+/// requests may run concurrently over one engine.
 struct QueryRequest {
   const QueryGraph* query = nullptr;
   EngineMode mode = EngineMode::kFull;

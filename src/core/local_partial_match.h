@@ -42,15 +42,6 @@ struct LocalPartialMatch {
   Bitset sign;
   std::vector<CrossingPairMap> crossing;
 
-  /// Payload bytes held by this match (one id per query vertex, four ids
-  /// per crossing mapping, the signature words), used to weigh LPM-cache
-  /// entries. Shipment is accounted from the encoded wire messages.
-  size_t ByteSize() const {
-    return binding.size() * sizeof(TermId) +
-           crossing.size() * 4 * sizeof(TermId) + sign.ByteSize() +
-           sizeof(FragmentId);
-  }
-
   /// Serialization in the paper's notation, e.g. "[006,NULL,001,NULL,003]".
   std::string ToString(const TermDict& dict) const;
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/local_partial_match.h"
@@ -80,20 +79,6 @@ struct QueryContext {
   /// Optional cached plan for the query's template; it must outlive the
   /// execution. nullptr = the engine plans every site itself.
   const QueryPlan* plan = nullptr;
-
-  // ---- LPM cache hooks (optional). The engine calls `lpm_cache_get(site,
-  // fingerprint, &matches, &lpms)` before a site's partial evaluation and
-  // `lpm_cache_put` after computing it. `fingerprint` hashes the candidate-
-  // exchange filters the site enumerated under (0 = unfiltered), because the
-  // LPM set depends on them; the serving layer closes over the query key.
-  std::function<bool(int site, uint64_t fingerprint,
-                     std::vector<Binding>* matches,
-                     std::vector<LocalPartialMatch>* lpms)>
-      lpm_cache_get;
-  std::function<void(int site, uint64_t fingerprint,
-                     const std::vector<Binding>& matches,
-                     const std::vector<LocalPartialMatch>& lpms)>
-      lpm_cache_put;
 
   // ---- Outputs.
   /// MatchingOrder / unit-order scoring passes actually performed (i.e. not

@@ -12,19 +12,19 @@
 
 namespace gstored::serve {
 
-/// A thread-safe string-keyed LRU map shared by the serving-layer caches
-/// (plan, result and LPM caches). Values are returned by copy / shared
-/// ownership so an eviction never invalidates data an in-flight query is
-/// still reading. Keys are complete encodings (see result_cache.h) —
-/// equality is full-key comparison, so hash collisions can cost a miss but
-/// never return a wrong value.
+/// A thread-safe string-keyed LRU map shared by the serving layer's plan
+/// and result caches. Values are returned by copy / shared ownership so an
+/// eviction never invalidates data an in-flight query is still reading.
+/// Keys are complete encodings (see result_cache.h) — equality is full-key
+/// comparison, so hash collisions can cost a miss but never return a wrong
+/// value.
 ///
 /// Two bounds compose: the entry-count capacity always applies, and the
 /// byte-bounded constructor additionally weighs every value (via the
 /// caller's weigher) and evicts the LRU tail while the resident total
 /// exceeds `max_bytes`. Entries vary by orders of magnitude in some caches
-/// (a site's LPM set for an unselective template dwarfs a selective one's),
-/// so the byte bound is what actually caps memory.
+/// (an unselective template's answer dwarfs a selective one's), so the byte
+/// bound is what actually caps memory.
 ///
 /// Every Clear() bumps a generation counter. A writer whose value was
 /// computed before a flush can make its insert conditional on the
@@ -92,15 +92,13 @@ class LruCache {
   /// find-or-create, done under one lock so two concurrent first instances
   /// of a template share a single entry.
   template <typename Make>
-  V GetOrCreate(const std::string& key, Make&& make, bool* created) {
+  V GetOrCreate(const std::string& key, Make&& make) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it != map_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.pos);
-      if (created != nullptr) *created = false;
       return it->second.value;
     }
-    if (created != nullptr) *created = true;
     V value = make();
     const size_t weight = WeightOf(value);
     lru_.push_front(key);

@@ -4,16 +4,16 @@
 
 namespace gstored::serve {
 
-void FillCachedPlan(const DistributedEngine& engine, const QueryGraph& query,
+bool FillCachedPlan(const DistributedEngine& engine, const QueryGraph& query,
                     CachedPlan* entry) {
   // Single-filler: every concurrent first instance serializes here, and all
   // the fill work (resolution included) happens after the ready re-check, so
   // losers of the race do nothing at all.
   std::lock_guard<std::mutex> lock(entry->mu);
-  if (entry->ready.load(std::memory_order_acquire)) return;
+  if (entry->ready.load(std::memory_order_acquire)) return false;
   const ResolvedQuery rq =
       ResolveQueryTerms(query, engine.partitioning().dataset().dict());
-  if (rq.impossible) return;
+  if (rq.impossible) return false;
   const int num_sites = engine.num_sites();
   const bool use_statistics = engine.options().use_statistics;
   const PlanOptions& plan_options = engine.options().plan;
@@ -40,6 +40,7 @@ void FillCachedPlan(const DistributedEngine& engine, const QueryGraph& query,
     }
   }
   entry->ready.store(true, std::memory_order_release);
+  return true;
 }
 
 }  // namespace gstored::serve

@@ -32,7 +32,8 @@ struct CachedPlan {
 /// without redoing any of it. An instance that resolves as impossible (a
 /// constant missing from the dictionary) has no meaningful statistics to
 /// score orders with, so it leaves the entry not-ready for the next one.
-void FillCachedPlan(const DistributedEngine& engine, const QueryGraph& query,
+/// Returns whether this call filled the entry.
+bool FillCachedPlan(const DistributedEngine& engine, const QueryGraph& query,
                     CachedPlan* entry);
 
 /// LRU cache of template plans keyed on QueryShapeKey. Entries are
@@ -43,11 +44,9 @@ class PlanCache {
   explicit PlanCache(size_t capacity) : cache_(capacity) {}
 
   /// Returns the entry for `key`, creating an unfilled one on first sight.
-  /// `*created` reports which happened (a template-level miss).
-  std::shared_ptr<CachedPlan> FindOrCreate(const std::string& key,
-                                           bool* created) {
-    return cache_.GetOrCreate(
-        key, [] { return std::make_shared<CachedPlan>(); }, created);
+  std::shared_ptr<CachedPlan> FindOrCreate(const std::string& key) {
+    return cache_.GetOrCreate(key,
+                              [] { return std::make_shared<CachedPlan>(); });
   }
 
   void Clear() { cache_.Clear(); }

@@ -9,11 +9,10 @@ namespace gstored::serve {
 
 namespace {
 
-/// Entry-count capacities of the three caches. The result and LPM caches
-/// can add a byte budget on top (ServeOptions::*_capacity_bytes).
+/// Entry-count capacities of the two caches. The result cache can add a
+/// byte budget on top (ServeOptions::result_cache_capacity_bytes).
 constexpr size_t kPlanCacheCapacity = 256;
-constexpr size_t kResultCacheCapacity = 512;
-constexpr size_t kLpmCacheCapacity = 4096;
+constexpr size_t kResultCacheCapacity = 1024;
 
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -63,8 +62,7 @@ ServingEngine::ServingEngine(const DistributedEngine* engine,
                              1, std::thread::hardware_concurrency())),
       plan_cache_(kPlanCacheCapacity),
       result_cache_(kResultCacheCapacity,
-                    options.result_cache_capacity_bytes),
-      lpm_cache_(kLpmCacheCapacity, options.lpm_cache_capacity_bytes) {
+                    options.result_cache_capacity_bytes) {
   GSTORED_CHECK(engine != nullptr);
   last_epoch_sum_.store(StoreEpochSum(), std::memory_order_relaxed);
   const size_t dispatchers = std::max<size_t>(1, options_.max_inflight);
@@ -166,11 +164,10 @@ void ServingEngine::RunTicket(const std::shared_ptr<QueryTicket>& ticket) {
   const EngineMode mode = ticket->mode_;
 
   const std::string exact_key = ExactQueryKey(query);
-  // Admission generations, read at dispatch: a Put carrying them is dropped
-  // if an epoch flush cleared the cache while this query was executing —
-  // the answer it computed describes the pre-flush store.
+  // Admission generation, read at dispatch: a Put carrying it is dropped if
+  // an epoch flush cleared the cache while this query was executing — the
+  // answer it computed describes the pre-flush store.
   const uint64_t result_generation = result_cache_.generation();
-  const uint64_t lpm_generation = lpm_cache_.generation();
 
   // ---- Coalescing: if an identical (exact key, mode) query is already in
   // flight, park this ticket on its leader and free the dispatcher — the
@@ -198,9 +195,8 @@ void ServingEngine::RunTicket(const std::shared_ptr<QueryTicket>& ticket) {
     QueryOutcome cached;
     if (result_cache_.Get(exact_key, mode, &cached)) {
       result_hits_.fetch_add(1, std::memory_order_relaxed);
-      // A hit is not the original run: present hit-scoped stats (the cached
-      // timings/counters describe the miss that filled the entry).
-      cached.stats = QueryStats();
+      // A hit is not the original run: the entry keeps no stats, so present
+      // hit-scoped ones.
       cached.stats.result_cache_hit = true;
       cached.stats.exact = cached.exact;
       cached.stats.num_matches = cached.matches.size();
@@ -219,14 +215,16 @@ void ServingEngine::RunTicket(const std::shared_ptr<QueryTicket>& ticket) {
   // the vertex numbering, so the engine reads the cached plan as is. The
   // fill happens outside the engine, so a filled plan executes with
   // stats.order_scorings == 0 — the "hit skips order scoring" contract.
-  bool created = false;
+  // A hit is a run with a plan another instance filled; a run that filled
+  // the entry, or found none to fill (a constant missing from the
+  // dictionary), is a miss.
   const std::shared_ptr<CachedPlan> entry =
-      plan_cache_.FindOrCreate(QueryShapeKey(query), &created);
-  (created ? plan_misses_ : plan_hits_)
+      plan_cache_.FindOrCreate(QueryShapeKey(query));
+  const bool filled_here = !entry->ready.load(std::memory_order_acquire) &&
+                           FillCachedPlan(*engine_, query, entry.get());
+  const bool planned = entry->ready.load(std::memory_order_acquire);
+  (planned && !filled_here ? plan_hits_ : plan_misses_)
       .fetch_add(1, std::memory_order_relaxed);
-  if (!entry->ready.load(std::memory_order_acquire)) {
-    FillCachedPlan(*engine_, query, entry.get());
-  }
 
   // ---- Per-query session and context: fresh ledger + transport stamped
   // with a unique session id, the carved slot budget, and the caller's
@@ -241,27 +239,10 @@ void ServingEngine::RunTicket(const std::shared_ptr<QueryTicket>& ticket) {
   ctx.num_threads = std::max<size_t>(1, total_slots_ / active);
   ctx.cancel = &ticket->cancel_;
   ctx.deadline_ms = ticket->deadline_ms_;
-  if (entry->ready.load(std::memory_order_acquire)) ctx.plan = &entry->plan;
-  if (options_.use_lpm_cache) {
-    ctx.lpm_cache_get = [this, &exact_key](
-                            int site, uint64_t fingerprint,
-                            std::vector<Binding>* matches,
-                            std::vector<LocalPartialMatch>* lpms) {
-      return lpm_cache_.Get(exact_key, site, fingerprint, matches, lpms);
-    };
-    ctx.lpm_cache_put = [this, &exact_key, lpm_generation](
-                            int site, uint64_t fingerprint,
-                            const std::vector<Binding>& matches,
-                            const std::vector<LocalPartialMatch>& lpms) {
-      lpm_cache_.Put(exact_key, site, fingerprint, matches, lpms,
-                     lpm_generation);
-    };
-  }
+  if (planned) ctx.plan = &entry->plan;
 
   executed_.fetch_add(1, std::memory_order_relaxed);
   QueryOutcome outcome = engine_->Run({query, mode, ctx});
-  lpm_hits_.fetch_add(outcome.stats.lpm_cache_hits,
-                      std::memory_order_relaxed);
   if (options_.post_execute_hook) options_.post_execute_hook();
 
   if (options_.use_result_cache && CleanRun(outcome)) {
@@ -358,7 +339,6 @@ void ServingEngine::MaybeFlushOnEpochChange() {
 void ServingEngine::InvalidateCaches() {
   plan_cache_.Clear();
   result_cache_.Clear();
-  lpm_cache_.Clear();
 }
 
 ServingEngine::Counters ServingEngine::counters() const {
@@ -367,7 +347,6 @@ ServingEngine::Counters ServingEngine::counters() const {
   c.result_hits = result_hits_.load(std::memory_order_relaxed);
   c.plan_hits = plan_hits_.load(std::memory_order_relaxed);
   c.plan_misses = plan_misses_.load(std::memory_order_relaxed);
-  c.lpm_hits = lpm_hits_.load(std::memory_order_relaxed);
   c.epoch_flushes = epoch_flushes_.load(std::memory_order_relaxed);
   c.coalesce_attached = coalesce_attached_.load(std::memory_order_relaxed);
   c.coalesced = coalesced_.load(std::memory_order_relaxed);

@@ -45,19 +45,11 @@ struct ServeOptions {
   bool coalesce_inflight = true;
 
   bool use_result_cache = true;
-  bool use_lpm_cache = true;
 
-  /// Byte budget for the LPM cache (0 = entry-count bound only). Stage-B
-  /// entries vary by orders of magnitude — a site's LPM set for an
-  /// unselective template dwarfs a selective one's — so bounding bytes keeps
-  /// the cache's memory footprint flat where an entry count cannot. The
-  /// 4,096-entry capacity still applies as a second ceiling.
-  size_t lpm_cache_capacity_bytes = 0;
-
-  /// Byte budget for the result cache (0 = entry-count bound only), same
-  /// rationale: whole outcomes vary by orders of magnitude with the
-  /// template's selectivity, so bounding bytes keeps the footprint flat
-  /// where an entry count cannot. The 512-entry capacity still applies.
+  /// Byte budget for the result cache (0 = entry-count bound only). Whole
+  /// outcomes vary by orders of magnitude with the template's selectivity,
+  /// so bounding bytes keeps the footprint flat where an entry count
+  /// cannot. The 1,024-entry capacity still applies as a second ceiling.
   size_t result_cache_capacity_bytes = 0;
 
   /// Test seam: when set, invoked on the dispatcher thread after the engine
@@ -146,17 +138,16 @@ class QueryTicket {
 /// a clean outcome — see README.md for the full protocol, including the
 /// degraded-leader release and follower-cancel detach rules.
 ///
-/// Three caches sit in front of execution (see README.md for the key
+/// Two caches sit in front of execution (see README.md for the key
 /// derivations and invalidation rules): the plan cache (template shape as
-/// written -> orders/islands/static verdict, replayed as is), the LPM cache
-/// (exact instance x site x filter fingerprint -> stage-B results) and the
-/// result cache (exact instance x mode -> whole outcome). All three are
-/// invalidated when any fragment graph's finalize_epoch() changes, checked
-/// before every query, and result/LPM admission is generation-stamped at
-/// dispatch so a query that raced with the flush cannot re-insert an answer
-/// computed on the old store. The epoch check assumes stores are only
-/// mutated while the engine is otherwise quiescent (fragments are immutable
-/// during normal serving).
+/// written -> orders/islands/static verdict, replayed as is) and the result
+/// cache (exact instance x mode -> whole outcome). The engine takes nothing
+/// from the serving layer but a plan. Both caches are invalidated when any
+/// fragment graph's finalize_epoch() changes, checked before every query,
+/// and result admission is generation-stamped at dispatch so a query that
+/// raced with the flush cannot re-insert an answer computed on the old
+/// store. The epoch check assumes stores are only mutated while the engine
+/// is otherwise quiescent (fragments are immutable during normal serving).
 class ServingEngine {
  public:
   /// `engine` (and the partitioning behind it) must outlive the server.
@@ -176,17 +167,20 @@ class ServingEngine {
   std::shared_ptr<QueryTicket> Submit(const QueryGraph& query,
                                       SubmitOptions opts = {});
 
-  /// Drops every cached plan, outcome and stage-B entry. Also triggered
-  /// automatically when a fragment's finalize epoch changes.
+  /// Drops every cached plan and outcome. Also triggered automatically when
+  /// a fragment's finalize epoch changes.
   void InvalidateCaches();
 
   /// Monotonic cache / admission counters (relaxed reads; exact once idle).
   struct Counters {
     size_t executed = 0;       ///< queries that reached the engine
     size_t result_hits = 0;    ///< whole outcomes served from cache
-    size_t plan_hits = 0;      ///< template shapes seen before
-    size_t plan_misses = 0;    ///< first instances of a template
-    size_t lpm_hits = 0;       ///< per-site stage-B cache hits
+    size_t plan_hits = 0;      ///< runs replaying a plan another run filled
+    size_t plan_misses = 0;    ///< runs that filled the plan or had none
+    /// Always 0: the per-site stage-B cache it counted is gone. It stays
+    /// only because perfbench reads it; it goes with that benchmark's
+    /// `serve.lpm_hits_per_exec` metric.
+    size_t lpm_hits = 0;
     size_t epoch_flushes = 0;  ///< invalidations from finalize_epoch changes
     size_t coalesce_attached = 0;  ///< followers parked on an in-flight twin
     size_t coalesced = 0;      ///< followers completed from a leader's outcome
@@ -222,7 +216,6 @@ class ServingEngine {
 
   PlanCache plan_cache_;
   ResultCache result_cache_;
-  LpmCache lpm_cache_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -246,7 +239,6 @@ class ServingEngine {
   std::atomic<size_t> result_hits_{0};
   std::atomic<size_t> plan_hits_{0};
   std::atomic<size_t> plan_misses_{0};
-  std::atomic<size_t> lpm_hits_{0};
   std::atomic<size_t> epoch_flushes_{0};
   std::atomic<size_t> coalesce_attached_{0};
   std::atomic<size_t> coalesced_{0};

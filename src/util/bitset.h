@@ -121,9 +121,6 @@ class Bitset {
     return out;
   }
 
-  /// Approximate serialized size in bytes (for shipment accounting).
-  size_t ByteSize() const { return words_.size() * sizeof(uint64_t); }
-
  private:
   size_t size_;
   std::vector<uint64_t> words_;

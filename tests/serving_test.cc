@@ -3,8 +3,8 @@
 // at stage boundaries with a sound flagged-partial result; the plan cache
 // shares one entry among instances of a template written in one vertex
 // numbering (and never collides distinct predicates) while cache hits skip
-// order scoring; the result/LPM caches replay exact outcomes and flush when
-// a fragment's finalize epoch changes.
+// order scoring; the result cache replays exact outcomes, keeps the last
+// 1,024 instances, and flushes when a fragment's finalize epoch changes.
 
 #include <gtest/gtest.h>
 
@@ -56,10 +56,22 @@ std::vector<Binding> Serial(DistributedEngine& engine, const QueryGraph& q,
   return engine.Run({q, mode}).matches;
 }
 
+/// Two-edge template anchored at one department constant; 8 distinct
+/// instances exist in SmallLubm (2 universities x 4 departments), all
+/// written in one vertex numbering.
+QueryGraph DeptQuery(int univ, int dept) {
+  const std::string d = "<http://www.univ" + std::to_string(univ) +
+                        ".edu/dept" + std::to_string(dept) + "#dept>";
+  QueryGraph q;
+  q.AddEdge("?x", "<http://lubm.org/ont#worksFor>", d);
+  q.AddEdge(d, "<http://lubm.org/ont#subOrganizationOf>", "?u");
+  return q;
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent determinism: a mixed LQ1-LQ7 stream submitted from 8 client
 // threads (one lane each) is byte-identical to the serial run, with every
-// cache on and with the result and LPM caches off.
+// cache on and with the result cache off.
 
 TEST(ServingConcurrency, MixedLubmStreamByteIdenticalToSerial) {
   Workload w = SmallLubm();
@@ -83,7 +95,6 @@ TEST(ServingConcurrency, MixedLubmStreamByteIdenticalToSerial) {
     options.max_inflight = 4;
     options.total_slots = 8;
     options.use_result_cache = caches;
-    options.use_lpm_cache = caches;
     ServingEngine server(&engine, options);
 
     constexpr int kClients = 8;
@@ -322,7 +333,6 @@ TEST(PlanCache, SecondInstanceHitsAndSkipsOrderScoring) {
   ServeOptions options;
   options.max_inflight = 1;
   options.use_result_cache = false;  // force both runs through the engine
-  options.use_lpm_cache = false;
   ServingEngine server(&engine, options);
 
   for (const BenchmarkQuery& bq : w.queries) {
@@ -354,7 +364,6 @@ TEST(PlanCache, InstancesOfOneTemplateShareOneEntry) {
   ServeOptions options;
   options.max_inflight = 1;
   options.use_result_cache = false;
-  options.use_lpm_cache = false;
   ServingEngine server(&engine, options);
 
   // Two instances of one template with different constant bindings; the
@@ -391,7 +400,6 @@ TEST(PlanCache, DifferentlyNumberedInstancesDoNotShareAPlan) {
   ServeOptions options;
   options.max_inflight = 1;
   options.use_result_cache = false;
-  options.use_lpm_cache = false;
   ServingEngine server(&engine, options);
 
   // One non-star template (so island tasks and unit orders are replayed),
@@ -425,8 +433,41 @@ TEST(PlanCache, DifferentlyNumberedInstancesDoNotShareAPlan) {
   EXPECT_EQ(counters.plan_hits, 0u);
 }
 
+TEST(PlanCache, UnplannedFirstInstanceDoesNotMakeTheNextFillAHit) {
+  Workload w = SmallLubm();
+  Partitioning p = HashPartitioner().Partition(*w.dataset, 3);
+  DistributedEngine engine(&p);
+  ServeOptions options;
+  options.max_inflight = 1;
+  options.use_result_cache = false;
+  ServingEngine server(&engine, options);
+
+  // The first instance names a department missing from the dictionary: it
+  // resolves impossible, fills nothing and runs unplanned. The second fills
+  // the entry itself, so only the third replays a plan another filled.
+  const std::string ont = "<http://lubm.org/ont#";
+  auto instance = [&ont](const std::string& dept) {
+    QueryGraph q;
+    q.AddEdge("?s", ont + "takesCourse>", "?c");
+    q.AddEdge("?p", ont + "teacherOf>", "?c");
+    q.AddEdge("?p", ont + "worksFor>", dept);
+    return q;
+  };
+  for (const std::string dept : {"<http://www.univ9.edu/dept9#dept>",
+                                 "<http://www.univ0.edu/dept0#dept>",
+                                 "<http://www.univ1.edu/dept0#dept>"}) {
+    const QueryGraph q = instance(dept);
+    auto ticket = server.Submit(q);
+    EXPECT_EQ(ticket->Wait().matches, Serial(engine, q, EngineMode::kFull))
+        << dept;
+  }
+  ServingEngine::Counters counters = server.counters();
+  EXPECT_EQ(counters.plan_misses, 2u);
+  EXPECT_EQ(counters.plan_hits, 1u);
+}
+
 // ---------------------------------------------------------------------------
-// Result / LPM caches and invalidation.
+// Result cache and invalidation.
 
 TEST(ResultCache, HitEqualsMissAcrossAllLubmQueriesAndModes) {
   Workload w = SmallLubm();
@@ -494,27 +535,33 @@ TEST(ResultCache, FinalizeEpochChangeFlushesAllCaches) {
   EXPECT_EQ(server.counters().executed, 3u);
 }
 
-TEST(LpmCache, CrossModeReuseOfStageB) {
+TEST(ResultCache, KeepsTheLast1024Instances) {
+  // One real instance, then 1,023 distinct instances whose department is
+  // missing from the dictionary: they resolve impossible, run in
+  // microseconds and are clean, so each is admitted. The real instance is
+  // then the oldest of 1,024 entries and must still be a hit.
   Workload w = SmallLubm();
   Partitioning p = HashPartitioner().Partition(*w.dataset, 3);
   DistributedEngine engine(&p);
   ServeOptions options;
   options.max_inflight = 1;
-  options.use_result_cache = false;  // isolate the LPM cache
   ServingEngine server(&engine, options);
-  // A non-star query so stage B enumerates LPMs. kBasic and kLecPruning
-  // both run unfiltered (fingerprint 0), so the second run's stage B comes
-  // entirely from cache; results stay byte-identical.
-  const QueryGraph& q = w.queries[0].query;
-  std::vector<Binding> basic = Serial(engine, q, EngineMode::kBasic);
 
-  auto first = server.Submit(q, {.mode = EngineMode::kBasic});
-  EXPECT_EQ(first->Wait().matches, basic);
-  EXPECT_EQ(first->stats().lpm_cache_hits, 0u);
-  auto second = server.Submit(q, {.mode = EngineMode::kLecPruning});
-  EXPECT_EQ(second->Wait().matches, basic);
-  EXPECT_EQ(second->stats().lpm_cache_hits,
-            static_cast<size_t>(engine.num_sites()));
+  const QueryGraph real = DeptQuery(0, 0);
+  const std::vector<Binding> expected = Serial(engine, real, EngineMode::kFull);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(server.Submit(real)->Wait().matches, expected);
+  for (int dept = 0; dept < 1023; ++dept) {
+    auto missing = server.Submit(DeptQuery(9, dept));
+    ASSERT_TRUE(missing->Wait().exact) << dept;
+    ASSERT_TRUE(missing->Wait().matches.empty()) << dept;
+  }
+  auto repeat = server.Submit(real);
+  EXPECT_EQ(repeat->Wait().matches, expected);
+  EXPECT_TRUE(repeat->stats().result_cache_hit);
+  ServingEngine::Counters counters = server.counters();
+  EXPECT_EQ(counters.executed, 1024u);
+  EXPECT_EQ(counters.result_hits, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -572,36 +619,6 @@ TEST(LruCacheTest, ByteBoundEvictsTailUntilUnderBudget) {
   EXPECT_EQ(cache.bytes(), 0u);
 }
 
-TEST(LpmCacheTest, ByteBoundedEvictionTracksPayloadBytes) {
-  // Two sites' stage-B entries under a budget sized for roughly one of them:
-  // inserting the second evicts the first, and bytes() stays under control.
-  serve::LpmCache cache(/*capacity=*/1024, /*capacity_bytes=*/4096);
-
-  auto make_matches = [](size_t rows, size_t width) {
-    std::vector<Binding> matches(rows, Binding(width, TermId{7}));
-    return matches;
-  };
-  cache.Put("q", /*site=*/0, /*fingerprint=*/1, make_matches(40, 8), {},
-            cache.generation());
-  const size_t one_entry = cache.bytes();
-  EXPECT_GT(one_entry, 40 * 8 * sizeof(TermId));
-  EXPECT_LE(one_entry, 4096u);
-
-  cache.Put("q", /*site=*/1, /*fingerprint=*/1, make_matches(40, 8), {},
-            cache.generation());
-  EXPECT_EQ(cache.size(), 1u);  // site 0's entry was evicted
-  EXPECT_LE(cache.bytes(), 4096u);
-
-  std::vector<Binding> matches;
-  std::vector<LocalPartialMatch> lpms;
-  EXPECT_FALSE(cache.Get("q", 0, 1, &matches, &lpms));
-  EXPECT_TRUE(cache.Get("q", 1, 1, &matches, &lpms));
-  EXPECT_EQ(matches.size(), 40u);
-
-  cache.Clear();
-  EXPECT_EQ(cache.bytes(), 0u);
-}
-
 TEST(ResultCacheTest, ByteBoundedEvictionTracksOutcomeBytes) {
   // Two outcomes under a byte budget sized for roughly one of them:
   // inserting the second evicts the first (LRU), and bytes() tracks the
@@ -612,6 +629,8 @@ TEST(ResultCacheTest, ByteBoundedEvictionTracksOutcomeBytes) {
     QueryOutcome outcome;
     outcome.matches.assign(rows, Binding(width, TermId{7}));
     outcome.sites.resize(3);
+    outcome.stats.num_matches = rows;
+    outcome.stats.partial_eval_sites.resize(4);
     return outcome;
   };
   ASSERT_TRUE(cache.Put("q1", EngineMode::kFull, make_outcome(60, 8),
@@ -629,6 +648,11 @@ TEST(ResultCacheTest, ByteBoundedEvictionTracksOutcomeBytes) {
   EXPECT_FALSE(cache.Get("q1", EngineMode::kFull, &out));
   EXPECT_TRUE(cache.Get("q2", EngineMode::kFull, &out));
   EXPECT_EQ(out.matches.size(), 60u);
+  EXPECT_EQ(out.sites.size(), 3u);
+  // An entry keeps only what a hit returns: the filling run's stats (and
+  // their heap blocks, which the weigher does not count) are not stored.
+  EXPECT_TRUE(out.stats.partial_eval_sites.empty());
+  EXPECT_EQ(out.stats.num_matches, 0u);
 
   // Small outcomes coexist under the same budget (weights are per-entry).
   cache.Clear();
@@ -656,26 +680,7 @@ TEST(ResultCacheTest, ByteBoundedResultCacheStaysCorrectUnderServing) {
   DistributedEngine engine(&p);
   ServeOptions options;
   options.max_inflight = 1;
-  options.use_lpm_cache = false;
   options.result_cache_capacity_bytes = 1024;
-  ServingEngine server(&engine, options);
-  for (const BenchmarkQuery& bq : w.queries) {
-    std::vector<Binding> expected = Serial(engine, bq.query, EngineMode::kFull);
-    EXPECT_EQ(server.Submit(bq.query)->Wait().matches, expected) << bq.name;
-    EXPECT_EQ(server.Submit(bq.query)->Wait().matches, expected) << bq.name;
-  }
-}
-
-TEST(ServingStreaming, ByteBoundedLpmCacheStaysCorrectUnderServing) {
-  // A tiny byte budget forces constant LPM-cache eviction; answers must stay
-  // byte-identical (a miss just recomputes stage B).
-  Workload w = SmallLubm();
-  Partitioning p = HashPartitioner().Partition(*w.dataset, 3);
-  DistributedEngine engine(&p);
-  ServeOptions options;
-  options.max_inflight = 1;
-  options.use_result_cache = false;
-  options.lpm_cache_capacity_bytes = 2048;
   ServingEngine server(&engine, options);
   for (const BenchmarkQuery& bq : w.queries) {
     std::vector<Binding> expected = Serial(engine, bq.query, EngineMode::kFull);
@@ -688,18 +693,6 @@ TEST(ServingStreaming, ByteBoundedLpmCacheStaysCorrectUnderServing) {
 // In-flight coalescing: one leader executes a cold burst of identical
 // queries, followers receive byte-identical copies; unclean leaders release
 // their followers; follower cancellation never propagates to the leader.
-
-/// Two-edge template anchored at one department constant; 8 distinct
-/// instances exist in SmallLubm (2 universities x 4 departments), all
-/// written in one vertex numbering.
-QueryGraph DeptQuery(int univ, int dept) {
-  const std::string d = "<http://www.univ" + std::to_string(univ) +
-                        ".edu/dept" + std::to_string(dept) + "#dept>";
-  QueryGraph q;
-  q.AddEdge("?x", "<http://lubm.org/ont#worksFor>", d);
-  q.AddEdge(d, "<http://lubm.org/ont#subOrganizationOf>", "?u");
-  return q;
-}
 
 template <typename Pred>
 void SpinUntil(Pred pred) {
@@ -720,7 +713,6 @@ TEST(Coalescing, IdenticalColdBurstExecutesOnceByteIdentical) {
   ServeOptions options;
   options.max_inflight = 4;
   options.use_result_cache = false;  // only coalescing can dedup the burst
-  options.use_lpm_cache = false;
   options.post_execute_hook = [&] {
     if (in_hook.fetch_add(1) == 0) {
       SpinUntil([&] { return !gate_closed.load(); });
@@ -820,7 +812,6 @@ TEST(Coalescing, FollowerCancelDetachesWithoutCancellingLeader) {
   ServeOptions options;
   options.max_inflight = 2;
   options.use_result_cache = false;
-  options.use_lpm_cache = false;
   options.post_execute_hook = [&] {
     if (in_hook.fetch_add(1) == 0) {
       SpinUntil([&] { return !gate_closed.load(); });
@@ -871,7 +862,6 @@ TEST(Coalescing, DegradedLeaderReleasesFollowersToExecute) {
   ServeOptions options;
   options.max_inflight = 2;
   options.use_result_cache = false;
-  options.use_lpm_cache = false;
   options.post_execute_hook = [&] {
     if (in_hook.fetch_add(1) == 0) {
       SpinUntil([&] { return !gate_closed.load(); });
@@ -1015,7 +1005,6 @@ TEST(PlanCache, ConcurrentFirstSightFillsOnce) {
   ServeOptions options;
   options.max_inflight = 8;
   options.use_result_cache = false;
-  options.use_lpm_cache = false;
   ServingEngine server(&engine, options);
 
   // All 8 instances of one never-seen template at once: exactly
