@@ -9,6 +9,7 @@
 #include "baselines/relational.h"
 #include "core/assembly.h"
 #include "core/engine.h"
+#include "core/join_graph.h"
 #include "core/lec_feature.h"
 #include "core/local_partial_match.h"
 #include "core/pruning.h"
@@ -201,6 +202,41 @@ void BM_ComputeLecFeatures(benchmark::State& state) {
                           static_cast<int64_t>(f.lpms.size()));
 }
 BENCHMARK(BM_ComputeLecFeatures);
+
+// The chain joins' probe: every feature of the fixture against each
+// candidate CrossingIndex::Candidates lists for it in every LECSign group
+// whose sign is disjoint from its own, the pairs a chain join can probe.
+// The pairs are listed once, outside the timed loop. Reports the pair count
+// and how many are joinable, exact figures the CI gate pins; the time per
+// item is the cost of one probe.
+void BM_FeaturesJoinable(benchmark::State& state) {
+  MicroFixture& f = Fixture();
+  const std::vector<LecFeature>& features = f.features.features;
+  const std::vector<std::vector<uint32_t>> groups = GroupBySign(features);
+  const CrossingIndex<LecFeature> index(features, groups);
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  std::vector<uint32_t> candidates;
+  for (uint32_t a = 0; a < features.size(); ++a) {
+    for (uint32_t g = 0; g < groups.size(); ++g) {
+      if ((features[a].sign & features[groups[g].front()].sign) != 0) continue;
+      index.Candidates(features[a].crossing, g, &candidates);
+      for (uint32_t b : candidates) pairs.emplace_back(a, b);
+    }
+  }
+  size_t joinable = 0;
+  for (auto _ : state) {
+    joinable = 0;
+    for (const auto& [a, b] : pairs) {
+      joinable += FeaturesJoinable(features[a], features[b]);
+    }
+    benchmark::DoNotOptimize(joinable);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(pairs.size()));
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+  state.counters["joinable"] = static_cast<double>(joinable);
+}
+BENCHMARK(BM_FeaturesJoinable);
 
 // The two chain-join rows report their FeaturesJoinable probe count and
 // what the join produced (surviving features; materialized partials and

@@ -38,7 +38,7 @@ int main() {
                 fragment.id() + 1, lpms.size());
     for (const LocalPartialMatch& pm : lpms) {
       std::printf("  %s  sign=%s\n", pm.ToString(dict).c_str(),
-                  pm.sign.ToString().c_str());
+                  SignToString(pm.sign, query.num_vertices()).c_str());
     }
     all.insert(all.end(), lpms.begin(), lpms.end());
   }
@@ -48,7 +48,7 @@ int main() {
   std::printf("\n%zu LEC features (from %zu LPMs):\n",
               features.features.size(), all.size());
   for (const LecFeature& f : features.features) {
-    std::printf("  %s\n", f.ToString(dict).c_str());
+    std::printf("  %s\n", f.ToString(dict, query.num_vertices()).c_str());
   }
   PruneResult prune =
       LecFeaturePruning(features.features, query.num_vertices());

@@ -14,7 +14,7 @@ namespace {
 
 /// An in-flight joined partial result (the PM_k of Alg. 3).
 struct PartialJoin {
-  Bitset sign;
+  LecSign sign = 0;
   std::vector<CrossingPairMap> crossing;
   Binding binding;
 };
@@ -173,9 +173,7 @@ std::vector<Binding> BasicAssembly(const std::vector<LocalPartialMatch>& lpms,
   if (stats == nullptr) stats = &local_stats;
   ResultSink sink;
   if (lpms.empty()) return sink.Take();
-  for (const LocalPartialMatch& pm : lpms) {
-    GSTORED_CHECK_EQ(pm.sign.size(), num_query_vertices);
-  }
+  const LecSign full_sign = CheckedFullSign(lpms, num_query_vertices);
 
   // Worklist join without any grouping: every unique partial is expanded
   // against every LPM. Dedup guarantees termination (signs grow monotonically
@@ -197,7 +195,7 @@ std::vector<Binding> BasicAssembly(const std::vector<LocalPartialMatch>& lpms,
     for (const PartialJoin& pj : frontier) {
       for (const LocalPartialMatch& pm : lpms) {
         if (!TryJoin(pj, pm, stats, &joined)) continue;
-        if (joined.sign.All()) {
+        if (joined.sign == full_sign) {
           sink.Add(std::move(joined.binding));
           continue;
         }

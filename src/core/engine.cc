@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
+#include <span>
 
 #include "core/group_schedule.h"
 #include "core/lec_feature.h"
@@ -368,9 +370,10 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
         StageOrdinal(QueryStage::kLecFeatures), lec_stage_id, policy,
         [&](int site) {
           ensure_features(site);
-          return std::vector<WireMessage>{
-              MakeMessage(MessageType::kLecFeatureBatch,
-                          EncodeLecFeatureBatch(cache[site].features.features))};
+          return std::vector<WireMessage>{MakeMessage(
+              MessageType::kLecFeatureBatch,
+              EncodeLecFeatureBatch(cache[site].features.features,
+                                    static_cast<uint32_t>(n)))};
         },
         [&](int site, std::vector<WireMessage> msgs) {
           SiteStageC& sc = stage_c[site];
@@ -481,26 +484,28 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
       [&](int site) {
         ensure_partial_eval(site);
         const SiteCache& c = cache[site];
-        std::vector<LocalPartialMatch> to_ship;
+        // Indices of the LPMs to ship, encoded straight from the cache.
+        std::vector<size_t> shipped;
         if (prune_active && survivors_delivered[site]) {
           ensure_features(site);
-          const std::vector<size_t>& feature_of =
-              cache[site].features.feature_of_lpm;
-          to_ship.reserve(c.lpms.size());
+          const std::vector<size_t>& feature_of = c.features.feature_of_lpm;
+          const std::vector<bool>& keep = site_survivors[site];
           for (size_t i = 0; i < c.lpms.size(); ++i) {
-            if (feature_of[i] < site_survivors[site].size() &&
-                site_survivors[site][feature_of[i]]) {
-              to_ship.push_back(c.lpms[i]);
+            if (feature_of[i] < keep.size() && keep[feature_of[i]]) {
+              shipped.push_back(i);
             }
           }
         } else {
-          to_ship = c.lpms;
+          shipped.resize(c.lpms.size());
+          std::iota(shipped.begin(), shipped.end(), size_t{0});
         }
         std::vector<WireMessage> msgs;
-        for (size_t first = 0; first < to_ship.size(); first += kLpmBatchSize) {
-          size_t count = std::min(kLpmBatchSize, to_ship.size() - first);
-          msgs.push_back(MakeMessage(MessageType::kLpmBatch,
-                                     EncodeLpmBatch(to_ship, first, count)));
+        for (size_t first = 0; first < shipped.size(); first += kLpmBatchSize) {
+          size_t count = std::min(kLpmBatchSize, shipped.size() - first);
+          msgs.push_back(MakeMessage(
+              MessageType::kLpmBatch,
+              EncodeLpmBatch(c.lpms,
+                             std::span(shipped).subspan(first, count))));
         }
         return msgs;
       },

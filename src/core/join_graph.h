@@ -35,7 +35,6 @@
 
 #include "core/group_schedule.h"
 #include "core/lec_feature.h"
-#include "util/bitset.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -51,30 +50,39 @@ struct JoinGraphStats {
 /// LECSign, in first-appearance order. Each group lists its items in
 /// ascending index order — the order the chain join scans it in.
 ///
-/// `Item` must expose `.sign` (Bitset) — LocalPartialMatch and LecFeature
+/// `Item` must expose `.sign` (LecSign) — LocalPartialMatch and LecFeature
 /// both qualify.
 template <typename Item>
 std::vector<std::vector<uint32_t>> GroupBySign(const std::vector<Item>& items) {
   std::vector<std::vector<uint32_t>> groups;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> sign_buckets;
-  std::vector<Bitset> group_signs;
+  std::unordered_map<LecSign, uint32_t> group_of;
   for (uint32_t i = 0; i < items.size(); ++i) {
-    uint64_t h = items[i].sign.Hash();
-    bool placed = false;
-    for (uint32_t g : sign_buckets[h]) {
-      if (group_signs[g] == items[i].sign) {
-        groups[g].push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      sign_buckets[h].push_back(static_cast<uint32_t>(groups.size()));
-      group_signs.push_back(items[i].sign);
-      groups.push_back({i});
-    }
+    auto [it, fresh] = group_of.try_emplace(
+        items[i].sign, static_cast<uint32_t>(groups.size()));
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(i);
   }
   return groups;
+}
+
+/// The chain joins' input contract, checked once per item: at most
+/// kMaxEnumerableVertices query vertices, every sign within the `n`
+/// vertices, and every crossing endpoint below kMaxEnumerableVertices (the
+/// bound FeaturesJoinable's endpoint array relies on). Returns the sign of
+/// a complete chain, FullSign(n); 0 for no items, whose `n` goes unchecked.
+template <typename Item>
+LecSign CheckedFullSign(const std::vector<Item>& items, size_t n) {
+  if (items.empty()) return 0;
+  GSTORED_CHECK_LE(n, kMaxEnumerableVertices);
+  const LecSign full = FullSign(n);
+  for (const Item& item : items) {
+    GSTORED_CHECK_EQ(item.sign & ~full, 0u);
+    for (const CrossingPairMap& c : item.crossing) {
+      GSTORED_CHECK_LT(c.q_from, kMaxEnumerableVertices);
+      GSTORED_CHECK_LT(c.q_to, kMaxEnumerableVertices);
+    }
+  }
+  return full;
 }
 
 /// Inverted index from crossing mapping to the (group, item) entries that
@@ -84,7 +92,7 @@ std::vector<std::vector<uint32_t>> GroupBySign(const std::vector<Item>& items) {
 /// ascending run. Keys are the exact mappings, never hashes: a lookup
 /// returns exactly the items that share a mapping.
 ///
-/// `Item` must expose `.sign` (Bitset) and `.crossing` (sorted
+/// `Item` must expose `.sign` (LecSign) and `.crossing` (sorted
 /// CrossingPairMap vector). The index keeps a pointer to `items`, which
 /// must outlive it.
 template <typename Item>
@@ -138,8 +146,8 @@ class CrossingIndex {
           // A group's items share its sign, so overlapping group signs
           // rule out every item pair of the two runs (condition 4).
           if (!joinable_pairs.contains(group_pair) &&
-              items[entries_[a_lo].item].sign.DisjointWith(
-                  items[entries_[b_lo].item].sign)) {
+              (items[entries_[a_lo].item].sign &
+               items[entries_[b_lo].item].sign) == 0) {
             bool confirmed = false;
             for (size_t i = a_lo; i < a_hi && !confirmed; ++i) {
               for (size_t j = b_lo; j < b_hi && !confirmed; ++j) {
@@ -244,10 +252,10 @@ class CrossingIndex {
 /// The chain join of Alg. 2 and Alg. 3, seed-major: each item of the
 /// current vmin group seeds one independent DFS over the active groups, the
 /// seeds run through one ParallelFor, and the group is folded and retired
-/// before the next vmin is chosen. The kernel owns the run setup (sign
-/// width check, grouping, index, group join graph, isolated-group
-/// fixpoint), the vmin loop and the DFS step. `Policy` supplies the rest,
-/// called directly (no virtual or std::function call per probe):
+/// before the next vmin is chosen. The kernel owns the run setup (input
+/// check, grouping, index, group join graph, isolated-group fixpoint), the
+/// vmin loop and the DFS step. `Policy` supplies the rest, called directly
+/// (no virtual or std::function call per probe):
 ///
 ///   * types `Chain` (`.sign`, `.crossing` plus a payload), `Slot` (per-slot
 ///     state, from `NewSlot(num_groups)`) and `Emit` (a completion's output);
@@ -256,10 +264,10 @@ class CrossingIndex {
 ///   * `Stopped()` is polled before each seed and each group expansion;
 ///   * `Join(slot, chain, item, &joined)` sets `joined`'s payload after a
 ///     successful probe, or returns false to drop it;
-///   * `Complete(slot, joined, out)` takes an all-ones chain, which is never
-///     extended; `Admit(slot, depth, joined, &next)` takes (or merges) any
-///     other into the depth's next frontier, or returns false to end the
-///     walk;
+///   * `Complete(slot, joined, out)` takes a chain whose sign is
+///     FullSign(n), which is never extended; `Admit(slot, depth, joined,
+///     &next)` takes (or merges) any other into the depth's next frontier,
+///     or returns false to end the walk;
 ///   * `FoldGroup(slots, emitted)` runs on the caller after each group's
 ///     barrier, with the slots the group used and its emissions in seed
 ///     order.
@@ -281,11 +289,9 @@ class ChainJoin {
             Policy& policy)
       : items_(items),
         policy_(policy),
+        full_sign_(CheckedFullSign(items, num_query_vertices)),
         groups_(GroupBySign(items)),
         index_(items, groups_) {
-    for (const Item& item : items) {
-      GSTORED_CHECK_EQ(item.sign.size(), num_query_vertices);
-    }
     adjacency_ = index_.JoinGraph(&graph_);
     active_.assign(groups_.size(), true);
     DeactivateIsolatedGroups(adjacency_, &active_);
@@ -377,9 +383,9 @@ class ChainJoin {
       std::vector<Chain>& next = d.frontier_arena[depth];
       next.clear();
       // Every item of a group carries the group's sign (Def. 10/11).
-      const Bitset& group_sign = items_[groups_[g].front()].sign;
+      const LecSign group_sign = items_[groups_[g].front()].sign;
       for (const Chain& chain : frontier) {
-        if (!chain.sign.DisjointWith(group_sign)) continue;
+        if ((chain.sign & group_sign) != 0) continue;
         index_.Candidates(chain.crossing, g, &d.candidates);
         for (uint32_t i : d.candidates) {
           const Item& item = items_[i];
@@ -391,7 +397,7 @@ class ChainJoin {
           }
           d.joined.sign = chain.sign | item.sign;
           d.joined.crossing = MergeCrossing(chain.crossing, item.crossing);
-          if (d.joined.sign.All()) {
+          if (d.joined.sign == full_sign_) {
             policy_.Complete(slot, d.joined, out);
           } else if (!policy_.Admit(slot, depth, d.joined, &next)) {
             return;
@@ -408,6 +414,7 @@ class ChainJoin {
 
   const std::vector<Item>& items_;
   Policy& policy_;
+  const LecSign full_sign_;                          // FullSign(n)
   const std::vector<std::vector<uint32_t>> groups_;  // item indices
   const CrossingIndex<Item> index_;                  // over `groups_`
   std::vector<std::vector<uint32_t>> adjacency_;     // group join graph

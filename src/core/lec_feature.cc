@@ -1,6 +1,7 @@
 #include "core/lec_feature.h"
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
 
 #include "util/hash.h"
@@ -9,7 +10,7 @@
 namespace gstored {
 
 uint64_t LecFeature::Hash() const {
-  uint64_t h = HashCombine(sign.Hash(), static_cast<uint64_t>(fragment));
+  uint64_t h = HashCombine(sign, static_cast<uint64_t>(fragment));
   for (const CrossingPairMap& c : crossing) {
     h = HashCombine(h, (static_cast<uint64_t>(c.q_from) << 32) | c.q_to);
     h = HashCombine(h, (static_cast<uint64_t>(c.d_from) << 32) | c.d_to);
@@ -17,7 +18,7 @@ uint64_t LecFeature::Hash() const {
   return h;
 }
 
-std::string LecFeature::ToString(const TermDict& dict) const {
+std::string LecFeature::ToString(const TermDict& dict, size_t n) const {
   std::string out = "{F" + std::to_string(fragment) + ", {";
   for (size_t i = 0; i < crossing.size(); ++i) {
     if (i > 0) out += ", ";
@@ -25,7 +26,7 @@ std::string LecFeature::ToString(const TermDict& dict) const {
     out += dict.lexical(c.d_from) + "->" + dict.lexical(c.d_to) + " => q(" +
            std::to_string(c.q_from) + "," + std::to_string(c.q_to) + ")";
   }
-  out += "}, " + sign.ToString() + "}";
+  out += "}, " + SignToString(sign, n) + "}";
   return out;
 }
 
@@ -56,31 +57,12 @@ LecFeatureSet ComputeLecFeatures(const std::vector<LocalPartialMatch>& lpms) {
   return set;
 }
 
-namespace {
-
-/// Flattens a crossing map into sorted (query vertex, data vertex) endpoint
-/// assignments. Within one feature the crossing map restricted to endpoints
-/// is a function, so the flattened list has one data vertex per query vertex.
-void EndpointAssignments(const std::vector<CrossingPairMap>& crossing,
-                         std::vector<std::pair<QVertexId, TermId>>* out) {
-  out->clear();
-  out->reserve(crossing.size() * 2);
-  for (const CrossingPairMap& c : crossing) {
-    out->emplace_back(c.q_from, c.d_from);
-    out->emplace_back(c.q_to, c.d_to);
-  }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
-}
-
-}  // namespace
-
-bool FeaturesJoinable(const Bitset& sign_a,
+bool FeaturesJoinable(LecSign sign_a,
                       const std::vector<CrossingPairMap>& cross_a,
-                      const Bitset& sign_b,
+                      LecSign sign_b,
                       const std::vector<CrossingPairMap>& cross_b) {
   // Condition 4: disjoint internal-vertex signatures.
-  if (!sign_a.DisjointWith(sign_b)) return false;
+  if ((sign_a & sign_b) != 0) return false;
 
   // Condition 2: at least one identical crossing mapping shared. Both maps
   // are sorted by (q_from, q_to, d_from, d_to).
@@ -106,22 +88,20 @@ bool FeaturesJoinable(const Bitset& sign_a,
   // on a third query vertex that is extended in both partial matches (only
   // possible for cyclic queries); Def. 6's f^-1-based formulation and the
   // Thm. 2/3 proofs rely on endpoint consistency, which is what we check.
-  std::vector<std::pair<QVertexId, TermId>> ends_a;
-  std::vector<std::pair<QVertexId, TermId>> ends_b;
-  EndpointAssignments(cross_a, &ends_a);
-  EndpointAssignments(cross_b, &ends_b);
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ends_a.size() && j < ends_b.size()) {
-    if (ends_a[i].first < ends_b[j].first) {
-      ++i;
-    } else if (ends_b[j].first < ends_a[i].first) {
-      ++j;
-    } else {
-      if (ends_a[i].second != ends_b[j].second) return false;
-      ++i;
-      ++j;
-    }
+  // Within one feature the endpoint map is a function, so a's endpoints
+  // fill one slot per query vertex and b's are checked against them.
+  std::array<TermId, kMaxEnumerableVertices> ends_a{};
+  uint32_t assigned_a = 0;
+  for (const CrossingPairMap& c : cross_a) {
+    ends_a[c.q_from] = c.d_from;
+    ends_a[c.q_to] = c.d_to;
+    assigned_a |= (uint32_t{1} << c.q_from) | (uint32_t{1} << c.q_to);
+  }
+  const auto agrees = [&](QVertexId q, TermId d) {
+    return ((assigned_a >> q) & 1u) == 0 || ends_a[q] == d;
+  };
+  for (const CrossingPairMap& c : cross_b) {
+    if (!agrees(c.q_from, c.d_from) || !agrees(c.q_to, c.d_to)) return false;
   }
   return true;
 }

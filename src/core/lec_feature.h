@@ -18,7 +18,7 @@ namespace gstored {
 struct LecFeature {
   FragmentId fragment = -1;
   std::vector<CrossingPairMap> crossing;  // sorted, unique
-  Bitset sign;
+  LecSign sign = 0;
 
   friend bool operator==(const LecFeature& a, const LecFeature& b) {
     return a.fragment == b.fragment && a.sign == b.sign &&
@@ -27,7 +27,8 @@ struct LecFeature {
 
   uint64_t Hash() const;
 
-  std::string ToString(const TermDict& dict) const;
+  /// Example 6's notation, the sign over the query's `n` vertices.
+  std::string ToString(const TermDict& dict, size_t n) const;
 };
 
 /// The deduplicated features of a set of LPMs plus the LPM -> feature map.
@@ -54,9 +55,14 @@ LecFeatureSet ComputeLecFeatures(const std::vector<LocalPartialMatch>& lpms);
 /// of one fragment sharing a crossing mapping would both map an internal
 /// endpoint of that edge, violating condition 4. Dropping it keeps the
 /// predicate applicable to multi-way joined features (Thm. 4 chains).
-bool FeaturesJoinable(const Bitset& sign_a,
+///
+/// Every query vertex id in the crossing maps must be below
+/// kMaxEnumerableVertices: condition 3 indexes a fixed per-vertex array, so
+/// the probe makes no allocation. The chain joins check that once per item
+/// and the wire decoders reject larger ids.
+bool FeaturesJoinable(LecSign sign_a,
                       const std::vector<CrossingPairMap>& cross_a,
-                      const Bitset& sign_b,
+                      LecSign sign_b,
                       const std::vector<CrossingPairMap>& cross_b);
 
 /// Convenience overload for two base features.

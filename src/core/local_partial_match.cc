@@ -47,10 +47,7 @@ void EmitMatch(const Fragment& fragment, const QueryGraph& q, uint32_t island,
   LocalPartialMatch pm;
   pm.fragment = fragment.id();
   pm.binding = binding;
-  pm.sign = Bitset(q.num_vertices());
-  for (QVertexId v = 0; v < q.num_vertices(); ++v) {
-    if (InMask(island, v)) pm.sign.Set(v);
-  }
+  pm.sign = island;
   for (const QueryEdge& e : q.edges()) {
     bool from_island = InMask(island, e.from);
     bool to_island = InMask(island, e.to);
@@ -187,6 +184,12 @@ void SearchIslandMask(const Fragment& fragment, const LocalStore& store,
 }
 
 }  // namespace
+
+std::string SignToString(LecSign sign, size_t n) {
+  std::string out = "[";
+  for (size_t v = 0; v < n; ++v) out.push_back(InMask(sign, v) ? '1' : '0');
+  return out + "]";
+}
 
 std::string LocalPartialMatch::ToString(const TermDict& dict) const {
   std::string out = "[";

@@ -10,7 +10,6 @@
 #include "rdf/term_dict.h"
 #include "store/local_store.h"
 #include "store/matcher.h"
-#include "util/bitset.h"
 
 namespace gstored {
 
@@ -31,15 +30,30 @@ struct CrossingPairMap {
       default;
 };
 
+/// The LECSign of Def. 8 as a vertex mask: bit v is set when query vertex v
+/// maps to an internal vertex of the fragment. It is the island mask the
+/// enumerator searched (IslandTask::island), and the LPM pipeline runs only
+/// on queries of at most kMaxEnumerableVertices vertices, so 32 bits hold
+/// every sign and every chain's union of signs.
+using LecSign = uint32_t;
+static_assert(kMaxEnumerableVertices < 32);
+
+/// The sign with all `n` query vertices set: a complete chain's sign.
+/// Requires n <= kMaxEnumerableVertices.
+constexpr LecSign FullSign(size_t n) { return (LecSign{1} << n) - 1; }
+
+/// Renders the low `n` bits of `sign` in the paper's LECSign notation, bit 0
+/// leftmost: "[11010]" is vertices 0, 1 and 3.
+std::string SignToString(LecSign sign, size_t n);
+
 /// A local partial match (Def. 5): the overlap of a (potential) crossing
 /// match with one fragment. `binding[v]` is f(v), kNullTerm where v is
-/// unmatched; `sign` has bit v set when f(v) is an internal vertex of the
-/// fragment (the LECSign of Def. 8); `crossing` lists the crossing-edge
+/// unmatched; `sign` is its LECSign; `crossing` lists the crossing-edge
 /// mappings, sorted and deduplicated.
 struct LocalPartialMatch {
   FragmentId fragment = -1;
   Binding binding;
-  Bitset sign;
+  LecSign sign = 0;
   std::vector<CrossingPairMap> crossing;
 
   /// Serialization in the paper's notation, e.g. "[006,NULL,001,NULL,003]".

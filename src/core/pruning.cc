@@ -14,14 +14,14 @@ namespace {
 
 /// An in-flight chain of joined LEC features (the LF_k of Alg. 2).
 struct JoinedFeature {
-  Bitset sign;
+  LecSign sign = 0;
   std::vector<CrossingPairMap> crossing;
   std::vector<uint32_t> contributors;  // sorted base feature indices
 };
 
-uint64_t JoinedKey(const Bitset& sign,
+uint64_t JoinedKey(LecSign sign,
                    const std::vector<CrossingPairMap>& crossing) {
-  uint64_t h = sign.Hash();
+  uint64_t h = MixU64(sign);
   for (const CrossingPairMap& c : crossing) {
     h = HashCombine(h, (static_cast<uint64_t>(c.q_from) << 32) | c.q_to);
     h = HashCombine(h, (static_cast<uint64_t>(c.d_from) << 32) | c.d_to);
@@ -130,8 +130,8 @@ struct PrunePolicy {
     bucket.push_back(next->size());
     // Copy (not move) the contributors so the scratch keeps its buffer;
     // the materialized chain's own allocation is inherent.
-    next->push_back({std::move(joined.sign), std::move(joined.crossing),
-                     joined.contributors});
+    next->push_back(
+        {joined.sign, std::move(joined.crossing), joined.contributors});
     return true;
   }
 

@@ -4,9 +4,8 @@
 
 namespace gstored {
 
-bool SeenSet::CheckAndInsert(const Bitset& sign, const Binding& binding) {
-  uint64_t key =
-      HashCombine(sign.Hash(), HashRange(binding.begin(), binding.end()));
+bool SeenSet::CheckAndInsert(LecSign sign, const Binding& binding) {
+  uint64_t key = HashCombine(sign, HashRange(binding.begin(), binding.end()));
   auto& bucket = buckets_[key];
   for (const auto& [seen_sign, seen_binding] : bucket) {
     if (seen_sign == sign && seen_binding == binding) return true;

@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/local_partial_match.h"
 #include "store/matcher.h"
-#include "util/bitset.h"
 
 namespace gstored {
 
@@ -22,7 +22,7 @@ class SeenSet {
  public:
   /// True if an equal (sign, binding) entry was already recorded; records
   /// the pair otherwise.
-  bool CheckAndInsert(const Bitset& sign, const Binding& binding);
+  bool CheckAndInsert(LecSign sign, const Binding& binding);
 
   /// Number of distinct entries recorded.
   size_t size() const { return size_; }
@@ -32,7 +32,7 @@ class SeenSet {
 
  private:
   // key -> entries whose (sign, binding) hash collides on it.
-  std::unordered_map<uint64_t, std::vector<std::pair<Bitset, Binding>>>
+  std::unordered_map<uint64_t, std::vector<std::pair<LecSign, Binding>>>
       buckets_;
   size_t size_ = 0;
 };

@@ -69,20 +69,14 @@ Status Truncated(const char* what) {
   return Status::ParseError(std::string("truncated or malformed ") + what);
 }
 
-bool TestBit(const Bitset& bits, size_t i) { return bits.Test(i); }
-bool TestBit(const std::vector<bool>& bits, size_t i) { return bits[i]; }
-void SetBit(Bitset& bits, size_t i) { bits.Set(i); }
-void SetBit(std::vector<bool>& bits, size_t i) { bits[i] = true; }
-
-/// The one bit-vector layout on the wire, for LPM and feature signs
-/// (Bitset) and survivor bitmaps (std::vector<bool>): a u32 bit count, then
-/// the bits LSB-first in ceil(count / 8) bytes.
-template <typename Bits>
-void WriteBits(WireWriter& w, const Bits& bits) {
+/// The one bit-vector layout on the wire, for survivor bitmaps and (through
+/// WriteSign) LPM and feature signs: a u32 bit count, then the bits
+/// LSB-first in ceil(count / 8) bytes.
+void WriteBits(WireWriter& w, const std::vector<bool>& bits) {
   w.U32(static_cast<uint32_t>(bits.size()));
   uint8_t acc = 0;
   for (size_t i = 0; i < bits.size(); ++i) {
-    if (TestBit(bits, i)) acc |= static_cast<uint8_t>(1u << (i & 7));
+    if (bits[i]) acc |= static_cast<uint8_t>(1u << (i & 7));
     if ((i & 7) == 7) {
       w.U8(acc);
       acc = 0;
@@ -91,28 +85,39 @@ void WriteBits(WireWriter& w, const Bits& bits) {
   if (bits.size() % 8 != 0) w.U8(acc);
 }
 
-/// Reads WriteBits' layout. A count above `max_count`, or one whose bytes
-/// are not all there, fails before anything is allocated.
-template <typename Bits>
-bool ReadBits(WireReader& r, uint32_t max_count, Bits* out) {
+/// Reads WriteBits' layout. A count whose bytes are not all there fails
+/// before anything is allocated.
+bool ReadBits(WireReader& r, std::vector<bool>* out) {
   const uint32_t count = r.U32();
-  if (!r.ok() || count > max_count ||
-      r.remaining() < (uint64_t{count} + 7) / 8) {
-    return false;
-  }
-  Bits bits(count);
+  if (!r.ok() || r.remaining() < (uint64_t{count} + 7) / 8) return false;
+  std::vector<bool> bits(count);
   uint8_t acc = 0;
   for (uint32_t i = 0; i < count; ++i) {
     if ((i & 7) == 0) acc = r.U8();
-    if (acc & (1u << (i & 7))) SetBit(bits, i);
+    if (acc & (1u << (i & 7))) bits[i] = true;
   }
   if (!r.ok()) return false;
   *out = std::move(bits);
   return true;
 }
 
-/// A sign covers query vertices; anything larger is corruption.
-constexpr uint32_t kMaxSignBits = 1u << 20;
+/// A sign in WriteBits' layout: `width`, the query's vertex count (at most
+/// kMaxEnumerableVertices), then the sign's bits in ceil(width / 8) bytes.
+void WriteSign(WireWriter& w, LecSign sign, uint32_t width) {
+  w.U32(width);
+  for (uint32_t i = 0; i < width; i += 8) w.U8(static_cast<uint8_t>(sign >> i));
+}
+
+/// Reads WriteSign's layout. A width above kMaxEnumerableVertices fails;
+/// the padding bits past the width are ignored, as WriteBits leaves them 0.
+bool ReadSign(WireReader& r, uint32_t* width, LecSign* sign) {
+  *width = r.U32();
+  if (!r.ok() || *width > kMaxEnumerableVertices) return false;
+  LecSign bits = 0;
+  for (uint32_t i = 0; i < *width; i += 8) bits |= LecSign{r.U8()} << i;
+  *sign = bits & FullSign(*width);
+  return r.ok();
+}
 
 void WriteCrossing(WireWriter& w, const std::vector<CrossingPairMap>& cross) {
   w.U32(static_cast<uint32_t>(cross.size()));
@@ -124,6 +129,9 @@ void WriteCrossing(WireWriter& w, const std::vector<CrossingPairMap>& cross) {
   }
 }
 
+/// Reads WriteCrossing's layout. A query vertex id of
+/// kMaxEnumerableVertices or more fails: FeaturesJoinable indexes a
+/// per-vertex array with it.
 bool ReadCrossing(WireReader& r, std::vector<CrossingPairMap>* out) {
   uint32_t count = r.U32();
   if (!r.ok() || r.remaining() / 16 < count) return false;
@@ -135,6 +143,10 @@ bool ReadCrossing(WireReader& r, std::vector<CrossingPairMap>* out) {
     c.q_to = r.U32();
     c.d_from = r.U32();
     c.d_to = r.U32();
+    if (c.q_from >= kMaxEnumerableVertices ||
+        c.q_to >= kMaxEnumerableVertices) {
+      return false;
+    }
     out->push_back(c);
   }
   return r.ok();
@@ -160,7 +172,7 @@ std::vector<uint8_t> EncodeBitmap(const std::vector<bool>& bits) {
 Result<std::vector<bool>> DecodeBitmap(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   std::vector<bool> out;
-  if (!ReadBits(r, UINT32_MAX, &out) || !r.AtEnd()) {
+  if (!ReadBits(r, &out) || !r.AtEnd()) {
     return Truncated("bitmap");
   }
   return out;
@@ -246,13 +258,13 @@ Result<MatchBatch> DecodeMatchBatch(const std::vector<uint8_t>& payload) {
 }
 
 std::vector<uint8_t> EncodeLecFeatureBatch(
-    const std::vector<LecFeature>& features) {
+    const std::vector<LecFeature>& features, uint32_t width) {
   std::vector<uint8_t> out;
   WireWriter w(&out);
   w.U32(static_cast<uint32_t>(features.size()));
   for (const LecFeature& f : features) {
     w.U32(static_cast<uint32_t>(f.fragment));
-    WriteBits(w, f.sign);
+    WriteSign(w, f.sign, width);
     WriteCrossing(w, f.crossing);
   }
   return out;
@@ -269,7 +281,8 @@ Result<std::vector<LecFeature>> DecodeLecFeatureBatch(
   for (uint32_t i = 0; i < count; ++i) {
     LecFeature f;
     f.fragment = static_cast<FragmentId>(r.U32());
-    if (!ReadBits(r, kMaxSignBits, &f.sign) || !ReadCrossing(r, &f.crossing)) {
+    uint32_t width = 0;
+    if (!ReadSign(r, &width, &f.sign) || !ReadCrossing(r, &f.crossing)) {
       return Truncated("feature batch");
     }
     out.push_back(std::move(f));
@@ -279,16 +292,17 @@ Result<std::vector<LecFeature>> DecodeLecFeatureBatch(
 }
 
 std::vector<uint8_t> EncodeLpmBatch(const std::vector<LocalPartialMatch>& lpms,
-                                    size_t first, size_t count) {
+                                    std::span<const size_t> indices) {
   std::vector<uint8_t> out;
   WireWriter w(&out);
-  w.U32(static_cast<uint32_t>(count));
-  for (size_t i = first; i < first + count; ++i) {
+  w.U32(static_cast<uint32_t>(indices.size()));
+  for (size_t i : indices) {
     const LocalPartialMatch& pm = lpms[i];
+    const auto width = static_cast<uint32_t>(pm.binding.size());
     w.U32(static_cast<uint32_t>(pm.fragment));
-    w.U32(static_cast<uint32_t>(pm.binding.size()));
+    w.U32(width);
     for (TermId id : pm.binding) w.U32(id);
-    WriteBits(w, pm.sign);
+    WriteSign(w, pm.sign, width);
     WriteCrossing(w, pm.crossing);
   }
   return out;
@@ -311,7 +325,8 @@ Result<std::vector<LocalPartialMatch>> DecodeLpmBatch(
     }
     pm.binding.reserve(binding_size);
     for (uint32_t v = 0; v < binding_size; ++v) pm.binding.push_back(r.U32());
-    if (!ReadBits(r, kMaxSignBits, &pm.sign) ||
+    uint32_t sign_width = 0;
+    if (!ReadSign(r, &sign_width, &pm.sign) || sign_width != binding_size ||
         !ReadCrossing(r, &pm.crossing)) {
       return Truncated("LPM batch");
     }

@@ -2,6 +2,7 @@
 #define GSTORED_NET_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,10 @@ WireMessage MakeMessage(MessageType type, std::vector<uint8_t> payload);
 // the payload bytes: any input (truncated, mutated, adversarial) either
 // decodes or returns a Status — never crashes, hangs, or over-allocates
 // (element counts are validated against the remaining byte budget before any
-// reservation).
+// reservation). The feature and LPM decoders also keep what the joins index
+// by vertex in range: a sign wider than kMaxEnumerableVertices, a crossing
+// mapping naming a query vertex at or past it, or an LPM whose sign width
+// differs from its binding width is rejected.
 // ---------------------------------------------------------------------------
 
 std::vector<uint8_t> EncodeBitmap(const std::vector<bool>& bits);
@@ -80,15 +84,19 @@ std::vector<uint8_t> EncodeMatchBatch(uint64_t num_lpms, uint32_t width,
                                       const std::vector<Binding>& matches);
 Result<MatchBatch> DecodeMatchBatch(const std::vector<uint8_t>& payload);
 
+/// Encodes features whose signs span `width` query vertices, the query's
+/// vertex count.
 std::vector<uint8_t> EncodeLecFeatureBatch(
-    const std::vector<LecFeature>& features);
+    const std::vector<LecFeature>& features, uint32_t width);
 Result<std::vector<LecFeature>> DecodeLecFeatureBatch(
     const std::vector<uint8_t>& payload);
 
-/// Encodes lpms[first, first + count) — stage D ships LPMs in fixed-size
-/// batches so drop/reorder faults hit individual batches, not whole sites.
+/// Encodes lpms[i] for each i of `indices`, in that order; each sign spans
+/// its binding's width. Stage D ships a site's LPMs in fixed-size batches
+/// of indices into its cached LPMs, so drop/reorder faults hit individual
+/// batches, not whole sites.
 std::vector<uint8_t> EncodeLpmBatch(const std::vector<LocalPartialMatch>& lpms,
-                                    size_t first, size_t count);
+                                    std::span<const size_t> indices);
 Result<std::vector<LocalPartialMatch>> DecodeLpmBatch(
     const std::vector<uint8_t>& payload);
 

@@ -9,7 +9,9 @@
 // pruned assembly must still reproduce the oracle) on every scenario; and
 // every assembled binding must be a genuine match of the full graph. A
 // second oracle, also written from Def. 9 and Thm. 4 without
-// FeaturesJoinable, pins LecFeaturePruning's exact surviving set.
+// FeaturesJoinable, pins LecFeaturePruning's exact surviving set, and the
+// same Def. 9 conditions pin FeaturesJoinable's verdict on every LPM pair
+// and feature pair of each scenario and of LUBM-3's LQ1 and LQ7.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +31,7 @@
 #include "tests/test_fixtures.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "workload/lubm.h"
 
 namespace gstored {
 namespace {
@@ -43,7 +46,7 @@ using ::gstored::testing::RandomDataset;
 /// by member set.
 struct OracleChain {
   std::vector<uint32_t> members;  // sorted LPM indices
-  Bitset sign;
+  LecSign sign = 0;
   std::vector<CrossingPairMap> crossing;
   Binding binding;
 };
@@ -79,16 +82,46 @@ bool EndpointsAgree(const std::vector<CrossingPairMap>& a,
   return true;
 }
 
-/// Def. 9 on a chain aggregate and one more LPM: disjoint signs (cond. 4),
-/// a shared identical crossing mapping (cond. 2) and endpoint agreement
-/// (cond. 3). Condition 1 (different fragments) is implied — an LPM whose
-/// fragment already contributed would overlap on signs or endpoints.
-bool OracleJoinable(const OracleChain& chain, const LocalPartialMatch& pm) {
-  for (size_t v = 0; v < chain.sign.size(); ++v) {
-    if (chain.sign.Test(v) && pm.sign.Test(v)) return false;
+/// Def. 9 on two signs and crossing maps (a chain aggregate and one more
+/// LPM, or two items): disjoint signs (cond. 4), a shared identical
+/// crossing mapping (cond. 2) and endpoint agreement (cond. 3). Condition 1
+/// (different fragments) is implied — an LPM whose fragment already
+/// contributed would overlap on signs or endpoints.
+bool OracleJoinable(LecSign sign_a, const std::vector<CrossingPairMap>& cross_a,
+                    LecSign sign_b,
+                    const std::vector<CrossingPairMap>& cross_b) {
+  return (sign_a & sign_b) == 0 && SharesIdenticalMapping(cross_a, cross_b) &&
+         EndpointsAgree(cross_a, cross_b);
+}
+
+/// FeaturesJoinable's verdict against OracleJoinable on every ordered pair
+/// of `items`. Returns how many pairs only the endpoint check rejects
+/// (disjoint signs and a shared mapping, but a vertex bound apart), so a
+/// sweep can assert it reached the case condition 3 exists for.
+template <typename Item>
+size_t CheckProbeAgainstOracle(const std::vector<Item>& items,
+                               const std::string& label) {
+  size_t endpoint_rejects = 0;
+  size_t mismatches = 0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    for (size_t j = 0; j < items.size(); ++j) {
+      const Item& a = items[i];
+      const Item& b = items[j];
+      const bool oracle =
+          OracleJoinable(a.sign, a.crossing, b.sign, b.crossing);
+      if (!oracle && (a.sign & b.sign) == 0 &&
+          SharesIdenticalMapping(a.crossing, b.crossing)) {
+        ++endpoint_rejects;
+      }
+      if (FeaturesJoinable(a.sign, a.crossing, b.sign, b.crossing) != oracle &&
+          mismatches++ == 0) {
+        ADD_FAILURE() << label << ": items " << i << " and " << j
+                      << " probe " << !oracle << ", Def. 9 says " << oracle;
+      }
+    }
   }
-  return SharesIdenticalMapping(chain.crossing, pm.crossing) &&
-         EndpointsAgree(chain.crossing, pm.crossing);
+  EXPECT_EQ(mismatches, 0u) << label << " (" << items.size() << " items)";
+  return endpoint_rejects;
 }
 
 /// The brute-force assembly: breadth-first closure of chain extension over
@@ -114,7 +147,9 @@ std::vector<Binding> OracleAssembly(const std::vector<LocalPartialMatch>& lpms,
     for (const OracleChain& chain : frontier) {
       for (uint32_t i = 0; i < lpms.size(); ++i) {
         const LocalPartialMatch& pm = lpms[i];
-        if (!OracleJoinable(chain, pm)) continue;
+        if (!OracleJoinable(chain.sign, chain.crossing, pm.sign, pm.crossing)) {
+          continue;
+        }
 
         OracleChain joined;
         joined.members = chain.members;
@@ -151,7 +186,7 @@ std::vector<Binding> OracleAssembly(const std::vector<LocalPartialMatch>& lpms,
             std::unique(joined.crossing.begin(), joined.crossing.end()),
             joined.crossing.end());
 
-        if (joined.sign.All()) {
+        if (joined.sign == FullSign(num_query_vertices)) {
           complete.push_back(joined.binding);
         } else {
           next.push_back(std::move(joined));
@@ -161,7 +196,6 @@ std::vector<Binding> OracleAssembly(const std::vector<LocalPartialMatch>& lpms,
     frontier = std::move(next);
   }
 
-  (void)num_query_vertices;
   DedupBindings(&complete);
   return complete;
 }
@@ -190,7 +224,7 @@ std::vector<bool> OracleSurvivors(const std::vector<LecFeature>& features,
       size_t covered = 0;
       for (size_t v = 0; v < num_query_vertices; ++v) {
         for (uint32_t m : members) {
-          if (features[m].sign.Test(v)) {
+          if ((features[m].sign >> v) & 1u) {
             ++covered;
             break;
           }
@@ -205,7 +239,7 @@ std::vector<bool> OracleSurvivors(const std::vector<LecFeature>& features,
         bool linked = false;
         for (uint32_t m : members) {
           for (size_t v = 0; v < num_query_vertices; ++v) {
-            if (features[m].sign.Test(v) && features[j].sign.Test(v)) {
+            if ((features[m].sign >> v) & (features[j].sign >> v) & 1u) {
               disjoint_and_agreeing = false;
             }
           }
@@ -239,7 +273,7 @@ PruneResult CheckSurvivorsAgainstOracle(const std::vector<LecFeature>& features,
     // Def. 5: every LPM has a crossing edge, so no feature is complete on
     // its own — the singleton set never meets the oracle's conditions.
     EXPECT_FALSE(f.crossing.empty()) << label;
-    EXPECT_FALSE(f.sign.All()) << label;
+    EXPECT_NE(f.sign, FullSign(num_query_vertices)) << label;
   }
   std::vector<bool> oracle = OracleSurvivors(features, num_query_vertices);
   PruneResult serial = LecFeaturePruning(features, num_query_vertices);
@@ -300,10 +334,14 @@ size_t CheckAssemblyAgainstOracle(const Dataset& dataset,
   DedupBindings(&parallel);
   EXPECT_EQ(parallel, oracle) << label;
 
+  // The probe both joins share gives Def. 9's verdict on every pair.
+  LecFeatureSet feature_set = ComputeLecFeatures(lpms);
+  CheckProbeAgainstOracle(lpms, label + " LPMs");
+  CheckProbeAgainstOracle(feature_set.features, label + " features");
+
   // Pruning, serial and parallel, keeps exactly the oracle's survivors,
   // and assembling only the survivors still reproduces the oracle's
   // matches — pruning removes nothing that any complete chain needs.
-  LecFeatureSet feature_set = ComputeLecFeatures(lpms);
   PruneResult serial_prune =
       CheckSurvivorsAgainstOracle(feature_set.features, n, pool, label);
   std::vector<LocalPartialMatch> surviving;
@@ -375,6 +413,25 @@ TEST(AssemblyReferenceRandomized, MultiSiteScenarios) {
   // The sweep must actually exercise multi-site joins, not just agree on
   // empty result sets.
   EXPECT_GT(total_crossing_matches, 0u);
+}
+
+/// The probe oracle on the LEC features of LUBM-3's LQ1 and LQ7 over 4 hash
+/// sites. Both queries close a triangle, so two features can share a
+/// crossing mapping and still bind a third vertex apart: the case Def. 9's
+/// endpoint check exists for, which both inputs must reach.
+TEST(ProbeReference, LubmTriangleFeatures) {
+  LubmConfig config;
+  config.universities = 3;
+  Workload workload = MakeLubmWorkload(config);
+  Partitioning partitioning =
+      HashPartitioner().Partition(*workload.dataset, 4);
+  for (size_t q : {0, 6}) {
+    const BenchmarkQuery& lq = workload.queries[q];
+    ResolvedQuery rq = ResolveQuery(lq.query, workload.dataset->dict());
+    std::vector<LecFeature> features =
+        ComputeLecFeatures(EnumerateAllLpms(partitioning, rq)).features;
+    EXPECT_GT(CheckProbeAgainstOracle(features, lq.name), 0u) << lq.name;
+  }
 }
 
 /// LecFeaturePruning keeps exactly the oracle's survivors on randomized

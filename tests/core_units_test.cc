@@ -37,9 +37,9 @@
 namespace gstored {
 namespace {
 
-Bitset Sign(std::initializer_list<int> bits, size_t n = 5) {
-  Bitset s(n);
-  for (int b : bits) s.Set(static_cast<size_t>(b));
+LecSign Sign(std::initializer_list<int> bits) {
+  LecSign s = 0;
+  for (int b : bits) s |= LecSign{1} << b;
   return s;
 }
 
@@ -48,8 +48,8 @@ CrossingPairMap Map(QVertexId qf, QVertexId qt, TermId df, TermId dt) {
 }
 
 TEST(FeaturesJoinableTest, RequiresSharedMapping) {
-  Bitset a = Sign({0});
-  Bitset b = Sign({1});
+  LecSign a = Sign({0});
+  LecSign b = Sign({1});
   // No shared crossing mapping at all.
   EXPECT_FALSE(FeaturesJoinable(a, {Map(0, 1, 10, 11)}, b,
                                 {Map(1, 2, 11, 12)}));
@@ -62,8 +62,8 @@ TEST(FeaturesJoinableTest, RequiresSharedMapping) {
 }
 
 TEST(FeaturesJoinableTest, SignOverlapBlocksJoin) {
-  Bitset a = Sign({0, 2});
-  Bitset b = Sign({2, 3});
+  LecSign a = Sign({0, 2});
+  LecSign b = Sign({2, 3});
   EXPECT_FALSE(FeaturesJoinable(a, {Map(0, 1, 10, 11)}, b,
                                 {Map(0, 1, 10, 11)}));
 }
@@ -74,8 +74,8 @@ TEST(FeaturesJoinableTest, EndpointConflictOnThirdVertexRejected) {
   // crossing edges — to different data vertices. The paper's literal
   // edge-level condition 3 would accept this; the endpoint-level check must
   // reject it.
-  Bitset a = Sign({0});
-  Bitset b = Sign({1});
+  LecSign a = Sign({0});
+  LecSign b = Sign({1});
   std::vector<CrossingPairMap> cross_a = {Map(0, 1, 10, 11),
                                           Map(0, 2, 10, 20)};
   std::vector<CrossingPairMap> cross_b = {Map(0, 1, 10, 11),
@@ -134,13 +134,12 @@ TEST(ComputeLecFeaturesTest, DedupAndMapping) {
 TEST(LecFeatureTest, EncodedSizeScalesWithQueryNotData) {
   LecFeature small;
   small.fragment = 0;
-  small.sign = Bitset(5);
   small.crossing = {Map(0, 1, 10, 11)};
-  const size_t small_bytes = EncodeLecFeatureBatch({small}).size();
+  const size_t small_bytes = EncodeLecFeatureBatch({small}, 5).size();
   for (TermId d : {TermId{12}, TermId{1} << 31}) {
     LecFeature larger = small;
     larger.crossing.push_back(Map(1, 2, d, d + 1));
-    EXPECT_EQ(EncodeLecFeatureBatch({larger}).size() - small_bytes,
+    EXPECT_EQ(EncodeLecFeatureBatch({larger}, 5).size() - small_bytes,
               4 * sizeof(TermId))
         << "d=" << d;
   }
@@ -165,11 +164,11 @@ TEST(PruningTest, TwoComplementaryFeaturesSurvive) {
   size_t n = 2;
   LecFeature a;
   a.fragment = 0;
-  a.sign = Sign({0}, n);
+  a.sign = Sign({0});
   a.crossing = {Map(0, 1, 10, 11)};
   LecFeature b;
   b.fragment = 1;
-  b.sign = Sign({1}, n);
+  b.sign = Sign({1});
   b.crossing = {Map(0, 1, 10, 11)};
   PruneResult result = LecFeaturePruning({a, b}, n);
   EXPECT_EQ(result.surviving_features, 2u);
@@ -182,16 +181,16 @@ TEST(PruningTest, OutlierGroupsArePruned) {
   size_t n = 2;
   LecFeature a;
   a.fragment = 0;
-  a.sign = Sign({0}, n);
+  a.sign = Sign({0});
   a.crossing = {Map(0, 1, 10, 11)};
   LecFeature b;
   b.fragment = 1;
-  b.sign = Sign({1}, n);
+  b.sign = Sign({1});
   b.crossing = {Map(0, 1, 10, 11)};
   // c shares no mapping with anyone: an outlier in the join graph.
   LecFeature c;
   c.fragment = 2;
-  c.sign = Sign({1}, n);
+  c.sign = Sign({1});
   c.crossing = {Map(0, 1, 77, 78)};
   PruneResult result = LecFeaturePruning({a, b, c}, n);
   EXPECT_TRUE(result.survives[0]);
@@ -285,7 +284,7 @@ TEST(AssemblyTest, EmptyAndUnjoinableInputs) {
   LocalPartialMatch pm;
   pm.fragment = 0;
   pm.binding = {10, 11, kNullTerm};
-  pm.sign = Sign({0}, 3);
+  pm.sign = Sign({0});
   pm.crossing = {Map(0, 1, 10, 11)};
   // A single LPM cannot form a complete match.
   EXPECT_TRUE(LecAssembly({pm}, 3).empty());
@@ -299,17 +298,17 @@ TEST(AssemblyTest, ThreeWayChainAssembles) {
   LocalPartialMatch a;
   a.fragment = 0;
   a.binding = {100, 101, kNullTerm};
-  a.sign = Sign({0}, n);
+  a.sign = Sign({0});
   a.crossing = {Map(0, 1, 100, 101)};
   LocalPartialMatch b;
   b.fragment = 1;
   b.binding = {100, 101, 102};
-  b.sign = Sign({1}, n);
+  b.sign = Sign({1});
   b.crossing = {Map(0, 1, 100, 101), Map(1, 2, 101, 102)};
   LocalPartialMatch c;
   c.fragment = 2;
   c.binding = {kNullTerm, 101, 102};
-  c.sign = Sign({2}, n);
+  c.sign = Sign({2});
   c.crossing = {Map(1, 2, 101, 102)};
   for (auto* pm : {&a, &b, &c}) {
     std::sort(pm->crossing.begin(), pm->crossing.end());
@@ -327,14 +326,13 @@ TEST(AssemblyTest, ThreeWayChainAssembles) {
 /// same query edge to other data vertices. Fragments are distinct, so the
 /// LEC features of these LPMs are one per LPM, in the same order.
 std::vector<LocalPartialMatch> OneSharingItemFixture(size_t k) {
-  const size_t n = 2;
   std::vector<LocalPartialMatch> lpms;
-  lpms.push_back({0, {10, 20}, Sign({0}, n), {Map(0, 1, 10, 20)}});
+  lpms.push_back({0, {10, 20}, Sign({0}), {Map(0, 1, 10, 20)}});
   for (size_t i = 0; i < k; ++i) {
     TermId from = i == k / 2 ? 10 : static_cast<TermId>(100 + i);
     TermId to = i == k / 2 ? 20 : static_cast<TermId>(200 + i);
     lpms.push_back({static_cast<FragmentId>(1 + i), {from, to},
-                    Sign({1}, n), {Map(0, 1, from, to)}});
+                    Sign({1}), {Map(0, 1, from, to)}});
   }
   return lpms;
 }
@@ -344,15 +342,14 @@ std::vector<LocalPartialMatch> OneSharingItemFixture(size_t k) {
 /// the join graph by the one at index 2 + k / 2, which shares s's mapping.
 /// Once the chain s+a is formed ({v0, v1}), that group overlaps it.
 std::vector<LocalPartialMatch> OverlappingGroupFixture(size_t k) {
-  const size_t n = 3;
   std::vector<LocalPartialMatch> lpms;
-  lpms.push_back({0, {10, 20, kNullTerm}, Sign({0}, n), {Map(0, 1, 10, 20)}});
-  lpms.push_back({1, {10, 20, 30}, Sign({1}, n),
+  lpms.push_back({0, {10, 20, kNullTerm}, Sign({0}), {Map(0, 1, 10, 20)}});
+  lpms.push_back({1, {10, 20, 30}, Sign({1}),
                   {Map(0, 1, 10, 20), Map(1, 2, 20, 30)}});
   for (size_t i = 0; i < k; ++i) {
     TermId base = i == k / 2 ? 0 : static_cast<TermId>(100 * (i + 1));
     lpms.push_back({static_cast<FragmentId>(2 + i),
-                    {base + 10, base + 20, base + 30}, Sign({1, 2}, n),
+                    {base + 10, base + 20, base + 30}, Sign({1, 2}),
                     {Map(0, 1, base + 10, base + 20)}});
   }
   return lpms;
@@ -499,28 +496,28 @@ TEST(SeenSetTest, MatchesStdSetReference) {
   // CheckAndInsert outcome and the final size agree with a std::set.
   for (uint64_t seed : {1u, 2u, 3u}) {
     Rng rng(seed * 7919u);
-    std::vector<std::pair<Bitset, Binding>> stream;
+    std::vector<std::pair<LecSign, Binding>> stream;
     for (size_t i = 0; i < 200; ++i) {
       if (!stream.empty() && rng.Chance(0.3)) {
         stream.push_back(stream[rng.Uniform(stream.size())]);  // duplicate
       } else {
-        Bitset sign(5);
+        LecSign sign = 0;
         for (size_t b = 0; b < 5; ++b) {
-          if (rng.Chance(0.4)) sign.Set(b);
+          if (rng.Chance(0.4)) sign |= LecSign{1} << b;
         }
         Binding binding(5);
         for (auto& t : binding) {
           t = rng.Chance(0.2) ? kNullTerm
                               : static_cast<TermId>(rng.Uniform(6));
         }
-        stream.push_back({std::move(sign), std::move(binding)});
+        stream.push_back({sign, std::move(binding)});
       }
     }
 
     SeenSet set;
-    std::set<std::pair<std::string, Binding>> reference;
+    std::set<std::pair<LecSign, Binding>> reference;
     for (const auto& [sign, binding] : stream) {
-      const bool fresh = reference.emplace(sign.ToString(), binding).second;
+      const bool fresh = reference.emplace(sign, binding).second;
       EXPECT_EQ(set.CheckAndInsert(sign, binding), !fresh) << "seed=" << seed;
     }
     EXPECT_EQ(set.size(), reference.size()) << "seed=" << seed;
@@ -528,8 +525,7 @@ TEST(SeenSetTest, MatchesStdSetReference) {
 
   // Clear empties the set, and it records entries afresh afterwards.
   SeenSet set;
-  Bitset sign(3);
-  sign.Set(1);
+  const LecSign sign = Sign({1});
   EXPECT_FALSE(set.CheckAndInsert(sign, {1, 2, 3}));
   EXPECT_TRUE(set.CheckAndInsert(sign, {1, 2, 3}));
   EXPECT_EQ(set.size(), 1u);
@@ -751,10 +747,10 @@ TEST(EnumerateLpmsTest, EveryLpmSatisfiesDefinition5Invariants) {
          EnumerateLocalPartialMatches(f, store, rq)) {
       EXPECT_EQ(pm.fragment, f.id());
       EXPECT_FALSE(pm.crossing.empty());   // condition 4
-      EXPECT_TRUE(pm.sign.Any());          // at least one internal vertex
-      EXPECT_FALSE(pm.sign.All());         // boundary exists
+      EXPECT_NE(pm.sign, 0u);  // at least one internal vertex
+      EXPECT_NE(pm.sign, FullSign(query.num_vertices()));  // boundary exists
       for (QVertexId v = 0; v < query.num_vertices(); ++v) {
-        if (pm.sign.Test(v)) {
+        if ((pm.sign >> v) & 1u) {
           ASSERT_NE(pm.binding[v], kNullTerm);
           EXPECT_TRUE(f.IsInternal(pm.binding[v]));  // sign bit semantics
           // Condition 5: all neighbours of an internal vertex are matched.
@@ -787,7 +783,7 @@ using LpmKey =
 
 LpmKey KeyOf(const LocalPartialMatch& pm) {
   std::vector<bool> sign(pm.binding.size());
-  for (size_t v = 0; v < sign.size(); ++v) sign[v] = pm.sign.Test(v);
+  for (size_t v = 0; v < sign.size(); ++v) sign[v] = (pm.sign >> v) & 1u;
   return {pm.binding, sign, pm.crossing};
 }
 

@@ -125,10 +125,10 @@ TEST_F(PaperExampleTest, LecSignsMatchExample6) {
   auto lpms = LpmsOf(1);  // F2
   for (const LocalPartialMatch& pm : lpms) {
     if (pm.binding[1] == Id(testing::kInt2)) {
-      EXPECT_EQ(pm.sign.ToString(), "[11010]");  // PM12
+      EXPECT_EQ(SignToString(pm.sign, 5), "[11010]");  // PM12
       EXPECT_EQ(pm.crossing.size(), 1u);
     } else if (pm.binding[1] == Id(testing::kInt1)) {
-      EXPECT_EQ(pm.sign.ToString(), "[10000]");  // PM32
+      EXPECT_EQ(SignToString(pm.sign, 5), "[10000]");  // PM32
       EXPECT_EQ(pm.crossing.size(), 2u);
     }
   }

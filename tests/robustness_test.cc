@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -182,12 +183,16 @@ std::vector<WirePayload> BuildWireCorpus() {
   corpus.push_back(
       {"match_batch", EncodeMatchBatch(lpms.size(), 5, matches),
        [](const std::vector<uint8_t>& b) { return DecodeMatchBatch(b).ok(); }});
-  corpus.push_back({"lec_feature_batch", EncodeLecFeatureBatch(lec.features),
-                    [](const std::vector<uint8_t>& b) {
-                      return DecodeLecFeatureBatch(b).ok();
-                    }});
   corpus.push_back(
-      {"lpm_batch", EncodeLpmBatch(lpms, 0, lpms.size()),
+      {"lec_feature_batch",
+       EncodeLecFeatureBatch(lec.features, query.num_vertices()),
+       [](const std::vector<uint8_t>& b) {
+         return DecodeLecFeatureBatch(b).ok();
+       }});
+  std::vector<size_t> all(lpms.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  corpus.push_back(
+      {"lpm_batch", EncodeLpmBatch(lpms, all),
        [](const std::vector<uint8_t>& b) { return DecodeLpmBatch(b).ok(); }});
   corpus.push_back(
       {"done_marker", EncodeDoneMarker(7),
@@ -233,19 +238,24 @@ TEST(WireCodecTest, RoundTripsPreserveEveryPayloadType) {
   EXPECT_EQ(batch->width, 5u);
   EXPECT_EQ(batch->matches, matches);
 
-  auto feats = DecodeLecFeatureBatch(EncodeLecFeatureBatch(lec.features));
+  auto feats = DecodeLecFeatureBatch(
+      EncodeLecFeatureBatch(lec.features, query.num_vertices()));
   ASSERT_TRUE(feats.ok());
   EXPECT_EQ(*feats, lec.features);
 
-  auto all = DecodeLpmBatch(EncodeLpmBatch(lpms, 0, lpms.size()));
+  std::vector<size_t> indices(lpms.size());
+  std::iota(indices.begin(), indices.end(), size_t{0});
+  auto all = DecodeLpmBatch(EncodeLpmBatch(lpms, indices));
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(*all, lpms);
 
-  auto sub = DecodeLpmBatch(EncodeLpmBatch(lpms, 1, 2));
+  // A batch carries the indexed LPMs in index order.
+  indices = {2, 0};
+  auto sub = DecodeLpmBatch(EncodeLpmBatch(lpms, indices));
   ASSERT_TRUE(sub.ok());
   ASSERT_EQ(sub->size(), 2u);
-  EXPECT_EQ((*sub)[0], lpms[1]);
-  EXPECT_EQ((*sub)[1], lpms[2]);
+  EXPECT_EQ((*sub)[0], lpms[2]);
+  EXPECT_EQ((*sub)[1], lpms[0]);
 
   auto done = DecodeDoneMarker(EncodeDoneMarker(7));
   ASSERT_TRUE(done.ok());
@@ -288,6 +298,59 @@ TEST(WireCodecTest, ZeroWidthMatchBatchCarriesNoRows) {
   EXPECT_EQ(empty->num_lpms, 0u);
   EXPECT_EQ(empty->width, 0u);
   EXPECT_TRUE(empty->matches.empty());
+}
+
+/// Appends `v` little-endian, as every codec writes a u32.
+void PutU32(std::vector<uint8_t>* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+}
+
+/// One crafted feature batch: a feature signed {v0} over `width` vertices
+/// with one crossing mapping (q_from, q_to) -> (10, 11).
+std::vector<uint8_t> CraftedFeatureBatch(uint32_t width, uint32_t q_from,
+                                         uint32_t q_to) {
+  std::vector<uint8_t> b;
+  PutU32(&b, 1);  // one feature
+  PutU32(&b, 0);  // fragment
+  PutU32(&b, width);
+  for (uint32_t i = 0; i < width; i += 8) b.push_back(i == 0 ? 1 : 0);
+  PutU32(&b, 1);  // one crossing mapping
+  for (uint32_t v : {q_from, q_to, 10u, 11u}) PutU32(&b, v);
+  return b;
+}
+
+/// One crafted LPM batch: an LPM binding v0, v1 to 10, 11 in a binding of
+/// `binding_width`, signed {v0} over `sign_width` vertices, crossing (0, 1).
+std::vector<uint8_t> CraftedLpmBatch(uint32_t binding_width,
+                                     uint32_t sign_width) {
+  std::vector<uint8_t> b;
+  PutU32(&b, 1);  // one LPM
+  PutU32(&b, 0);  // fragment
+  PutU32(&b, binding_width);
+  for (uint32_t v = 0; v < binding_width; ++v) {
+    PutU32(&b, v < 2 ? 10 + v : kNullTerm);
+  }
+  PutU32(&b, sign_width);
+  for (uint32_t i = 0; i < sign_width; i += 8) b.push_back(i == 0 ? 1 : 0);
+  PutU32(&b, 1);  // one crossing mapping
+  for (uint32_t v : {0u, 1u, 10u, 11u}) PutU32(&b, v);
+  return b;
+}
+
+TEST(WireCodecTest, VertexIdsPastTheEnumerableBoundAreRejected) {
+  // The joins index per-vertex arrays by sign bit and by crossing endpoint,
+  // so the decoders keep both below kMaxEnumerableVertices, and an LPM's
+  // sign must span exactly its binding. Each payload is otherwise valid.
+  EXPECT_TRUE(DecodeLecFeatureBatch(CraftedFeatureBatch(20, 0, 1)).ok());
+  EXPECT_TRUE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 19, 1)).ok());
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(21, 0, 1)).ok());
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 40, 1)).ok());
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 0, 20)).ok());
+
+  EXPECT_TRUE(DecodeLpmBatch(CraftedLpmBatch(5, 5)).ok());
+  EXPECT_FALSE(DecodeLpmBatch(CraftedLpmBatch(5, 6)).ok());
 }
 
 TEST(WireCodecTest, BitmapCountNearTwoTo32IsRejectedUpFront) {

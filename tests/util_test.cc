@@ -1,13 +1,11 @@
-// Unit tests for the util layer: Status/Result, Bitset, Rng, hashing,
-// string helpers and the Algorithm-4 bit vector filter.
+// Unit tests for the util layer: Status/Result, Rng, hashing, string
+// helpers and the Algorithm-4 bit vector filter.
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
-#include "util/bitset.h"
 #include "util/bitvector_filter.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -44,86 +42,6 @@ TEST(ResultTest, ValueAndStatusAccess) {
   std::string taken = std::move(moved).value();
   EXPECT_EQ(taken, "hello");
 }
-
-TEST(BitsetTest, SetTestCountAll) {
-  Bitset b(5);
-  EXPECT_TRUE(b.None());
-  EXPECT_FALSE(b.Any());
-  b.Set(0);
-  b.Set(4);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_FALSE(b.Test(1));
-  EXPECT_TRUE(b.Test(4));
-  EXPECT_EQ(b.Count(), 2u);
-  EXPECT_FALSE(b.All());
-  for (size_t i = 0; i < 5; ++i) b.Set(i);
-  EXPECT_TRUE(b.All());
-  b.Set(2, false);
-  EXPECT_FALSE(b.All());
-  EXPECT_EQ(b.Count(), 4u);
-}
-
-TEST(BitsetTest, PaperNotationToString) {
-  Bitset b(5);
-  b.Set(2);
-  b.Set(4);
-  EXPECT_EQ(b.ToString(), "[00101]");  // PM11's LECSign in the paper
-}
-
-TEST(BitsetTest, DisjointAndSubset) {
-  Bitset a(8);
-  Bitset b(8);
-  a.Set(1);
-  a.Set(3);
-  b.Set(2);
-  b.Set(4);
-  EXPECT_TRUE(a.DisjointWith(b));
-  b.Set(3);
-  EXPECT_FALSE(a.DisjointWith(b));
-  Bitset sup = a | b;
-  EXPECT_TRUE(a.IsSubsetOf(sup));
-  EXPECT_TRUE(b.IsSubsetOf(sup));
-  EXPECT_FALSE(sup.IsSubsetOf(a));
-}
-
-TEST(BitsetTest, OperatorsAndEquality) {
-  Bitset a(70);  // spans two words
-  Bitset b(70);
-  a.Set(0);
-  a.Set(69);
-  b.Set(69);
-  Bitset u = a | b;
-  EXPECT_EQ(u.Count(), 2u);
-  Bitset i = a & b;
-  EXPECT_EQ(i.Count(), 1u);
-  EXPECT_TRUE(i.Test(69));
-  EXPECT_NE(a, b);
-  EXPECT_EQ(a | b, u);
-  EXPECT_EQ(a.Hash(), a.Hash());
-  EXPECT_NE(a.Hash(), b.Hash());  // overwhelmingly likely
-}
-
-class BitsetSweep : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(BitsetSweep, CountMatchesManualCount) {
-  size_t bits = GetParam();
-  Rng rng(bits * 977 + 3);
-  Bitset b(bits);
-  std::set<size_t> expected;
-  for (size_t i = 0; i < bits / 2 + 1; ++i) {
-    size_t pos = rng.Uniform(bits);
-    b.Set(pos);
-    expected.insert(pos);
-  }
-  EXPECT_EQ(b.Count(), expected.size());
-  for (size_t i = 0; i < bits; ++i) {
-    EXPECT_EQ(b.Test(i), expected.count(i) > 0) << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, BitsetSweep,
-                         ::testing::Values(1, 2, 63, 64, 65, 127, 128, 129,
-                                           500));
 
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(123);
