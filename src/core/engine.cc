@@ -380,7 +380,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
           for (const WireMessage& msg : msgs) {
             if (msg.type != MessageType::kLecFeatureBatch) continue;
             Result<std::vector<LecFeature>> decoded =
-                DecodeLecFeatureBatch(msg.payload);
+                DecodeLecFeatureBatch(msg.payload, static_cast<uint32_t>(n));
             if (!decoded.ok()) {
               sc.decode_ok = false;
               break;
@@ -514,7 +514,7 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
         for (const WireMessage& msg : msgs) {
           if (msg.type != MessageType::kLpmBatch) continue;
           Result<std::vector<LocalPartialMatch>> decoded =
-              DecodeLpmBatch(msg.payload);
+              DecodeLpmBatch(msg.payload, static_cast<uint32_t>(n));
           if (!decoded.ok()) {
             sd.decode_ok = false;
             break;

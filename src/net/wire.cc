@@ -108,14 +108,17 @@ void WriteSign(WireWriter& w, LecSign sign, uint32_t width) {
   for (uint32_t i = 0; i < width; i += 8) w.U8(static_cast<uint8_t>(sign >> i));
 }
 
-/// Reads WriteSign's layout. A width above kMaxEnumerableVertices fails;
-/// the padding bits past the width are ignored, as WriteBits leaves them 0.
-bool ReadSign(WireReader& r, uint32_t* width, LecSign* sign) {
-  *width = r.U32();
-  if (!r.ok() || *width > kMaxEnumerableVertices) return false;
+/// Reads WriteSign's layout. A width other than `width`, the query's vertex
+/// count, or above kMaxEnumerableVertices fails; the padding bits past the
+/// width are ignored, as WriteBits leaves them 0.
+bool ReadSign(WireReader& r, uint32_t width, LecSign* sign) {
+  const uint32_t stored = r.U32();
+  if (!r.ok() || stored != width || width > kMaxEnumerableVertices) {
+    return false;
+  }
   LecSign bits = 0;
-  for (uint32_t i = 0; i < *width; i += 8) bits |= LecSign{r.U8()} << i;
-  *sign = bits & FullSign(*width);
+  for (uint32_t i = 0; i < width; i += 8) bits |= LecSign{r.U8()} << i;
+  *sign = bits & FullSign(width);
   return r.ok();
 }
 
@@ -129,10 +132,11 @@ void WriteCrossing(WireWriter& w, const std::vector<CrossingPairMap>& cross) {
   }
 }
 
-/// Reads WriteCrossing's layout. A query vertex id of
-/// kMaxEnumerableVertices or more fails: FeaturesJoinable indexes a
-/// per-vertex array with it.
-bool ReadCrossing(WireReader& r, std::vector<CrossingPairMap>* out) {
+/// Reads WriteCrossing's layout. A query vertex id of `width` (the query's
+/// vertex count, at most kMaxEnumerableVertices after ReadSign) or more
+/// fails: FeaturesJoinable and the joins index per-vertex arrays with it.
+bool ReadCrossing(WireReader& r, uint32_t width,
+                  std::vector<CrossingPairMap>* out) {
   uint32_t count = r.U32();
   if (!r.ok() || r.remaining() / 16 < count) return false;
   out->clear();
@@ -143,10 +147,7 @@ bool ReadCrossing(WireReader& r, std::vector<CrossingPairMap>* out) {
     c.q_to = r.U32();
     c.d_from = r.U32();
     c.d_to = r.U32();
-    if (c.q_from >= kMaxEnumerableVertices ||
-        c.q_to >= kMaxEnumerableVertices) {
-      return false;
-    }
+    if (c.q_from >= width || c.q_to >= width) return false;
     out->push_back(c);
   }
   return r.ok();
@@ -271,7 +272,7 @@ std::vector<uint8_t> EncodeLecFeatureBatch(
 }
 
 Result<std::vector<LecFeature>> DecodeLecFeatureBatch(
-    const std::vector<uint8_t>& payload) {
+    const std::vector<uint8_t>& payload, uint32_t width) {
   WireReader r(payload);
   uint32_t count = r.U32();
   // fragment + sign size + crossing count = 12 bytes minimum per feature.
@@ -281,8 +282,7 @@ Result<std::vector<LecFeature>> DecodeLecFeatureBatch(
   for (uint32_t i = 0; i < count; ++i) {
     LecFeature f;
     f.fragment = static_cast<FragmentId>(r.U32());
-    uint32_t width = 0;
-    if (!ReadSign(r, &width, &f.sign) || !ReadCrossing(r, &f.crossing)) {
+    if (!ReadSign(r, width, &f.sign) || !ReadCrossing(r, width, &f.crossing)) {
       return Truncated("feature batch");
     }
     out.push_back(std::move(f));
@@ -309,7 +309,7 @@ std::vector<uint8_t> EncodeLpmBatch(const std::vector<LocalPartialMatch>& lpms,
 }
 
 Result<std::vector<LocalPartialMatch>> DecodeLpmBatch(
-    const std::vector<uint8_t>& payload) {
+    const std::vector<uint8_t>& payload, uint32_t width) {
   WireReader r(payload);
   uint32_t count = r.U32();
   // fragment + binding size + sign size + crossing count = 16 bytes minimum.
@@ -320,14 +320,13 @@ Result<std::vector<LocalPartialMatch>> DecodeLpmBatch(
     LocalPartialMatch pm;
     pm.fragment = static_cast<FragmentId>(r.U32());
     uint32_t binding_size = r.U32();
-    if (!r.ok() || r.remaining() / 4 < binding_size) {
+    if (!r.ok() || binding_size != width || r.remaining() / 4 < binding_size) {
       return Truncated("LPM batch");
     }
     pm.binding.reserve(binding_size);
     for (uint32_t v = 0; v < binding_size; ++v) pm.binding.push_back(r.U32());
-    uint32_t sign_width = 0;
-    if (!ReadSign(r, &sign_width, &pm.sign) || sign_width != binding_size ||
-        !ReadCrossing(r, &pm.crossing)) {
+    if (!ReadSign(r, width, &pm.sign) ||
+        !ReadCrossing(r, width, &pm.crossing)) {
       return Truncated("LPM batch");
     }
     out.push_back(std::move(pm));

@@ -59,9 +59,10 @@ WireMessage MakeMessage(MessageType type, std::vector<uint8_t> payload);
 // decodes or returns a Status — never crashes, hangs, or over-allocates
 // (element counts are validated against the remaining byte budget before any
 // reservation). The feature and LPM decoders also keep what the joins index
-// by vertex in range: a sign wider than kMaxEnumerableVertices, a crossing
-// mapping naming a query vertex at or past it, or an LPM whose sign width
-// differs from its binding width is rejected.
+// by vertex in range: they take the query's vertex count `width`, and an
+// item whose sign width (or, for an LPM, binding width) differs from it, a
+// width above kMaxEnumerableVertices, or a crossing mapping naming a query
+// vertex at or past `width` is rejected.
 // ---------------------------------------------------------------------------
 
 std::vector<uint8_t> EncodeBitmap(const std::vector<bool>& bits);
@@ -89,7 +90,7 @@ Result<MatchBatch> DecodeMatchBatch(const std::vector<uint8_t>& payload);
 std::vector<uint8_t> EncodeLecFeatureBatch(
     const std::vector<LecFeature>& features, uint32_t width);
 Result<std::vector<LecFeature>> DecodeLecFeatureBatch(
-    const std::vector<uint8_t>& payload);
+    const std::vector<uint8_t>& payload, uint32_t width);
 
 /// Encodes lpms[i] for each i of `indices`, in that order; each sign spans
 /// its binding's width. Stage D ships a site's LPMs in fixed-size batches
@@ -98,7 +99,7 @@ Result<std::vector<LecFeature>> DecodeLecFeatureBatch(
 std::vector<uint8_t> EncodeLpmBatch(const std::vector<LocalPartialMatch>& lpms,
                                     std::span<const size_t> indices);
 Result<std::vector<LocalPartialMatch>> DecodeLpmBatch(
-    const std::vector<uint8_t>& payload);
+    const std::vector<uint8_t>& payload, uint32_t width);
 
 std::vector<uint8_t> EncodeDoneMarker(uint32_t num_messages);
 Result<uint32_t> DecodeDoneMarker(const std::vector<uint8_t>& payload);

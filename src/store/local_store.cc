@@ -7,6 +7,21 @@
 
 namespace gstored {
 
+std::optional<NeighbourRange> SmallestConstantAdjacency(
+    const RdfGraph& g, const ResolvedQuery& rq, QVertexId v) {
+  const QueryGraph& q = *rq.query;
+  std::optional<NeighbourRange> best;
+  for (QEdgeId eid : q.IncidentEdges(v)) {
+    const QueryEdge& e = q.edge(eid);
+    const QVertexId other = e.from == v ? e.to : e.from;
+    if (other == v || rq.vertex_term[other] == kNullTerm) continue;
+    NeighbourRange range = NeighboursOf(g, rq.vertex_term[other],
+                                        rq.edge_pred[eid], e.from == v);
+    if (!best || range.size < best->size) best = range;
+  }
+  return best;
+}
+
 LocalStore::LocalStore(const RdfGraph* graph) : graph_(graph) {
   GSTORED_CHECK(graph != nullptr);
   GSTORED_CHECK(graph->finalized());
@@ -144,23 +159,22 @@ std::vector<TermId> LocalStore::Candidates(const ResolvedQuery& rq,
   return out;
 }
 
-void LocalStore::CandidatesInto(const ResolvedQuery& rq, QVertexId v,
-                                std::vector<TermId>* out) const {
+size_t LocalStore::CandidatesInto(const ResolvedQuery& rq, QVertexId v,
+                                  std::vector<TermId>* out) const {
   const QueryGraph& q = *rq.query;
   out->clear();
-  if (rq.impossible) return;
+  if (rq.impossible) return 0;
 
   TermId constant = rq.vertex_term[v];
   if (constant != kNullTerm) {
-    if (graph_->HasVertex(constant) &&
-        PassesLocalConstraints(rq, v, constant)) {
-      out->push_back(constant);
-    }
-    return;
+    if (!graph_->HasVertex(constant)) return 0;
+    if (PassesLocalConstraints(rq, v, constant)) out->push_back(constant);
+    return 1;
   }
 
-  // Seed with the cheapest incident constant-predicate pattern, falling back
-  // to the full vertex list.
+  // Seed from the smallest source: a constant neighbour's adjacency, the
+  // cheapest incident constant predicate's rows, or the full vertex list.
+  // All three are sorted by id, so the candidates come out sorted.
   TermId best_pred = kNullTerm;
   bool best_as_subject = true;
   size_t best_count = graph_->num_vertices();
@@ -175,20 +189,28 @@ void LocalStore::CandidatesInto(const ResolvedQuery& rq, QVertexId v,
       best_as_subject = (e.from == v);
     }
   }
+  const auto admit = [&](TermId u) {
+    if (PassesLocalConstraints(rq, v, u)) out->push_back(u);
+  };
 
+  const std::optional<NeighbourRange> adjacency =
+      SmallestConstantAdjacency(*graph_, rq, v);
+  if (adjacency && adjacency->size < best_count) {
+    for (size_t i = 0; i < adjacency->size; ++i) admit((*adjacency)[i]);
+    return adjacency->size;
+  }
   if (best_pred != kNullTerm) {
     auto rows = best_as_subject ? SubjectsOf(best_pred) : ObjectsOf(best_pred);
     TermId prev = kNullTerm;
     for (const auto& [endpoint, other] : rows) {
       if (endpoint == prev) continue;  // rows sorted by endpoint
       prev = endpoint;
-      if (PassesLocalConstraints(rq, v, endpoint)) out->push_back(endpoint);
+      admit(endpoint);
     }
-  } else {
-    for (TermId u : graph_->vertices()) {
-      if (PassesLocalConstraints(rq, v, u)) out->push_back(u);
-    }
+    return rows.size();
   }
+  for (TermId u : graph_->vertices()) admit(u);
+  return graph_->num_vertices();
 }
 
 double LocalStore::AvgOutFanout(TermId p) const {

@@ -1,8 +1,10 @@
 #ifndef GSTORED_STORE_LOCAL_STORE_H_
 #define GSTORED_STORE_LOCAL_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -13,13 +15,60 @@
 
 namespace gstored {
 
+/// A sorted, duplicate-free range of one vertex's neighbours inside the
+/// graph's CSR arrays: a predicate group's half-edges (read `.neighbor`) or
+/// a distinct-neighbour id range.
+struct NeighbourRange {
+  const HalfEdge* edges = nullptr;
+  const TermId* ids = nullptr;
+  size_t size = 0;
+
+  TermId operator[](size_t i) const {
+    return edges != nullptr ? edges[i].neighbor : ids[i];
+  }
+  bool Contains(TermId u) const {
+    if (edges != nullptr) {
+      auto it = std::lower_bound(
+          edges, edges + size, u,
+          [](const HalfEdge& h, TermId x) { return h.neighbor < x; });
+      return it != edges + size && it->neighbor == u;
+    }
+    return std::binary_search(ids, ids + size, u);
+  }
+};
+
+/// The vertices u joined to `anchor` by an edge labelled `pred` (kNullTerm =
+/// any label): u -pred-> anchor when `u_is_subject`, else anchor -pred-> u.
+/// That is InEdges(anchor, pred) / OutEdges(anchor, pred), or
+/// InNeighbors(anchor) / OutNeighbors(anchor) for a variable predicate;
+/// empty when `anchor` is not a vertex of `g`.
+inline NeighbourRange NeighboursOf(const RdfGraph& g, TermId anchor,
+                                   TermId pred, bool u_is_subject) {
+  if (pred == kNullTerm) {
+    auto ids = u_is_subject ? g.InNeighbors(anchor) : g.OutNeighbors(anchor);
+    return {nullptr, ids.data(), ids.size()};
+  }
+  auto edges =
+      u_is_subject ? g.InEdges(anchor, pred) : g.OutEdges(anchor, pred);
+  return {edges.data(), nullptr, edges.size()};
+}
+
+/// The seed rule's adjacency source for variable `v`: the smallest
+/// NeighboursOf(c, p) over the patterns joining v to a constant c, self-loops
+/// aside. Every candidate of v lies in each of these ranges. nullopt when no
+/// pattern joins v to a constant. SelectivityEstimator::VertexCardinality
+/// prices this range and LocalStore::CandidatesInto scans it, so the two
+/// agree on it.
+std::optional<NeighbourRange> SmallestConstantAdjacency(
+    const RdfGraph& g, const ResolvedQuery& rq, QVertexId v);
+
 /// Per-site storage and indexing layer over an RdfGraph — the stand-in for
 /// the centralized gStore engine that the paper installs at every site.
 ///
 /// On top of the graph's CSR adjacency it maintains:
 ///  * a predicate index (predicate -> (subject, object) pairs) stored as a
-///    flat CSR keyed by dense predicate TermId — no hashing on lookup — used
-///    to seed candidate enumeration with the rarest triple pattern;
+///    flat CSR keyed by dense predicate TermId — no hashing on lookup — one
+///    of the three sources CandidatesInto seeds a candidate scan from;
 ///  * per-vertex predicate signatures (a 64-bit Bloom mask of the incident
 ///    (direction, predicate) pairs), gStore's VS-tree idea reduced to one
 ///    level, used to discard candidate vertices before touching adjacency.
@@ -65,9 +114,15 @@ class LocalStore {
   std::vector<TermId> Candidates(const ResolvedQuery& rq, QVertexId v) const;
 
   /// Candidates(rq, v) into a caller-owned buffer (cleared first), so hot
-  /// loops can reuse one allocation across calls.
-  void CandidatesInto(const ResolvedQuery& rq, QVertexId v,
-                      std::vector<TermId>* out) const;
+  /// loops can reuse one allocation across calls. Returns how many seed
+  /// entries the scan walked. A variable's scan walks the smallest of three
+  /// sorted sources and tests each entry against all of v's constraints:
+  /// SmallestConstantAdjacency(v), the rows of v's cheapest constant
+  /// predicate (PredicateCount), or every vertex. The source decides what is
+  /// scanned, never what is admitted, so the candidates are the same
+  /// whichever source wins. A constant walks itself (1) when it is a vertex.
+  size_t CandidatesInto(const ResolvedQuery& rq, QVertexId v,
+                        std::vector<TermId>* out) const;
 
   /// Cheap upper-bound estimate of |Candidates(rq, v)|, used by the matcher
   /// to pick a variable ordering without materializing candidate sets.

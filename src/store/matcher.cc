@@ -13,38 +13,6 @@ namespace {
 /// tried, and the consistency check alone filters it.
 constexpr auto kAnyCandidate = [](QVertexId, TermId) { return true; };
 
-/// A sorted candidate range: either a predicate group's half-edges (read
-/// `.neighbor`) or a distinct-neighbor id range.
-struct PivotRange {
-  const HalfEdge* edges = nullptr;
-  const TermId* ids = nullptr;
-  size_t size = 0;
-
-  TermId operator[](size_t i) const {
-    return edges != nullptr ? edges[i].neighbor : ids[i];
-  }
-  bool Contains(TermId u) const {
-    if (edges != nullptr) {
-      auto it = std::lower_bound(
-          edges, edges + size, u,
-          [](const HalfEdge& h, TermId x) { return h.neighbor < x; });
-      return it != edges + size && it->neighbor == u;
-    }
-    return std::binary_search(ids, ids + size, u);
-  }
-};
-
-PivotRange RangeFor(const RdfGraph& g, const PivotEdge& p) {
-  if (p.pred == kNullTerm) {
-    auto ids = p.v_is_subject ? g.InNeighbors(p.anchor)
-                              : g.OutNeighbors(p.anchor);
-    return {nullptr, ids.data(), ids.size()};
-  }
-  auto edges = p.v_is_subject ? g.InEdges(p.anchor, p.pred)
-                              : g.OutEdges(p.anchor, p.pred);
-  return {edges.data(), nullptr, edges.size()};
-}
-
 }  // namespace
 
 std::span<const TermId> PivotDomain(const RdfGraph& g,
@@ -56,14 +24,15 @@ std::span<const TermId> PivotDomain(const RdfGraph& g,
   // pivots is still sound (the consistency check re-verifies every edge), so
   // a fixed-size range buffer suffices for arbitrarily large queries.
   constexpr size_t kMaxRanges = 32;
-  PivotRange ranges[kMaxRanges];
+  NeighbourRange ranges[kMaxRanges];
   size_t num_ranges = std::min(pivots.size(), kMaxRanges);
   size_t driver_idx = 0;
   for (size_t i = 0; i < num_ranges; ++i) {
-    ranges[i] = RangeFor(g, pivots[i]);
+    const PivotEdge& p = pivots[i];
+    ranges[i] = NeighboursOf(g, p.anchor, p.pred, p.v_is_subject);
     if (ranges[i].size < ranges[driver_idx].size) driver_idx = i;
   }
-  const PivotRange& driver = ranges[driver_idx];
+  const NeighbourRange& driver = ranges[driver_idx];
   if (num_ranges == 1 && driver.ids != nullptr) {
     // Single wildcard pivot: the distinct-neighbor span is the domain.
     return {driver.ids, driver.size};
@@ -120,7 +89,7 @@ std::span<const TermId> BacktrackSearch::Domain(size_t depth) {
         {binding_[other], rq_->edge_pred[eid], v_is_subject});
   }
   if (pivot_scratch_.empty()) {
-    store_->CandidatesInto(*rq_, v, &scratch);
+    scanned_ += store_->CandidatesInto(*rq_, v, &scratch);
     return scratch;
   }
   return PivotDomain(g, pivot_scratch_, &scratch);

@@ -154,6 +154,11 @@ class BacktrackSearch {
   /// full assignments included).
   size_t nodes() const { return nodes_; }
 
+  /// Seed entries the store walked for the domains that had no assigned
+  /// neighbour to expand from (the sum of LocalStore::CandidatesInto's
+  /// counts): the scan work behind the candidates that nodes() admits.
+  size_t scanned() const { return scanned_; }
+
  private:
   bool Consistent(QVertexId v, TermId u) const {
     const RdfGraph& g = store_->graph();
@@ -177,6 +182,7 @@ class BacktrackSearch {
   std::vector<std::vector<TermId>> domain_scratch_;  // one per depth
   std::vector<PivotEdge> pivot_scratch_;  // consumed before recursing
   size_t nodes_ = 0;
+  size_t scanned_ = 0;
 };
 
 /// Verifies that a full binding is a genuine match of the query per Def. 3:

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 
+#include "store/local_store.h"
 #include "util/logging.h"
 
 namespace gstored {
@@ -222,38 +223,22 @@ double SelectivityEstimator::VertexCardinalityUncached(QVertexId v) const {
   }
 
   double best = static_cast<double>(st.num_vertices());
+  // A constant neighbour's adjacency holds every candidate: the range the
+  // store's candidate scan walks when it is the smallest source.
+  if (auto adjacency = SmallestConstantAdjacency(g, *rq_, v)) {
+    best = std::min(best, static_cast<double>(adjacency->size));
+  }
   std::vector<TermId> out_preds;
   for (QEdgeId eid : q.IncidentEdges(v)) {
     const QueryEdge& e = q.edge(eid);
     TermId pred = rq_->edge_pred[eid];
-    QVertexId other = e.from == v ? e.to : e.from;
-    TermId other_term = other == v ? kNullTerm : rq_->vertex_term[other];
-
+    if (pred == kNullTerm) continue;
     if (e.from == v) {
-      if (pred != kNullTerm) {
-        best = std::min(best, static_cast<double>(st.DistinctSubjects(pred)));
-        out_preds.push_back(pred);
-      }
-      if (other_term != kNullTerm) {
-        // v -> constant: the candidates are exactly the subjects reaching
-        // the constant (through pred, or through any label).
-        best = std::min(
-            best, static_cast<double>(pred != kNullTerm
-                                          ? g.InEdges(other_term, pred).size()
-                                          : g.InNeighbors(other_term).size()));
-      }
+      best = std::min(best, static_cast<double>(st.DistinctSubjects(pred)));
+      out_preds.push_back(pred);
     }
     if (e.to == v) {
-      if (pred != kNullTerm) {
-        best = std::min(best, static_cast<double>(st.DistinctObjects(pred)));
-      }
-      if (other_term != kNullTerm) {
-        best = std::min(
-            best,
-            static_cast<double>(pred != kNullTerm
-                                    ? g.OutEdges(other_term, pred).size()
-                                    : g.OutNeighbors(other_term).size()));
-      }
+      best = std::min(best, static_cast<double>(st.DistinctObjects(pred)));
     }
   }
   if (out_preds.size() >= 2) {
@@ -329,16 +314,8 @@ double SelectivityEstimator::ExtensionCost(
     if (anchor_term != kNullTerm) {
       // Constant anchor: its expansion size is not an average, it is the
       // graph's actual range length.
-      const RdfGraph& g = st.graph();
-      if (pred == kNullTerm) {
-        fanout = static_cast<double>(
-            v_is_subject ? g.InNeighbors(anchor_term).size()
-                         : g.OutNeighbors(anchor_term).size());
-      } else {
-        fanout = static_cast<double>(
-            v_is_subject ? g.InEdges(anchor_term, pred).size()
-                         : g.OutEdges(anchor_term, pred).size());
-      }
+      fanout = static_cast<double>(
+          NeighboursOf(st.graph(), anchor_term, pred, v_is_subject).size);
     } else if (pred == kNullTerm) {
       fanout = st.AvgDegree();
     } else {
@@ -369,20 +346,12 @@ double SelectivityEstimator::ExtensionCost(
     // the conditioned start are already enforced by its candidate domain
     // (probability 1).
     TermId c_term = rq_->vertex_term[v];
-    const RdfGraph& g = st.graph();
     double keep = 1.0;
     for (const ConnectingEdge& c : conn) {
       if (c.other == conditioned) continue;
-      double touching;
-      if (c.pred == kNullTerm) {
-        touching = static_cast<double>(c.v_is_subject
-                                           ? g.OutNeighbors(c_term).size()
-                                           : g.InNeighbors(c_term).size());
-      } else {
-        touching = static_cast<double>(
-            c.v_is_subject ? g.OutEdges(c_term, c.pred).size()
-                           : g.InEdges(c_term, c.pred).size());
-      }
+      // The anchor's side of the edge, seen from the constant.
+      double touching = static_cast<double>(
+          NeighboursOf(st.graph(), c_term, c.pred, !c.v_is_subject).size);
       double anchor_card = std::max(1.0, VertexCardinality(c.other));
       keep *= std::min(1.0, touching / anchor_card);
     }

@@ -163,8 +163,10 @@ class SelectivityEstimator {
   /// Estimated candidate-set size of query vertex v before any neighbour is
   /// bound: 1 for constants (0 when a pattern joining it to another constant
   /// names a missing data edge), otherwise the tightest of the per-predicate
-  /// distinct-endpoint bounds, the exact constant-neighbour expansion sizes,
-  /// and (for >= 2 constrained out-predicates) the characteristic-set count.
+  /// distinct-endpoint bounds, the exact size of SmallestConstantAdjacency
+  /// (store/local_store.h; the range LocalStore::CandidatesInto scans when
+  /// it is the smallest seed source), and (for >= 2 constrained
+  /// out-predicates) the characteristic-set count.
   double VertexCardinality(QVertexId v) const;
 
   /// Sentinel for ExtensionCost's `conditioned` parameter: no search-start

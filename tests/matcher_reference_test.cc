@@ -105,6 +105,36 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, MatcherMatchesReference,
     ::testing::ValuesIn(::gstored::testing::kReferenceScenarios));
 
+/// Pivoted queries (test_fixtures.h) answer the empty-answer gap of the
+/// table above: each query is drawn around a walk of the data, so the naive
+/// matcher and the store's must both find at least that walk. Sizes derive
+/// from the seed; walks of at most 3 triples keep |V|^n small.
+class MatcherMatchesReferencePivoted
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MatcherMatchesReferencePivoted, SameMatchSetContainingThePivot) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  auto dataset = RandomDataset(rng, 7 + seed % 5, 20 + (seed * 7) % 30,
+                               1 + seed % 4);
+  testing::Pivoted pivoted =
+      testing::PivotedQuery(rng, *dataset, 1 + seed % 3);
+  const QueryGraph& query = pivoted.query;
+  ASSERT_TRUE(query.IsConnected());
+
+  LocalStore store(&dataset->graph());
+  ResolvedQuery rq = ResolveQuery(query, dataset->dict());
+  auto fast = SortedMatches(MatchQuery(store, rq));
+  auto naive = SortedMatches(NaiveMatch(*dataset, query));
+  EXPECT_EQ(fast, naive) << "query: " << query.ToString();
+  EXPECT_TRUE(std::binary_search(naive.begin(), naive.end(), pivoted.pivot))
+      << "query: " << query.ToString();
+  RecordProperty("answers", static_cast<int>(naive.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MatcherMatchesReferencePivoted,
+                         ::testing::Range<uint64_t>(1, 25));
+
 /// Every suite over the scenario table compares answers, so none of its
 /// queries may be unsatisfiable before any data is read: an impossible
 /// query makes every oracle comparison an empty-set match.

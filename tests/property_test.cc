@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/assembly.h"
@@ -116,6 +117,52 @@ std::vector<Scenario> MakeScenarios() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DistributedEqualsCentralized,
                          ::testing::ValuesIn(MakeScenarios()));
+
+/// Pivoted queries (test_fixtures.h) are drawn around a walk of the data,
+/// so unlike most random queries above they have answers, and the walk is
+/// one of them: every mode at 1 and 4 threads must return it, and return
+/// exactly the centralized answer, over random and hash 3-fragment
+/// partitionings.
+class DistributedContainsPivot : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DistributedContainsPivot, AllModesBothThreadCounts) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  auto dataset = RandomDataset(rng, 20 + seed % 25, 60 + (seed * 13) % 90,
+                               2 + seed % 4);
+  testing::Pivoted pivoted =
+      testing::PivotedQuery(rng, *dataset, 2 + seed % 5);
+  const QueryGraph& query = pivoted.query;
+  std::vector<Binding> oracle = Oracle(*dataset, query);
+  ASSERT_TRUE(std::binary_search(oracle.begin(), oracle.end(), pivoted.pivot))
+      << "seed=" << seed << " query=" << query.ToString();
+  RecordProperty("answers", static_cast<int>(oracle.size()));
+
+  std::vector<Partitioning> partitionings;
+  partitionings.push_back(BuildPartitioning(
+      *dataset, RandomAssignment(rng, *dataset, 3), 3, "random"));
+  partitionings.push_back(HashPartitioner().Partition(*dataset, 3));
+  for (const Partitioning& partitioning : partitionings) {
+    for (size_t threads : {1u, 4u}) {
+      EngineOptions options;
+      options.num_threads = threads;
+      DistributedEngine engine(&partitioning, options);
+      for (EngineMode mode :
+           {EngineMode::kBasic, EngineMode::kLecAssembly,
+            EngineMode::kLecPruning, EngineMode::kFull}) {
+        QueryOutcome outcome = engine.Run({query, mode});
+        EXPECT_EQ(outcome.matches, oracle)
+            << "strategy=" << partitioning.strategy_name()
+            << " threads=" << threads << " mode=" << EngineModeName(mode)
+            << " seed=" << seed << " query=" << query.ToString();
+        EXPECT_TRUE(outcome.exact);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DistributedContainsPivot,
+                         ::testing::Range<uint64_t>(1, 25));
 
 TEST(RandomConnectedQueryTest, EqualSeedsGiveEqualQueryText) {
   // Predicate variables are numbered within each query, so the same seed

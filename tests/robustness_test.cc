@@ -183,17 +183,18 @@ std::vector<WirePayload> BuildWireCorpus() {
   corpus.push_back(
       {"match_batch", EncodeMatchBatch(lpms.size(), 5, matches),
        [](const std::vector<uint8_t>& b) { return DecodeMatchBatch(b).ok(); }});
+  const auto n = static_cast<uint32_t>(query.num_vertices());
   corpus.push_back(
-      {"lec_feature_batch",
-       EncodeLecFeatureBatch(lec.features, query.num_vertices()),
-       [](const std::vector<uint8_t>& b) {
-         return DecodeLecFeatureBatch(b).ok();
+      {"lec_feature_batch", EncodeLecFeatureBatch(lec.features, n),
+       [n](const std::vector<uint8_t>& b) {
+         return DecodeLecFeatureBatch(b, n).ok();
        }});
   std::vector<size_t> all(lpms.size());
   std::iota(all.begin(), all.end(), size_t{0});
-  corpus.push_back(
-      {"lpm_batch", EncodeLpmBatch(lpms, all),
-       [](const std::vector<uint8_t>& b) { return DecodeLpmBatch(b).ok(); }});
+  corpus.push_back({"lpm_batch", EncodeLpmBatch(lpms, all),
+                    [n](const std::vector<uint8_t>& b) {
+                      return DecodeLpmBatch(b, n).ok();
+                    }});
   corpus.push_back(
       {"done_marker", EncodeDoneMarker(7),
        [](const std::vector<uint8_t>& b) { return DecodeDoneMarker(b).ok(); }});
@@ -238,20 +239,20 @@ TEST(WireCodecTest, RoundTripsPreserveEveryPayloadType) {
   EXPECT_EQ(batch->width, 5u);
   EXPECT_EQ(batch->matches, matches);
 
-  auto feats = DecodeLecFeatureBatch(
-      EncodeLecFeatureBatch(lec.features, query.num_vertices()));
+  const auto n = static_cast<uint32_t>(query.num_vertices());
+  auto feats = DecodeLecFeatureBatch(EncodeLecFeatureBatch(lec.features, n), n);
   ASSERT_TRUE(feats.ok());
   EXPECT_EQ(*feats, lec.features);
 
   std::vector<size_t> indices(lpms.size());
   std::iota(indices.begin(), indices.end(), size_t{0});
-  auto all = DecodeLpmBatch(EncodeLpmBatch(lpms, indices));
+  auto all = DecodeLpmBatch(EncodeLpmBatch(lpms, indices), n);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(*all, lpms);
 
   // A batch carries the indexed LPMs in index order.
   indices = {2, 0};
-  auto sub = DecodeLpmBatch(EncodeLpmBatch(lpms, indices));
+  auto sub = DecodeLpmBatch(EncodeLpmBatch(lpms, indices), n);
   ASSERT_TRUE(sub.ok());
   ASSERT_EQ(sub->size(), 2u);
   EXPECT_EQ((*sub)[0], lpms[2]);
@@ -322,9 +323,10 @@ std::vector<uint8_t> CraftedFeatureBatch(uint32_t width, uint32_t q_from,
 }
 
 /// One crafted LPM batch: an LPM binding v0, v1 to 10, 11 in a binding of
-/// `binding_width`, signed {v0} over `sign_width` vertices, crossing (0, 1).
+/// `binding_width`, signed `sign` (default {v0}) over `sign_width` vertices,
+/// crossing (0, 1).
 std::vector<uint8_t> CraftedLpmBatch(uint32_t binding_width,
-                                     uint32_t sign_width) {
+                                     uint32_t sign_width, LecSign sign = 1) {
   std::vector<uint8_t> b;
   PutU32(&b, 1);  // one LPM
   PutU32(&b, 0);  // fragment
@@ -333,7 +335,9 @@ std::vector<uint8_t> CraftedLpmBatch(uint32_t binding_width,
     PutU32(&b, v < 2 ? 10 + v : kNullTerm);
   }
   PutU32(&b, sign_width);
-  for (uint32_t i = 0; i < sign_width; i += 8) b.push_back(i == 0 ? 1 : 0);
+  for (uint32_t i = 0; i < sign_width; i += 8) {
+    b.push_back(static_cast<uint8_t>(sign >> i));
+  }
   PutU32(&b, 1);  // one crossing mapping
   for (uint32_t v : {0u, 1u, 10u, 11u}) PutU32(&b, v);
   return b;
@@ -342,15 +346,34 @@ std::vector<uint8_t> CraftedLpmBatch(uint32_t binding_width,
 TEST(WireCodecTest, VertexIdsPastTheEnumerableBoundAreRejected) {
   // The joins index per-vertex arrays by sign bit and by crossing endpoint,
   // so the decoders keep both below kMaxEnumerableVertices, and an LPM's
-  // sign must span exactly its binding. Each payload is otherwise valid.
-  EXPECT_TRUE(DecodeLecFeatureBatch(CraftedFeatureBatch(20, 0, 1)).ok());
-  EXPECT_TRUE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 19, 1)).ok());
-  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(21, 0, 1)).ok());
-  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 40, 1)).ok());
-  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 0, 20)).ok());
+  // sign must span exactly its binding. Each payload is decoded at its own
+  // width and is otherwise valid.
+  EXPECT_TRUE(DecodeLecFeatureBatch(CraftedFeatureBatch(20, 0, 1), 20).ok());
+  EXPECT_TRUE(DecodeLecFeatureBatch(CraftedFeatureBatch(20, 19, 1), 20).ok());
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(21, 0, 1), 21).ok());
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 40, 1), 5).ok());
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 0, 20), 5).ok());
 
-  EXPECT_TRUE(DecodeLpmBatch(CraftedLpmBatch(5, 5)).ok());
-  EXPECT_FALSE(DecodeLpmBatch(CraftedLpmBatch(5, 6)).ok());
+  EXPECT_TRUE(DecodeLpmBatch(CraftedLpmBatch(5, 5), 5).ok());
+  EXPECT_FALSE(DecodeLpmBatch(CraftedLpmBatch(5, 6), 5).ok());
+}
+
+TEST(WireCodecTest, ItemsWiderThanTheQueryAreRejected) {
+  // A sign bit at or past the query's n aborts the joins (CheckedFullSign),
+  // and so does a binding wider than n (MergeBindings), so the decoders
+  // check every item against n, not only against the 20-vertex cap, and a
+  // torn batch degrades its site instead of ending the process.
+  // An LPM of binding and sign width 6, signed {v5}, at n = 5:
+  EXPECT_FALSE(DecodeLpmBatch(CraftedLpmBatch(6, 6, LecSign{1} << 5), 5).ok());
+  EXPECT_TRUE(DecodeLpmBatch(CraftedLpmBatch(6, 6, LecSign{1} << 5), 6).ok());
+  EXPECT_FALSE(DecodeLpmBatch(CraftedLpmBatch(5, 5), 6).ok());
+  // A crossing endpoint inside the cap but at or past n.
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 19, 1), 5).ok());
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 0, 5), 5).ok());
+  EXPECT_TRUE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 0, 4), 5).ok());
+  // A sign width inside the cap that is not the query's.
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 0, 1), 6).ok());
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(6, 0, 1), 5).ok());
 }
 
 TEST(WireCodecTest, BitmapCountNearTwoTo32IsRejectedUpFront) {

@@ -1,11 +1,14 @@
-// Unit tests for the store layer: candidate computation, the vertex
-// signature filter, the backtracking matcher (checked against a brute-force
-// oracle on small graphs), parallel-edge injectivity, variable predicates,
-// self-loops, match limits and VerifyMatch.
+// Unit tests for the store layer: candidate computation and its seed rule
+// (checked against a raw-triple reference), the vertex signature filter, the
+// backtracking matcher (checked against a brute-force oracle on small
+// graphs), parallel-edge injectivity, variable predicates, self-loops, match
+// limits and VerifyMatch.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "store/local_store.h"
 #include "store/matcher.h"
@@ -65,9 +68,13 @@ TEST(LocalStoreTest, CandidatesRespectConstantNeighbours) {
   QueryGraph q;
   q.AddEdge("?p1", testing::kName, testing::kCrispin);
   ResolvedQuery rq = ResolveQuery(q, dataset->dict());
-  auto candidates = store.Candidates(rq, q.AddVertex("?p1"));
+  std::vector<TermId> candidates;
+  const size_t walked =
+      store.CandidatesInto(rq, q.AddVertex("?p1"), &candidates);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0], dataset->dict().Lookup(testing::kPhi1));
+  // The seed is the literal's one `name` in-edge, not the predicate's 4 rows.
+  EXPECT_EQ(walked, 1u);
 }
 
 TEST(LocalStoreTest, CandidatesForConstantVertex) {
@@ -100,6 +107,210 @@ TEST(LocalStoreTest, CandidatesSupersetOfMatchProjections) {
     for (const Binding& m : matches) {
       EXPECT_TRUE(cset.count(m[v])) << "v=" << v;
     }
+  }
+}
+
+/// What the store's candidate scan must return and walk, re-derived from a
+/// graph's raw triple list: no CSR lookup and no PassesLocalConstraints.
+struct ReferenceScan {
+  std::vector<TermId> candidates;
+  size_t walked = 0;
+  bool from_adjacency = false;  ///< a constant neighbour's range is smallest
+};
+
+/// u is a candidate of v when every pattern incident to v has a triple at u:
+/// to the pattern's other end when that is a constant, to any vertex
+/// otherwise (so a self-loop asks for its predicate in both directions, not
+/// for a loop), through the pattern's predicate or, when it is a variable,
+/// any. The walked count is the smallest seed source: a constant
+/// neighbour's adjacency, a constant predicate's triples, or all vertices.
+ReferenceScan ReferenceCandidates(const std::vector<Triple>& triples,
+                                  const ResolvedQuery& rq, QVertexId v) {
+  ReferenceScan ref;
+  if (rq.impossible) return ref;
+  const QueryGraph& q = *rq.query;
+  std::set<TermId> vertices;
+  for (const Triple& t : triples) vertices.insert({t.subject, t.object});
+  // True when some triple matches (s, p, o), kNullTerm matching anything.
+  auto exists = [&](TermId s, TermId p, TermId o) {
+    return std::any_of(triples.begin(), triples.end(), [&](const Triple& t) {
+      return (s == kNullTerm || t.subject == s) &&
+             (p == kNullTerm || t.predicate == p) &&
+             (o == kNullTerm || t.object == o);
+    });
+  };
+  auto passes = [&](TermId u) {
+    for (QEdgeId eid : q.IncidentEdges(v)) {
+      const QueryEdge& e = q.edge(eid);
+      const TermId pred = rq.edge_pred[eid];
+      if (e.from == v &&
+          !exists(u, pred, e.to == v ? kNullTerm : rq.vertex_term[e.to])) {
+        return false;
+      }
+      if (e.to == v &&
+          !exists(e.from == v ? kNullTerm : rq.vertex_term[e.from], pred, u)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const TermId constant = rq.vertex_term[v];
+  for (TermId u : vertices) {
+    if ((constant == kNullTerm || u == constant) && passes(u)) {
+      ref.candidates.push_back(u);
+    }
+  }
+  if (constant != kNullTerm) {
+    ref.walked = vertices.count(constant);
+    return ref;
+  }
+
+  size_t rows = vertices.size();
+  size_t adjacency = SIZE_MAX;
+  for (QEdgeId eid : q.IncidentEdges(v)) {
+    const QueryEdge& e = q.edge(eid);
+    const TermId pred = rq.edge_pred[eid];
+    if (pred != kNullTerm) {
+      rows = std::min<size_t>(
+          rows, std::count_if(triples.begin(), triples.end(),
+                              [&](const Triple& t) {
+                                return t.predicate == pred;
+                              }));
+    }
+    const QVertexId other = e.from == v ? e.to : e.from;
+    const TermId c = rq.vertex_term[other];
+    if (other == v || c == kNullTerm) continue;
+    std::set<TermId> neighbours;
+    for (const Triple& t : triples) {
+      if (pred != kNullTerm && t.predicate != pred) continue;
+      if (e.from == v && t.object == c) neighbours.insert(t.subject);
+      if (e.to == v && t.subject == c) neighbours.insert(t.object);
+    }
+    adjacency = std::min(adjacency, neighbours.size());
+  }
+  ref.from_adjacency = adjacency < rows;
+  ref.walked = std::min(adjacency, rows);
+  return ref;
+}
+
+/// Adds a self-loop (v, p, v) at `count` random vertices of `dataset` and
+/// returns one query per loop: ?x over the loop, and ?x joined to a data
+/// neighbour of v kept constant, through its predicate or a variable one.
+std::vector<QueryGraph> AddSelfLoops(Rng& rng, Dataset* dataset, int count) {
+  const std::vector<Triple> triples = dataset->graph().triples();
+  const TermDict& dict = dataset->dict();
+  std::vector<QueryGraph> queries;
+  for (int i = 0; i < count; ++i) {
+    const Triple& t = triples[rng.Uniform(triples.size())];
+    const std::string v = dict.lexical(t.subject);
+    const std::string loop = dict.lexical(t.predicate);
+    dataset->AddTripleLexical(v, loop, v);
+    QueryGraph q;
+    q.AddEdge("?x", loop, "?x");
+    q.AddEdge("?x", rng.Chance(0.5) ? "?p" : loop, dict.lexical(t.object));
+    queries.push_back(std::move(q));
+  }
+  dataset->Finalize();
+  return queries;
+}
+
+/// The seed rule's oracle: over random graphs with self-loops and their
+/// fragments under a random 3-way partitioning, every query vertex's
+/// candidates equal the raw-triple reference, id for id, and the scan walks
+/// exactly the smallest seed source. Queries carry constants: pivoted ones,
+/// whose variables have candidates, random ones for the empty cases, and
+/// the self-loop queries.
+TEST(SeedRuleTest, CandidatesAndWalkedCountMatchTheRawTriples) {
+  size_t seeded_nonempty = 0;  // variables seeded from an adjacency
+  size_t wildcard_next_to_constant = 0;
+  size_t self_loop_vertices = 0;
+  size_t absent_constants = 0;  // (store, constant) pairs
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed * 7919);
+    auto dataset = testing::RandomDataset(rng, 18 + seed % 15,
+                                          50 + (seed * 11) % 70, 2 + seed % 4);
+    std::vector<QueryGraph> queries = AddSelfLoops(rng, dataset.get(), 2);
+    for (int i = 0; i < 3; ++i) {
+      queries.push_back(
+          testing::PivotedQuery(rng, *dataset, 2 + rng.Uniform(4)).query);
+    }
+    for (int i = 0; i < 2; ++i) {
+      queries.push_back(testing::RandomConnectedQuery(
+          rng, *dataset, 3, 3, /*constant_prob=*/0.5,
+          /*pred_constant_prob=*/0.6));
+    }
+    Partitioning partitioning = BuildPartitioning(
+        *dataset, testing::RandomAssignment(rng, *dataset, 3), 3, "random");
+    std::vector<const RdfGraph*> graphs = {&dataset->graph()};
+    for (const Fragment& f : partitioning.fragments()) {
+      graphs.push_back(&f.graph());
+    }
+
+    for (const QueryGraph& q : queries) {
+      ResolvedQuery rq = ResolveQuery(q, dataset->dict());
+      for (const RdfGraph* graph : graphs) {
+        LocalStore store(graph);
+        std::vector<TermId> candidates;
+        for (QVertexId v = 0; v < q.num_vertices(); ++v) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " v" +
+                       std::to_string(v) + " query " + q.ToString());
+          const ReferenceScan ref =
+              ReferenceCandidates(graph->triples(), rq, v);
+          const size_t walked = store.CandidatesInto(rq, v, &candidates);
+          EXPECT_EQ(candidates, ref.candidates);
+          EXPECT_EQ(walked, ref.walked);
+
+          const TermId term = rq.vertex_term[v];
+          if (term != kNullTerm) {
+            absent_constants += !graph->HasVertex(term);
+            continue;
+          }
+          seeded_nonempty += ref.from_adjacency && !candidates.empty();
+          for (QEdgeId eid : q.IncidentEdges(v)) {
+            const QueryEdge& e = q.edge(eid);
+            const QVertexId other = e.from == v ? e.to : e.from;
+            self_loop_vertices += other == v;
+            wildcard_next_to_constant += other != v &&
+                                         rq.edge_pred[eid] == kNullTerm &&
+                                         rq.vertex_term[other] != kNullTerm;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(seeded_nonempty, 0u);
+  EXPECT_GT(wildcard_next_to_constant, 0u);
+  EXPECT_GT(self_loop_vertices, 0u);
+  EXPECT_GT(absent_constants, 0u);
+  RecordProperty("adjacency_seeded_nonempty",
+                 static_cast<int>(seeded_nonempty));
+  RecordProperty("wildcard_next_to_constant",
+                 static_cast<int>(wildcard_next_to_constant));
+  RecordProperty("self_loop_vertices", static_cast<int>(self_loop_vertices));
+  RecordProperty("absent_constants", static_cast<int>(absent_constants));
+}
+
+TEST(SeedRuleTest, BacktrackSearchSumsTheSeedScans) {
+  // Only the start vertex has no assigned neighbour to expand from, so the
+  // search scans exactly what CandidatesInto walks for it.
+  auto dataset = testing::BuildPaperDataset();
+  LocalStore store(&dataset->graph());
+  QueryGraph q = testing::BuildPaperQuery();
+  ResolvedQuery rq = ResolveQuery(q, dataset->dict());
+  const auto groups = BuildIncidentEdgeGroups(q);
+  // Connected orders from ?p2 (no constant neighbour) and from ?p1 (next
+  // to the literal).
+  const std::vector<std::vector<QVertexId>> orders = {{0, 1, 2, 3, 4},
+                                                      {2, 0, 4, 1, 3}};
+  for (const std::vector<QVertexId>& order : orders) {
+    BacktrackSearch search(store, rq, order, groups);
+    search.Extend(0, [](QVertexId, TermId) { return true; },
+                  [](const Binding&) {});
+    std::vector<TermId> candidates;
+    EXPECT_EQ(search.scanned(),
+              store.CandidatesInto(rq, order[0], &candidates))
+        << "start v" << order[0];
+    EXPECT_GT(search.nodes(), 0u);
   }
 }
 

@@ -187,6 +187,95 @@ QueryGraph RandomConnectedQuery(Rng& rng, const Dataset& dataset,
   return q;
 }
 
+Pivoted PivotedQuery(Rng& rng, const Dataset& dataset, size_t num_triples,
+                     double constant_prob, double pred_constant_prob) {
+  const std::vector<Triple>& triples = dataset.graph().triples();
+  GSTORED_CHECK(!triples.empty() && num_triples >= 1);
+  // Triple indices by endpoint, from the raw triple list.
+  std::map<TermId, std::vector<size_t>> incident;
+  for (size_t i = 0; i < triples.size(); ++i) {
+    incident[triples[i].subject].push_back(i);
+    if (triples[i].object != triples[i].subject) {
+      incident[triples[i].object].push_back(i);
+    }
+  }
+  std::vector<size_t> walk;
+  std::vector<TermId> vertices;  // the walk's, in order of first appearance
+  auto take = [&](size_t i) {
+    walk.push_back(i);
+    for (TermId u : {triples[i].subject, triples[i].object}) {
+      if (std::find(vertices.begin(), vertices.end(), u) == vertices.end()) {
+        vertices.push_back(u);
+      }
+    }
+  };
+  std::vector<size_t> steps;
+  auto unused_at = [&](TermId u) {
+    steps.clear();
+    for (size_t i : incident[u]) {
+      if (std::find(walk.begin(), walk.end(), i) == walk.end()) {
+        steps.push_back(i);
+      }
+    }
+    return !steps.empty();
+  };
+
+  take(rng.Uniform(triples.size()));
+  TermId at = rng.Chance(0.5) ? triples[walk[0]].subject
+                              : triples[walk[0]].object;
+  while (walk.size() < num_triples) {
+    // Step along an unused triple at the current vertex; at a dead end,
+    // restart from a walk vertex that still has one, so the walk stays
+    // connected.
+    if (!unused_at(at)) {
+      std::vector<TermId> open;
+      for (TermId u : vertices) {
+        if (unused_at(u)) open.push_back(u);
+      }
+      if (open.empty()) break;
+      at = open[rng.Uniform(open.size())];
+      unused_at(at);
+    }
+    const size_t next = steps[rng.Uniform(steps.size())];
+    take(next);
+    at = triples[next].subject == at ? triples[next].object
+                                     : triples[next].subject;
+  }
+
+  const TermDict& dict = dataset.dict();
+  std::vector<std::string> labels;
+  bool any_variable = false;
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    if (rng.Chance(constant_prob)) {
+      labels.push_back(dict.lexical(vertices[i]));
+    } else {
+      labels.push_back("?x" + std::to_string(i));
+      any_variable = true;
+    }
+  }
+  if (!any_variable) {
+    const size_t i = rng.Uniform(vertices.size());
+    labels[i] = "?x" + std::to_string(i);
+  }
+  auto label_of = [&](TermId u) {
+    return labels[std::find(vertices.begin(), vertices.end(), u) -
+                  vertices.begin()];
+  };
+
+  Pivoted out;
+  for (const std::string& label : labels) out.query.AddVertex(label);
+  size_t next_pred_var = 0;
+  for (size_t i : walk) {
+    const Triple& t = triples[i];
+    const std::string pred = rng.Chance(pred_constant_prob)
+                                 ? dict.lexical(t.predicate)
+                                 : "?p" + std::to_string(next_pred_var++);
+    out.query.AddEdge(label_of(t.subject), pred, label_of(t.object));
+  }
+  out.pivot = std::move(vertices);
+  return out;
+}
+
 PairLabels LabelsByPair(const RdfGraph& graph) {
   PairLabels labels;
   for (const Triple& t : graph.triples()) {

@@ -77,6 +77,27 @@ QueryGraph RandomConnectedQuery(Rng& rng, const Dataset& dataset,
                                 double constant_prob = 0.3,
                                 double pred_constant_prob = 0.85);
 
+/// A query drawn around a known match: `pivot[v]` is the data vertex query
+/// vertex v takes in that match, so every correct answer contains it.
+struct Pivoted {
+  QueryGraph query;
+  Binding pivot;
+};
+
+/// Pivoted query synthesis (Rigger & Su, OSDI 2020) for BGPs: draws a
+/// connected random walk of up to `num_triples` of the data's triples, no
+/// (s, p, o) twice, and turns it into a query. Each distinct walk vertex
+/// becomes one query vertex, a constant with probability `constant_prob` and
+/// a variable otherwise (at least one is a variable); each triple's
+/// predicate stays constant with probability `pred_constant_prob`, else it
+/// becomes a fresh predicate variable. A self-loop triple gives a self-loop
+/// pattern. The walk itself is a match of the query (Def. 3: distinct
+/// triples on one vertex pair carry distinct labels), so it is the pivot.
+/// The query depends on `rng`'s state alone.
+Pivoted PivotedQuery(Rng& rng, const Dataset& dataset, size_t num_triples,
+                     double constant_prob = 0.3,
+                     double pred_constant_prob = 0.7);
+
 /// Data edge labels by directed (subject, object) pair, read from a graph's
 /// raw triple list: the brute-force oracles' view of the data, which shares
 /// no code with the CSR indexes or the matcher.
