@@ -1,10 +1,15 @@
 // Ablation: Algorithm 4's fixed bit-vector length. The paper argues the
 // fixed length bounds communication while "smaller search space can speed up
 // evaluating" — this bench sweeps the length and reports the trade-off
-// between candidate shipment (grows linearly with bits) and the LPM
-// population the filter leaves behind (shrinks, then saturates once the
-// false-positive rate is negligible). Expected shape: LPM counts drop
-// steeply up to a few KB per vector and flatten; shipment keeps growing.
+// between candidate shipment and the LPM population the filter leaves
+// behind (shrinks, then saturates once the false-positive rate is
+// negligible). Each site ships a variable's candidates as ids while they
+// encode shorter than the vector (fewer than bits / 32 of them), so the
+// bench also prints how many site entries went in each form. Shipment grows
+// linearly with bits only while entries go as vectors; once every entry
+// (and so every union) goes as ids, it stops growing with the length.
+// Expected shape: LPM counts drop steeply up to a few KB per vector and
+// flatten; shipment grows, then levels off as the entries turn into ids.
 
 #include <cstdio>
 #include <vector>
@@ -28,8 +33,8 @@ int main() {
   }
 
   std::printf("=== Ablation: Alg. 4 bit-vector length (LUBM-style, LQ7) ===\n");
-  std::printf("%-12s | %14s | %10s | %12s\n", "bits/vector", "shipment KB",
-              "#lpm", "fill ratio");
+  std::printf("%-12s | %14s | %10s %10s | %10s | %12s\n", "bits/vector",
+              "shipment KB", "id entries", "vectors", "#lpm", "fill ratio");
 
   const QueryGraph& query = w.queries[6].query;  // LQ7
   ResolvedQuery rq = ResolveQuery(query, w.dataset->dict());
@@ -40,8 +45,8 @@ int main() {
     unfiltered += EnumerateLocalPartialMatches(p.fragments()[s], *stores[s],
                                                rq).size();
   }
-  std::printf("%-12s | %14s | %10zu | %12s\n", "none", "0.0", unfiltered,
-              "-");
+  std::printf("%-12s | %14s | %10s %10s | %10zu | %12s\n", "none", "0.0",
+              "-", "-", unfiltered, "-");
 
   for (size_t bits : {1u << 8, 1u << 10, 1u << 12, 1u << 14, 1u << 16,
                       1u << 18}) {
@@ -71,9 +76,9 @@ int main() {
     for (const auto& f : exchange.filters) {
       max_fill = std::max(max_fill, f.FillRatio());
     }
-    std::printf("%-12zu | %14.1f | %10zu | %12.3f\n", bits,
-                static_cast<double>(exchange.shipment_bytes) / 1024.0, lpms,
-                max_fill);
+    std::printf("%-12zu | %14.1f | %10zu %10zu | %10zu | %12.3f\n", bits,
+                static_cast<double>(exchange.shipment_bytes) / 1024.0,
+                exchange.id_entries, exchange.vector_entries, lpms, max_fill);
   }
   return 0;
 }

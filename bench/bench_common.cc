@@ -48,13 +48,15 @@ void RunOptimizationAblation(const std::string& title,
   DistributedEngine engine(&partitioning);
 
   std::printf("\n=== %s ===\n", title.c_str());
-  std::printf("%-5s | %14s %14s %14s %14s | %14s %14s\n", "query",
-              "Basic(ms)", "LA(ms)", "LO(ms)", "gStoreD(ms)", "Basic joins",
-              "gStoreD joins");
+  std::printf("%-5s | %11s %11s %11s %11s | %11s %11s | %9s %9s %9s %9s\n",
+              "query", "Basic(ms)", "LA(ms)", "LO(ms)", "gStoreD(ms)",
+              "Basic jn", "gStoreD jn", "Basic KB", "LA KB", "LO KB",
+              "gStoreD KB");
   for (const BenchmarkQuery& bq : workload.queries) {
     if (bq.query.IsStar()) continue;  // the paper ablates non-star queries
     double times[4];
     size_t joins[4];
+    size_t shipped[4];
     EngineMode modes[4] = {EngineMode::kBasic, EngineMode::kLecAssembly,
                            EngineMode::kLecPruning, EngineMode::kFull};
     for (int m = 0; m < 4; ++m) {
@@ -62,10 +64,15 @@ void RunOptimizationAblation(const std::string& title,
       const QueryStats stats = engine.Run({bq.query, modes[m]}).stats;
       times[m] = watch.ElapsedMillis();
       joins[m] = stats.assembly.join_attempts;
+      shipped[m] = stats.candidate_shipment_bytes + stats.lec_shipment_bytes +
+                   stats.lpm_shipment_bytes;
     }
-    std::printf("%-5s | %14.1f %14.1f %14.1f %14.1f | %14zu %14zu\n",
-                bq.name.c_str(), times[0], times[1], times[2], times[3],
-                joins[0], joins[3]);
+    std::printf(
+        "%-5s | %11.1f %11.1f %11.1f %11.1f | %11zu %11zu | %9s %9s %9s "
+        "%9s\n",
+        bq.name.c_str(), times[0], times[1], times[2], times[3], joins[0],
+        joins[3], Kb(shipped[0]).c_str(), Kb(shipped[1]).c_str(),
+        Kb(shipped[2]).c_str(), Kb(shipped[3]).c_str());
   }
 }
 

@@ -19,7 +19,9 @@ void RunPerStageTable(const std::string& title, const Workload& workload,
                       int num_sites);
 
 /// Prints the Fig. 9 ablation: response time of gStoreD-Basic / -LA / -LO /
-/// gStoreD for every non-star query of the workload.
+/// gStoreD for every non-star query of the workload, the assembly join
+/// attempts of Basic and gStoreD, and each mode's total shipment (Alg. 4
+/// candidates, LEC features and LPMs, from QueryStats).
 void RunOptimizationAblation(const std::string& title,
                              const Workload& workload, int num_sites);
 

@@ -1,18 +1,20 @@
 // Google-benchmark microbenchmarks of the core building blocks: SPARQL
 // parsing, candidate computation, local matching, LPM enumeration, LEC
-// feature computation, pruning, assembly, relational joins and the
-// candidate bit vector. These are the per-operation costs behind the
-// table/figure harnesses.
+// feature computation, pruning, assembly, relational joins, the candidate
+// bit vector and Alg. 4's candidate exchange. These are the per-operation
+// costs behind the table/figure harnesses.
 
 #include <benchmark/benchmark.h>
 
 #include "baselines/relational.h"
 #include "core/assembly.h"
+#include "core/candidate_exchange.h"
 #include "core/engine.h"
 #include "core/join_graph.h"
 #include "core/lec_feature.h"
 #include "core/local_partial_match.h"
 #include "core/pruning.h"
+#include "core/query_context.h"
 #include "partition/partitioners.h"
 #include "sparql/parser.h"
 #include "store/matcher.h"
@@ -204,6 +206,47 @@ void BM_SeedScan(benchmark::State& state) {
   state.counters["admitted"] = static_cast<double>(admitted);
 }
 BENCHMARK(BM_SeedScan);
+
+// One fault-free Alg. 4 round on the fixture's 4 hash sites: each site
+// ships each LQ7 variable as ids or as a vector, whichever is shorter, and
+// the coordinator broadcasts the union. Reports the `candidates` ledger
+// (`bytes`), the set bits over the exchanged unions (`union_bits`) and the
+// LPMs the 4 sites enumerate under them (`filtered_lpms`, counted once
+// outside the timed loop), exact figures the CI gate pins: the bytes pin
+// the wire form, the other two that the union stays the fixed-length one.
+void BM_CandidateExchange(benchmark::State& state) {
+  MicroFixture& f = Fixture();
+  std::vector<const LocalStore*> stores;
+  for (const auto& store : f.stores) stores.push_back(store.get());
+  CandidateExchange exchange;
+  for (auto _ : state) {
+    QuerySession session(static_cast<int>(stores.size()));
+    exchange = ExchangeInternalCandidates(f.partitioning, stores, f.rq,
+                                          session.transport, session.ledger);
+    benchmark::DoNotOptimize(exchange);
+  }
+  size_t union_bits = 0;
+  for (QVertexId v = 0; v < f.query.num_vertices(); ++v) {
+    if (!exchange.exchanged[v]) continue;
+    for (uint64_t word : exchange.filters[v].words()) {
+      union_bits += static_cast<size_t>(__builtin_popcountll(word));
+    }
+  }
+  EnumerateOptions options;
+  options.extended_filter = [&](QVertexId v, TermId u) {
+    return !exchange.exchanged[v] || exchange.filters[v].MayContain(u);
+  };
+  size_t filtered_lpms = 0;
+  for (size_t s = 0; s < f.stores.size(); ++s) {
+    filtered_lpms += EnumerateLocalPartialMatches(f.partitioning.fragments()[s],
+                                                  *f.stores[s], f.rq, options)
+                         .size();
+  }
+  state.counters["bytes"] = static_cast<double>(exchange.shipment_bytes);
+  state.counters["union_bits"] = static_cast<double>(union_bits);
+  state.counters["filtered_lpms"] = static_cast<double>(filtered_lpms);
+}
+BENCHMARK(BM_CandidateExchange);
 
 void BM_CentralizedMatch(benchmark::State& state) {
   MicroFixture& f = Fixture();

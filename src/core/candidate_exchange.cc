@@ -1,5 +1,7 @@
 #include "core/candidate_exchange.h"
 
+#include <algorithm>
+
 #include "net/wire.h"
 #include "util/logging.h"
 
@@ -31,18 +33,21 @@ CandidateExchange ExchangeInternalCandidates(
 
   CandidateExchange result;
   result.exchanged.assign(n, false);
+  std::vector<QVertexId> variables;
   for (QVertexId v = 0; v < n; ++v) {
     result.exchanged[v] = q.vertex(v).is_variable;
+    if (q.vertex(v).is_variable) variables.push_back(v);
   }
   result.site_filter_ok.assign(num_sites, false);
 
   // ---- Site side of Alg. 4 (lines 10-15): compute internal candidates per
-  // variable, fold them into the site's bit vectors, and ship the filter set
-  // as one wire message. Constants are never inserted or shipped.
+  // variable and ship them as one wire message, each variable as its ids or
+  // as its bit vector, whichever encodes shorter (MakeFilterEntry).
+  // Constants are never shipped.
   //
   // The consumer decodes and checks each site's set into that site's slot,
   // on the thread that ran the site; the coordinator side (lines 1-8), the
-  // OR into the union, runs over the slots in site order after the stage.
+  // union, runs over the slots in site order after the stage.
   auto make_filter_row = [&] {
     std::vector<BitvectorFilter> row;
     row.reserve(n);
@@ -52,7 +57,7 @@ CandidateExchange ExchangeInternalCandidates(
     return row;
   };
   std::vector<FilterSet> site_sets(num_sites);
-  std::vector<uint8_t> site_lost(num_sites, 0);
+  std::vector<uint8_t> site_decoded(num_sites, 0);
 
   StageResult filt = net.StageStream(
       StageOrdinal(QueryStage::kCandidateFilters), stage_id, options.policy,
@@ -60,61 +65,75 @@ CandidateExchange ExchangeInternalCandidates(
         const Fragment& fragment = partitioning.fragments()[site];
         FilterSet set;
         std::vector<TermId> candidates;  // reused across the site's variables
-        for (QVertexId v = 0; v < n; ++v) {
-          if (!q.vertex(v).is_variable) continue;
-          BitvectorFilter filter(options.filter_bits);
+        for (QVertexId v : variables) {
+          // CandidatesInto returns ascending ids, so the entry's are too.
           stores[site]->CandidatesInto(rq, v, &candidates);
+          std::vector<TermId> internal;
           for (TermId u : candidates) {
-            if (fragment.IsInternal(u)) filter.Insert(u);
+            if (fragment.IsInternal(u)) internal.push_back(u);
           }
-          set.emplace_back(v, std::move(filter));
+          set.push_back(
+              MakeFilterEntry(v, std::move(internal), options.filter_bits));
         }
         return std::vector<WireMessage>{
             MakeMessage(MessageType::kCandidateFilters, EncodeFilterSet(set))};
       },
       [&](int site, std::vector<WireMessage> msgs) {
-        for (const WireMessage& msg : msgs) {
-          if (msg.type != MessageType::kCandidateFilters) continue;
-          Result<FilterSet> decoded = DecodeFilterSet(msg.payload);
-          if (!decoded.ok()) {
-            site_lost[site] = 1;
-            return;
-          }
-          for (auto& [v, filter] : decoded.value()) {
-            if (v >= n || !result.exchanged[v]) continue;  // a constant
-            if (filter.bits() != options.filter_bits) {
-              site_lost[site] = 1;
-              return;
-            }
-            site_sets[site].emplace_back(v, std::move(filter));
-          }
+        // The site's one filter set, naming every variable once.
+        if (msgs.size() != 1 ||
+            msgs[0].type != MessageType::kCandidateFilters) {
+          return;
         }
+        Result<FilterSet> decoded = DecodeFilterSet(msgs[0].payload, variables);
+        if (!decoded.ok()) return;
+        for (const FilterEntry& entry : decoded.value()) {
+          if (entry.bits != options.filter_bits) return;
+        }
+        site_sets[site] = std::move(decoded).value();
+        site_decoded[site] = 1;
       },
       options.pool);
   result.stage_millis = filt.max_millis();
   result.transport_retries = filt.total_retries();
   result.hedged_sites = filt.hedged_sites();
+  for (const FilterSet& set : site_sets) {
+    for (const FilterEntry& entry : set) {
+      ++(entry.vector ? result.vector_entries : result.id_entries);
+    }
+  }
 
   // The union is only sound when every site contributed — a missing site's
   // internal candidates would turn the one-sided error into false negatives
-  // — so any unrecovered site (or undecodable filter set) degrades the
-  // whole exchange to "no filters".
-  bool lost = !filt.complete();
-  for (int site = 0; site < num_sites; ++site) {
-    if (site_lost[site]) lost = true;
-  }
-  if (lost) {
+  // — so any unrecovered site (its consumer never ran) or undecodable
+  // filter set degrades the whole exchange to "no filters".
+  if (std::count(site_decoded.begin(), site_decoded.end(), 0) > 0) {
     result.degraded = true;
     result.exchanged.assign(n, false);
     result.filters = make_filter_row();  // all placeholders now
     result.shipment_bytes = ledger.StageBytes(stage_id) - bytes_before;
     return result;
   }
-  // Bitwise OR is commutative, so the site-order fold is the union any
-  // arrival order would give.
+  // Id entries are inserted into the same union vector that vector entries
+  // OR into, so the union is the one fixed-length vectors would give, and
+  // like the OR it does not depend on arrival order. While every site sent
+  // v's ids, `merged[v]` collects them for the broadcast.
   result.filters = make_filter_row();
+  std::vector<std::vector<TermId>> merged(n);
+  std::vector<uint8_t> all_ids(n, 1);
   for (const FilterSet& set : site_sets) {
-    for (const auto& [v, filter] : set) result.filters[v].UnionWith(filter);
+    for (const FilterEntry& entry : set) {
+      BitvectorFilter& filter = result.filters[entry.var];
+      if (entry.vector) {
+        filter.UnionWith(*entry.vector);
+        all_ids[entry.var] = 0;
+        continue;
+      }
+      for (TermId u : entry.ids) filter.Insert(u);
+      if (all_ids[entry.var]) {
+        merged[entry.var].insert(merged[entry.var].end(), entry.ids.begin(),
+                                 entry.ids.end());
+      }
+    }
   }
   // A saturated union would prune next to nothing, so it is withheld: the
   // variable is not exchanged and stays unfiltered, a safe superset.
@@ -127,12 +146,25 @@ CandidateExchange ExchangeInternalCandidates(
     }
   }
 
-  // Broadcast the union back (Alg. 4 line 8). Sites that miss it enumerate
-  // unfiltered; the exchanged filters are an optimization, not required for
-  // correctness of any single site.
+  // Broadcast the union back (Alg. 4 line 8): as the merged ids when every
+  // site sent ids and they still encode shorter, else as the vector. Sites
+  // that miss it enumerate unfiltered; the exchanged filters are an
+  // optimization, not required for correctness of any single site.
   FilterSet union_set;
   for (QVertexId v = 0; v < n; ++v) {
-    if (result.exchanged[v]) union_set.emplace_back(v, result.filters[v]);
+    if (!result.exchanged[v]) continue;
+    std::vector<TermId>& ids = merged[v];
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    FilterEntry entry;
+    entry.var = v;
+    entry.bits = options.filter_bits;
+    if (all_ids[v] && IdsEncodeShorter(ids.size(), options.filter_bits)) {
+      entry.ids = std::move(ids);
+    } else {
+      entry.vector = result.filters[v];
+    }
+    union_set.push_back(std::move(entry));
   }
   if (!union_set.empty()) {
     const std::vector<uint8_t> union_payload = EncodeFilterSet(union_set);

@@ -17,7 +17,10 @@ inline constexpr char kCandidateStage[] = "candidates";
 
 /// Knobs of Algorithm 4's exchange protocol.
 struct CandidateExchangeOptions {
-  /// Length of each hashed bit vector.
+  /// Length of the hashed bit vector each union is, and so the cap on each
+  /// shipped entry: a site sends a variable's candidates as ids while they
+  /// encode shorter than this vector (IdsEncodeShorter in net/wire.h), else
+  /// as the vector.
   size_t filter_bits = BitvectorFilter::kDefaultBits;
 
   /// Withhold saturated unions: a variable whose OR-ed vector has more than
@@ -50,7 +53,8 @@ struct CandidateExchange {
   /// exchanged variables.
   std::vector<bool> exchanged;
   /// True when some site's filter data never reached the coordinator (even
-  /// after retries and hedging) or failed to decode. A partial union would
+  /// after retries and hedging) or failed to decode, as a set that misses
+  /// or repeats a variable does. A partial union would
   /// break the one-sided error guarantee — a true match vertex of the lost
   /// site might test negative — so the engine must then skip every filter.
   /// The exchange clears `exchanged` itself when this happens.
@@ -62,6 +66,10 @@ struct CandidateExchange {
   /// per site up and the union broadcast back — serialized message sizes,
   /// retransmissions included.
   size_t shipment_bytes = 0;
+  /// Entries of the sites' decoded filter sets by form (FilterEntry in
+  /// net/wire.h), summed over sites and variables.
+  size_t id_entries = 0;
+  size_t vector_entries = 0;
   /// Response time of the stage (slowest site; virtual transport wait plus
   /// real compute).
   double stage_millis = 0.0;
@@ -72,15 +80,21 @@ struct CandidateExchange {
 };
 
 /// Runs Algorithm 4 over the cluster transport in one round: each site
-/// computes the internal candidates C(Q, v) of every variable, compresses
-/// them into a fixed-length hashed bit vector, and ships the set to the
-/// coordinator as a typed wire message; the coordinator ORs the per-site
-/// vectors and broadcasts the union. The returned filters have one-sided
-/// error: any vertex appearing in a final match is guaranteed to pass, so
-/// using them to restrict extended-vertex assignments is safe (variables
-/// that are not exchanged simply stay unfiltered).
+/// computes the internal candidates C(Q, v) of every variable and ships
+/// them to the coordinator in one typed wire message, each variable as its
+/// strictly ascending ids or as its `filter_bits`-bit hashed vector,
+/// whichever encodes shorter (so no entry is longer than the fixed-length
+/// vector). The coordinator inserts the ids and ORs the vectors into one
+/// `filter_bits`-bit union per variable, exactly the OR of fixed-length
+/// site vectors, and broadcasts it: as ids when every site sent ids and
+/// their merged list still encodes shorter, else as the vector. The
+/// returned filters have one-sided error: any vertex appearing in a final
+/// match is guaranteed to pass, so using them to restrict extended-vertex
+/// assignments is safe (variables that are not exchanged simply stay
+/// unfiltered).
 ///
-/// Fault behaviour: any lost or undecodable filter set degrades the whole
+/// Fault behaviour: any lost, undecodable or incomplete filter set (one
+/// that does not carry every variable exactly once) degrades the whole
 /// exchange to "no filters" (see `degraded`); a site that misses the union
 /// broadcast enumerates unfiltered.
 ///

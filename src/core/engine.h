@@ -121,7 +121,7 @@ struct QueryStats {
   /// (injected latency, blown deadlines, backoff), exec_ms is real compute.
   std::vector<SiteStageReport> partial_eval_sites;
 
-  size_t candidate_shipment_bytes = 0;  ///< Alg. 4 bit vectors
+  size_t candidate_shipment_bytes = 0;  ///< Alg. 4 candidate sets
   size_t lec_shipment_bytes = 0;        ///< LEC features to the coordinator
   size_t lpm_shipment_bytes = 0;        ///< surviving LPMs to the coordinator
 

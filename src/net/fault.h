@@ -14,7 +14,7 @@ namespace gstored {
 /// Fault plans and tests address stages by number, so a deleted stage's
 /// ordinal (0) is not reused.
 enum class QueryStage : uint32_t {
-  kCandidateFilters = 1,  ///< Alg. 4 bit vectors up, union broadcast down
+  kCandidateFilters = 1,  ///< Alg. 4 candidate sets up, union broadcast down
   kPartialEval = 2,       ///< local matches to the coordinator
   kLecFeatures = 3,       ///< LEC features up, survivor bitmap down
   kLpmShipment = 4,       ///< surviving LPM batches to the coordinator

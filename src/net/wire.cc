@@ -69,6 +69,10 @@ Status Truncated(const char* what) {
   return Status::ParseError(std::string("truncated or malformed ") + what);
 }
 
+/// A filter-set entry's element count word: with this bit clear it counts
+/// the vector's words, with it set its low bits count the entry's ids.
+constexpr uint32_t kIdEntry = uint32_t{1} << 31;
+
 /// The one bit-vector layout on the wire, for survivor bitmaps and (through
 /// WriteSign) LPM and feature signs: a u32 bit count, then the bits
 /// LSB-first in ceil(count / 8) bytes.
@@ -179,42 +183,88 @@ Result<std::vector<bool>> DecodeBitmap(const std::vector<uint8_t>& payload) {
   return out;
 }
 
+bool IdsEncodeShorter(size_t num_ids, size_t bits) {
+  return num_ids < 2 * ((bits + 63) / 64);
+}
+
+FilterEntry MakeFilterEntry(QVertexId var, std::vector<TermId> ids,
+                            size_t bits) {
+  FilterEntry entry;
+  entry.var = var;
+  entry.bits = bits;
+  if (IdsEncodeShorter(ids.size(), bits)) {
+    entry.ids = std::move(ids);
+  } else {
+    entry.vector.emplace(bits);
+    for (TermId id : ids) entry.vector->Insert(id);
+  }
+  return entry;
+}
+
 std::vector<uint8_t> EncodeFilterSet(const FilterSet& filters) {
   std::vector<uint8_t> out;
   WireWriter w(&out);
   w.U32(static_cast<uint32_t>(filters.size()));
-  for (const auto& [var, filter] : filters) {
-    w.U32(var);
-    w.U64(filter.bits());
-    const std::vector<uint64_t>& words = filter.words();
-    w.U32(static_cast<uint32_t>(words.size()));
-    for (uint64_t word : words) w.U64(word);
+  for (const FilterEntry& entry : filters) {
+    w.U32(entry.var);
+    w.U64(entry.bits);
+    if (entry.vector) {
+      const std::vector<uint64_t>& words = entry.vector->words();
+      w.U32(static_cast<uint32_t>(words.size()));
+      for (uint64_t word : words) w.U64(word);
+    } else {
+      w.U32(kIdEntry | static_cast<uint32_t>(entry.ids.size()));
+      for (TermId id : entry.ids) w.U32(id);
+    }
   }
   return out;
 }
 
-Result<FilterSet> DecodeFilterSet(const std::vector<uint8_t>& payload) {
+Result<FilterSet> DecodeFilterSet(const std::vector<uint8_t>& payload,
+                                  std::span<const QVertexId> variables) {
   WireReader r(payload);
   uint32_t count = r.U32();
-  // Each entry is at least var + bits + word count = 16 bytes.
-  if (!r.ok() || r.remaining() / 16 < count) return Truncated("filter set");
+  // Each entry is at least var + bits + element count = 16 bytes.
+  if (!r.ok() || count != variables.size() || r.remaining() / 16 < count) {
+    return Truncated("filter set");
+  }
   FilterSet out;
   out.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t var = r.U32();
+    FilterEntry entry;
+    entry.var = r.U32();
     uint64_t bits = r.U64();
-    uint32_t num_words = r.U32();
-    if (!r.ok() || bits == 0 || bits > (uint64_t{1} << 26) ||
-        num_words != (bits + 63) / 64 || r.remaining() / 8 < num_words) {
+    uint32_t elements = r.U32();
+    if (!r.ok() || entry.var != variables[i] || bits == 0 ||
+        bits > (uint64_t{1} << 26)) {
       return Truncated("filter set");
     }
-    std::vector<uint64_t> words;
-    words.reserve(num_words);
-    for (uint32_t k = 0; k < num_words; ++k) words.push_back(r.U64());
+    entry.bits = static_cast<size_t>(bits);
+    const uint64_t num_words = (bits + 63) / 64;
+    if ((elements & kIdEntry) != 0) {
+      const uint32_t num_ids = elements & ~kIdEntry;
+      if (!IdsEncodeShorter(num_ids, entry.bits) ||
+          r.remaining() / 4 < num_ids) {
+        return Truncated("filter set");
+      }
+      entry.ids.reserve(num_ids);
+      for (uint32_t k = 0; k < num_ids; ++k) {
+        const TermId id = r.U32();
+        if (k > 0 && id <= entry.ids.back()) return Truncated("filter set");
+        entry.ids.push_back(id);
+      }
+    } else {
+      if (elements != num_words || r.remaining() / 8 < num_words) {
+        return Truncated("filter set");
+      }
+      std::vector<uint64_t> words;
+      words.reserve(num_words);
+      for (uint64_t k = 0; k < num_words; ++k) words.push_back(r.U64());
+      entry.vector.emplace(entry.bits);
+      entry.vector->AssignWords(std::move(words));
+    }
     if (!r.ok()) return Truncated("filter set");
-    BitvectorFilter filter(static_cast<size_t>(bits));
-    filter.AssignWords(std::move(words));
-    out.emplace_back(var, std::move(filter));
+    out.push_back(std::move(entry));
   }
   if (!r.AtEnd()) return Truncated("filter set");
   return out;

@@ -2,6 +2,7 @@
 #define GSTORED_NET_WIRE_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,7 +23,7 @@ namespace gstored {
 /// delivery of a payload the caller keeps, at the same header size. The
 /// values are fixed wire codes; deleted ones are not reused.
 enum class MessageType : uint8_t {
-  kCandidateFilters = 3,  ///< per-variable candidate bit vectors (Alg. 4)
+  kCandidateFilters = 3,  ///< per-variable candidates, ids or vector (Alg. 4)
   kMatchBatch = 5,        ///< complete local matches
   kLecFeatureBatch = 6,   ///< the site's LEC features (Alg. 1)
   kLpmBatch = 8,          ///< surviving local partial matches
@@ -62,17 +63,46 @@ WireMessage MakeMessage(MessageType type, std::vector<uint8_t> payload);
 // by vertex in range: they take the query's vertex count `width`, and an
 // item whose sign width (or, for an LPM, binding width) differs from it, a
 // width above kMaxEnumerableVertices, or a crossing mapping naming a query
-// vertex at or past `width` is rejected.
+// vertex at or past `width` is rejected. The filter-set decoder likewise
+// takes the query variables a set must carry.
 // ---------------------------------------------------------------------------
 
 std::vector<uint8_t> EncodeBitmap(const std::vector<bool>& bits);
 Result<std::vector<bool>> DecodeBitmap(const std::vector<uint8_t>& payload);
 
-/// A set of (query vertex, bit vector) pairs — one site's candidate filters,
-/// or the coordinator's union broadcast.
-using FilterSet = std::vector<std::pair<QVertexId, BitvectorFilter>>;
+/// One variable's candidates in a filter set (Alg. 4), cut against a
+/// `bits`-bit hashed vector: in the id form, the candidates themselves,
+/// strictly ascending; in the vector form, the BitvectorFilter they hash
+/// into. The id form is sent only while it encodes shorter than the vector
+/// (IdsEncodeShorter), so no entry is longer than the vector entry.
+struct FilterEntry {
+  QVertexId var = 0;
+  /// The vector length; in the vector form, vector->bits().
+  size_t bits = 0;
+  /// The id form's candidates; empty in the vector form.
+  std::vector<TermId> ids;
+  /// The vector form; unset in the id form.
+  std::optional<BitvectorFilter> vector;
+};
+
+/// One site's candidate sets, or the coordinator's union broadcast.
+using FilterSet = std::vector<FilterEntry>;
+
+/// True when `num_ids` ids (4 bytes each) encode shorter than a `bits`-bit
+/// vector (8 bytes per 64-bit word): fewer than 2 * ceil(bits / 64) ids.
+bool IdsEncodeShorter(size_t num_ids, size_t bits);
+
+/// `var`'s entry for its strictly ascending candidates `ids`: the id form
+/// when IdsEncodeShorter, else the `bits`-bit vector of the ids.
+FilterEntry MakeFilterEntry(QVertexId var, std::vector<TermId> ids,
+                            size_t bits);
+
 std::vector<uint8_t> EncodeFilterSet(const FilterSet& filters);
-Result<FilterSet> DecodeFilterSet(const std::vector<uint8_t>& payload);
+/// Accepts a set whose entries name exactly `variables`, in that order, so
+/// a set that omits, repeats or adds a variable is rejected. An id entry
+/// must hold strictly ascending ids and encode shorter than its vector.
+Result<FilterSet> DecodeFilterSet(const std::vector<uint8_t>& payload,
+                                  std::span<const QVertexId> variables);
 
 /// Complete local matches of one site plus the site's LPM count (piggybacked
 /// so the coordinator's Tables I-III stats survive without an extra message).

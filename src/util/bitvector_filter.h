@@ -11,15 +11,17 @@
 namespace gstored {
 
 /// Fixed-length hashed bit vector used by Algorithm 4 ("assembling variables'
-/// internal candidates"). Each site compresses a variable's internal
-/// candidate set into one of these; the coordinator ORs the vectors from all
-/// sites and broadcasts the union. Membership tests have one-sided error:
+/// internal candidates"). The coordinator builds one union of these per
+/// variable from every site's internal candidates, and the engine probes it.
+/// Its fixed length caps what a site ships per variable: the candidates go
+/// as their ids while those encode shorter, else as this vector
+/// (FilterEntry in net/wire.h). Membership tests have one-sided error:
 /// MayContain never returns false for an inserted id (no false negatives),
 /// so filtering with it never discards a real candidate.
 class BitvectorFilter {
  public:
   /// Default length (in bits) used by the engine; the paper fixes the length
-  /// so that the communication cost is constant per variable.
+  /// so that the communication cost per variable is bounded.
   static constexpr size_t kDefaultBits = 1 << 16;
 
   BitvectorFilter() : BitvectorFilter(kDefaultBits) {}

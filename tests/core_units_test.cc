@@ -5,7 +5,8 @@
 // walk), assembly edge cases, the chain join's probe counts (only
 // crossing-index candidates are probed), its seed-group scheduling helpers
 // (group selection, outlier fixpoint, dynamic thread budget), the SeenSet
-// dedup, Algorithm 4's one-sided-error guarantee, and a brute-force Def. 5
+// dedup, Algorithm 4's one-sided-error guarantee and its fixed-length union
+// over pivoted queries, and a brute-force Def. 5
 // oracle for the LPM enumerator.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -535,6 +537,127 @@ TEST(SeenSetTest, MatchesStdSetReference) {
   EXPECT_EQ(set.size(), 1u);
 }
 
+/// What a fault-free Alg. 4 round must ship and build, computed from each
+/// store's Candidates without the exchange's own form choice: per site and
+/// query vertex, the internal candidates (ascending).
+class ExchangeOracle {
+ public:
+  ExchangeOracle(const Partitioning& partitioning,
+                 const std::vector<const LocalStore*>& stores,
+                 const ResolvedQuery& rq)
+      : query_(*rq.query), candidates_(stores.size()) {
+    for (size_t site = 0; site < stores.size(); ++site) {
+      const Fragment& fragment = partitioning.fragments()[site];
+      candidates_[site].resize(query_.num_vertices());
+      for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+        if (!query_.vertex(v).is_variable) continue;
+        for (TermId u : stores[site]->Candidates(rq, v)) {
+          if (fragment.IsInternal(u)) candidates_[site][v].push_back(u);
+        }
+      }
+    }
+  }
+
+  const std::vector<TermId>& Candidates(size_t site, QVertexId v) const {
+    return candidates_[site][v];
+  }
+
+  /// An id costs 4 bytes, a `bits`-bit vector 8 bytes per word, so a list
+  /// of `count` ids is the shorter form below 2 * ceil(bits / 64).
+  static bool IdsShorter(size_t count, size_t bits) {
+    return 4 * count < 8 * ((bits + 63) / 64);
+  }
+
+  /// The fixed-length union of the paper's Alg. 4: the OR of every site's
+  /// `bits`-bit vector over its internal candidates of v.
+  BitvectorFilter FixedUnion(QVertexId v, size_t bits) const {
+    BitvectorFilter filter(bits);
+    for (const auto& site : candidates_) {
+      for (TermId u : site[v]) filter.Insert(u);
+    }
+    return filter;
+  }
+
+  /// True when every site's candidates of v are shorter as ids.
+  bool AllSitesIds(QVertexId v, size_t bits) const {
+    return std::all_of(candidates_.begin(), candidates_.end(),
+                       [&](const auto& site) {
+                         return IdsShorter(site[v].size(), bits);
+                       });
+  }
+  bool NoSiteIds(QVertexId v, size_t bits) const {
+    return std::none_of(candidates_.begin(), candidates_.end(),
+                        [&](const auto& site) {
+                          return IdsShorter(site[v].size(), bits);
+                        });
+  }
+
+  /// The `candidates` ledger of a fault-free round: each site's filter set
+  /// and done marker, then one union broadcast per site over the variables
+  /// `exchange` kept (none when it kept none), every message at header plus
+  /// payload. With `ids` false, every entry is a vector: the fixed-length
+  /// round.
+  size_t LedgerBytes(const CandidateExchange& exchange, size_t bits,
+                     bool ids = true) const {
+    const size_t h = WireMessage::kHeaderBytes;
+    size_t bytes = 0;
+    for (size_t site = 0; site < candidates_.size(); ++site) {
+      FilterSet set;
+      for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+        if (!query_.vertex(v).is_variable) continue;
+        const std::vector<TermId>& c = candidates_[site][v];
+        set.push_back(ids && IdsShorter(c.size(), bits)
+                          ? IdEntry(v, c, bits)
+                          : VectorEntry(v, Vector(c, bits)));
+      }
+      bytes += h + EncodeFilterSet(set).size();
+      bytes += h + EncodeDoneMarker(1).size();
+    }
+    FilterSet union_set;
+    for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+      if (!exchange.exchanged[v]) continue;
+      std::vector<TermId> merged;
+      for (const auto& site : candidates_) {
+        merged.insert(merged.end(), site[v].begin(), site[v].end());
+      }
+      std::sort(merged.begin(), merged.end());
+      union_set.push_back(ids && AllSitesIds(v, bits) &&
+                                  IdsShorter(merged.size(), bits)
+                              ? IdEntry(v, merged, bits)
+                              : VectorEntry(v, FixedUnion(v, bits)));
+    }
+    if (!union_set.empty()) {
+      bytes += candidates_.size() * (h + EncodeFilterSet(union_set).size());
+    }
+    return bytes;
+  }
+
+ private:
+  static BitvectorFilter Vector(const std::vector<TermId>& ids, size_t bits) {
+    BitvectorFilter filter(bits);
+    for (TermId u : ids) filter.Insert(u);
+    return filter;
+  }
+  static FilterEntry IdEntry(QVertexId v, const std::vector<TermId>& ids,
+                             size_t bits) {
+    FilterEntry entry;
+    entry.var = v;
+    entry.bits = bits;
+    entry.ids = ids;
+    return entry;
+  }
+  static FilterEntry VectorEntry(QVertexId v, BitvectorFilter vector) {
+    FilterEntry entry;
+    entry.var = v;
+    entry.bits = vector.bits();
+    entry.vector = std::move(vector);
+    return entry;
+  }
+
+  const QueryGraph& query_;
+  std::vector<std::vector<std::vector<TermId>>> candidates_;
+};
+
 /// Alg. 4's fixture: the paper's example over its three fragments, one
 /// LocalStore per fragment.
 class CandidateExchangeTest : public ::testing::Test {
@@ -544,6 +667,7 @@ class CandidateExchangeTest : public ::testing::Test {
       stores_.push_back(std::make_unique<LocalStore>(&f.graph()));
       store_ptrs_.push_back(stores_.back().get());
     }
+    oracle_.emplace(partitioning_, store_ptrs_, rq_);
   }
 
   CandidateExchange Exchange(QuerySession& session,
@@ -551,43 +675,6 @@ class CandidateExchangeTest : public ::testing::Test {
     return ExchangeInternalCandidates(partitioning_, store_ptrs_, rq_,
                                       session.transport, session.ledger,
                                       options);
-  }
-
-  /// What `site` ships in one round: every variable's `bits`-bit vector
-  /// over the site's internal candidates.
-  FilterSet SiteFilters(size_t site, size_t bits) const {
-    const Fragment& fragment = partitioning_.fragments()[site];
-    FilterSet set;
-    for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
-      if (!query_.vertex(v).is_variable) continue;
-      BitvectorFilter filter(bits);
-      for (TermId u : store_ptrs_[site]->Candidates(rq_, v)) {
-        if (fragment.IsInternal(u)) filter.Insert(u);
-      }
-      set.emplace_back(v, std::move(filter));
-    }
-    return set;
-  }
-
-  /// The `candidates` ledger of a fault-free round: each site's filter set
-  /// and done marker, then one union broadcast per site over the exchanged
-  /// variables (none when no variable is exchanged).
-  size_t ExpectedLedgerBytes(const CandidateExchange& exchange,
-                             size_t bits) const {
-    const size_t h = WireMessage::kHeaderBytes;
-    size_t bytes = 0;
-    for (size_t site = 0; site < store_ptrs_.size(); ++site) {
-      bytes += h + EncodeFilterSet(SiteFilters(site, bits)).size();
-      bytes += h + EncodeDoneMarker(1).size();
-    }
-    FilterSet union_set;
-    for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
-      if (exchange.exchanged[v]) union_set.emplace_back(v, exchange.filters[v]);
-    }
-    if (!union_set.empty()) {
-      bytes += store_ptrs_.size() * (h + EncodeFilterSet(union_set).size());
-    }
-    return bytes;
   }
 
   /// One-sided error: every vertex of every true match passes its
@@ -608,6 +695,7 @@ class CandidateExchangeTest : public ::testing::Test {
   ResolvedQuery rq_ = ResolveQuery(query_, dataset_->dict());
   std::vector<std::unique_ptr<LocalStore>> stores_;
   std::vector<const LocalStore*> store_ptrs_;
+  std::optional<ExchangeOracle> oracle_;
 };
 
 TEST_F(CandidateExchangeTest, FiltersAreSoundOverSites) {
@@ -615,15 +703,13 @@ TEST_F(CandidateExchangeTest, FiltersAreSoundOverSites) {
   CandidateExchange exchange = Exchange(session);
   ExpectOneSidedError(exchange);
   // Shipment accounting is the serialized wire traffic: the per-site filter
-  // sets up and the union broadcast back. The raw vector words are a strict
-  // lower bound (wire framing only adds bytes), and the ledger must agree
-  // with the exchange's own number exactly.
-  size_t per_vec = BitvectorFilter().ByteSize();
-  size_t exchanged = 0;
-  for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
-    if (exchange.exchanged[v]) ++exchanged;
-  }
-  EXPECT_GT(exchange.shipment_bytes, 2u * 3u * exchanged * per_vec);
+  // sets up and the union broadcast back, and the ledger must agree with
+  // the exchange's own number exactly. No entry is longer than its vector,
+  // and the example's few candidates all go as ids, so the round ships
+  // less than the fixed-length one would.
+  const size_t bits = BitvectorFilter::kDefaultBits;
+  EXPECT_LT(exchange.shipment_bytes,
+            oracle_->LedgerBytes(exchange, bits, /*ids=*/false));
   EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
             exchange.shipment_bytes);
   EXPECT_FALSE(exchange.degraded);
@@ -636,7 +722,8 @@ TEST_F(CandidateExchangeTest, FiltersAreSoundOverSites) {
   CandidateExchangeOptions legacy;
   legacy.use_statistics = false;
   CandidateExchange full = Exchange(legacy_session, legacy);
-  EXPECT_GT(full.shipment_bytes, 2u * 3u * 4u * per_vec);
+  EXPECT_LT(full.shipment_bytes,
+            oracle_->LedgerBytes(full, bits, /*ids=*/false));
   for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
     EXPECT_EQ(full.exchanged[v], query_.vertex(v).is_variable);
   }
@@ -654,26 +741,21 @@ TEST_F(CandidateExchangeTest, OneRoundShipsFilterSetsAndOneUnionBroadcast) {
   ASSERT_FALSE(exchange.degraded);
   const size_t bits = BitvectorFilter::kDefaultBits;
   EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
-            ExpectedLedgerBytes(exchange, bits));
-  EXPECT_EQ(exchange.shipment_bytes, ExpectedLedgerBytes(exchange, bits));
+            oracle_->LedgerBytes(exchange, bits));
+  EXPECT_EQ(exchange.shipment_bytes, oracle_->LedgerBytes(exchange, bits));
   EXPECT_EQ(exchange.transport_retries, 0u);
   EXPECT_EQ(exchange.hedged_sites, 0u);
+  // Four variables at three sites, each as its ids.
+  EXPECT_EQ(exchange.id_entries, 12u);
+  EXPECT_EQ(exchange.vector_entries, 0u);
 
   // At the default width nothing saturates, so every variable is exchanged,
-  // and its union is exactly the OR of what the sites shipped.
+  // and its union is exactly the OR of fixed-length site vectors.
   for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
     EXPECT_EQ(exchange.exchanged[v], query_.vertex(v).is_variable);
-  }
-  std::vector<BitvectorFilter> want(query_.num_vertices(),
-                                    BitvectorFilter(bits));
-  for (size_t site = 0; site < store_ptrs_.size(); ++site) {
-    for (const auto& [v, filter] : SiteFilters(site, bits)) {
-      want[v].UnionWith(filter);
-    }
-  }
-  for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
     if (!exchange.exchanged[v]) continue;
-    EXPECT_EQ(exchange.filters[v].words(), want[v].words()) << "v=" << v;
+    EXPECT_EQ(exchange.filters[v].words(), oracle_->FixedUnion(v, bits).words())
+        << "v=" << v;
   }
 }
 
@@ -688,8 +770,8 @@ TEST_F(CandidateExchangeTest, SaturatedFiltersAreSkippedAndStaySound) {
   ASSERT_FALSE(exchange.degraded);
   std::vector<bool> has_candidate(query_.num_vertices(), false);
   for (size_t site = 0; site < store_ptrs_.size(); ++site) {
-    for (const auto& [v, filter] : SiteFilters(site, 1)) {
-      if (filter.FillRatio() > 0) has_candidate[v] = true;
+    for (QVertexId v = 0; v < query_.num_vertices(); ++v) {
+      if (!oracle_->Candidates(site, v).empty()) has_candidate[v] = true;
     }
   }
   size_t withheld = 0;
@@ -702,7 +784,7 @@ TEST_F(CandidateExchangeTest, SaturatedFiltersAreSkippedAndStaySound) {
   // The ledger holds the sites' full filter sets and a union broadcast
   // without the withheld variables (none at all when nothing is left).
   EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
-            ExpectedLedgerBytes(exchange, 1));
+            oracle_->LedgerBytes(exchange, 1));
   EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
             exchange.shipment_bytes);
   // Withheld variables are pass-through and can only admit more
@@ -717,8 +799,88 @@ TEST_F(CandidateExchangeTest, SaturatedFiltersAreSkippedAndStaySound) {
     EXPECT_EQ(fixed.exchanged[v], query_.vertex(v).is_variable) << "v=" << v;
   }
   EXPECT_EQ(fixed_session.ledger.StageBytes(kCandidateStage),
-            ExpectedLedgerBytes(fixed, 1));
+            oracle_->LedgerBytes(fixed, 1));
   ExpectOneSidedError(fixed);
+}
+
+TEST(CandidateExchangeSweep, PivotedQueriesKeepTheFixedLengthUnion) {
+  // Pivoted queries have answers, so their variables have candidates at
+  // several sites: over 3-6 hash and random fragments and three vector
+  // lengths, the sweep sees unions built from ids only, from vectors only
+  // and from both. Every union must be the fixed-length one, the pivot must
+  // pass, and the ledger must be the encoded messages of the chosen forms.
+  size_t id_unions = 0;
+  size_t vector_unions = 0;
+  size_t mixed_unions = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    auto dataset = testing::RandomDataset(rng, 60 + seed % 40,
+                                          200 + (seed * 37) % 200,
+                                          2 + seed % 3);
+    testing::Pivoted pivoted =
+        testing::PivotedQuery(rng, *dataset, 2 + seed % 4);
+    ResolvedQuery rq = ResolveQuery(pivoted.query, dataset->dict());
+    const int k = 3 + static_cast<int>(seed % 4);
+    Partitioning partitioning =
+        seed % 2 == 0 ? HashPartitioner().Partition(*dataset, k)
+                      : BuildPartitioning(
+                            *dataset, testing::RandomAssignment(rng, *dataset, k),
+                            k, "random");
+    std::vector<std::unique_ptr<LocalStore>> stores;
+    std::vector<const LocalStore*> store_ptrs;
+    for (const Fragment& f : partitioning.fragments()) {
+      stores.push_back(std::make_unique<LocalStore>(&f.graph()));
+      store_ptrs.push_back(stores.back().get());
+    }
+    const ExchangeOracle oracle(partitioning, store_ptrs, rq);
+    for (size_t bits : {64u, 1024u, 65536u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed=" << seed << " bits=" << bits
+                   << " query=" << pivoted.query.ToString());
+      QuerySession session(k);
+      CandidateExchangeOptions options;
+      options.filter_bits = bits;
+      CandidateExchange exchange = ExchangeInternalCandidates(
+          partitioning, store_ptrs, rq, session.transport, session.ledger,
+          options);
+      ASSERT_FALSE(exchange.degraded);
+      size_t id_entries = 0;
+      size_t entries = 0;
+      for (QVertexId v = 0; v < pivoted.query.num_vertices(); ++v) {
+        if (!pivoted.query.vertex(v).is_variable) continue;
+        EXPECT_EQ(exchange.filters[v].words(),
+                  oracle.FixedUnion(v, bits).words())
+            << "v=" << v;
+        if (exchange.exchanged[v]) {
+          EXPECT_TRUE(exchange.filters[v].MayContain(pivoted.pivot[v]))
+              << "v=" << v;
+        }
+        for (size_t site = 0; site < store_ptrs.size(); ++site) {
+          ++entries;
+          id_entries += ExchangeOracle::IdsShorter(
+              oracle.Candidates(site, v).size(), bits);
+        }
+        if (oracle.AllSitesIds(v, bits)) {
+          ++id_unions;
+        } else if (oracle.NoSiteIds(v, bits)) {
+          ++vector_unions;
+        } else {
+          ++mixed_unions;
+        }
+      }
+      EXPECT_EQ(exchange.id_entries, id_entries);
+      EXPECT_EQ(exchange.vector_entries, entries - id_entries);
+      EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
+                oracle.LedgerBytes(exchange, bits));
+      EXPECT_EQ(exchange.shipment_bytes, oracle.LedgerBytes(exchange, bits));
+    }
+  }
+  EXPECT_GT(id_unions, 0u);
+  EXPECT_GT(vector_unions, 0u);
+  EXPECT_GT(mixed_unions, 0u);
+  RecordProperty("id_unions", static_cast<int>(id_unions));
+  RecordProperty("vector_unions", static_cast<int>(vector_unions));
+  RecordProperty("mixed_unions", static_cast<int>(mixed_unions));
 }
 
 TEST(EnumerateLpmsTest, ImpossibleQueryYieldsNothing) {

@@ -155,6 +155,44 @@ struct WirePayload {
   std::function<bool(const std::vector<uint8_t>&)> decode;
 };
 
+/// A filter-set entry holding `ids` as given (ids form), cut against `bits`.
+FilterEntry IdEntry(QVertexId var, std::vector<TermId> ids,
+                    size_t bits = 1024) {
+  FilterEntry entry;
+  entry.var = var;
+  entry.bits = bits;
+  entry.ids = std::move(ids);
+  return entry;
+}
+
+/// A filter-set entry holding the `bits`-bit vector of `ids`.
+FilterEntry VectorEntry(QVertexId var, const std::vector<TermId>& ids,
+                        size_t bits = 256) {
+  FilterEntry entry;
+  entry.var = var;
+  entry.bits = bits;
+  entry.vector.emplace(bits);
+  for (TermId id : ids) entry.vector->Insert(id);
+  return entry;
+}
+
+/// Ids v, v + 3, ... below 40: 14 or 13 of them, past what a 256-bit
+/// vector's id form may hold (7), so they go as a vector.
+std::vector<TermId> SteppedIds(uint32_t v) {
+  std::vector<TermId> ids;
+  for (TermId id = v; id < 40; id += 3) ids.push_back(id);
+  return ids;
+}
+
+/// The variables of the corpus' filter set: two vector entries around an
+/// id entry.
+constexpr QVertexId kCorpusVariables[] = {0, 2, 3};
+
+FilterSet CorpusFilterSet() {
+  return {VectorEntry(0, SteppedIds(0)), IdEntry(2, {2, 9, 40}, 256),
+          VectorEntry(3, SteppedIds(3))};
+}
+
 std::vector<WirePayload> BuildWireCorpus() {
   auto dataset = testing::BuildPaperDataset();
   Partitioning partitioning = testing::BuildPaperPartitioning(*dataset);
@@ -164,12 +202,6 @@ std::vector<WirePayload> BuildWireCorpus() {
       testing::EnumerateAllLpms(partitioning, rq);
   LecFeatureSet lec = ComputeLecFeatures(lpms);
 
-  FilterSet filters;
-  for (uint32_t v : {0u, 3u}) {
-    BitvectorFilter filter(256);
-    for (uint64_t id = v; id < 40; id += 3) filter.Insert(id);
-    filters.emplace_back(v, std::move(filter));
-  }
   std::vector<Binding> matches = {{1, 2, 3, kNullTerm, 5},
                                   {7, 7, kNullTerm, 9, 0}};
 
@@ -178,8 +210,10 @@ std::vector<WirePayload> BuildWireCorpus() {
       {"bitmap", EncodeBitmap({true, false, true, true, false}),
        [](const std::vector<uint8_t>& b) { return DecodeBitmap(b).ok(); }});
   corpus.push_back(
-      {"filter_set", EncodeFilterSet(filters),
-       [](const std::vector<uint8_t>& b) { return DecodeFilterSet(b).ok(); }});
+      {"filter_set", EncodeFilterSet(CorpusFilterSet()),
+       [](const std::vector<uint8_t>& b) {
+         return DecodeFilterSet(b, kCorpusVariables).ok();
+       }});
   corpus.push_back(
       {"match_batch", EncodeMatchBatch(lpms.size(), 5, matches),
        [](const std::vector<uint8_t>& b) { return DecodeMatchBatch(b).ok(); }});
@@ -216,19 +250,18 @@ TEST(WireCodecTest, RoundTripsPreserveEveryPayloadType) {
   ASSERT_TRUE(bitmap.ok());
   EXPECT_EQ(*bitmap, bits);
 
-  FilterSet filters;
-  for (uint32_t v : {0u, 3u}) {
-    BitvectorFilter filter(256);
-    for (uint64_t id = v; id < 40; id += 3) filter.Insert(id);
-    filters.emplace_back(v, std::move(filter));
-  }
-  auto filt = DecodeFilterSet(EncodeFilterSet(filters));
+  const FilterSet filters = CorpusFilterSet();
+  auto filt = DecodeFilterSet(EncodeFilterSet(filters), kCorpusVariables);
   ASSERT_TRUE(filt.ok());
   ASSERT_EQ(filt->size(), filters.size());
   for (size_t i = 0; i < filters.size(); ++i) {
-    EXPECT_EQ((*filt)[i].first, filters[i].first);
-    EXPECT_EQ((*filt)[i].second.bits(), filters[i].second.bits());
-    EXPECT_EQ((*filt)[i].second.words(), filters[i].second.words());
+    EXPECT_EQ((*filt)[i].var, filters[i].var);
+    EXPECT_EQ((*filt)[i].bits, filters[i].bits);
+    EXPECT_EQ((*filt)[i].ids, filters[i].ids);
+    ASSERT_EQ((*filt)[i].vector.has_value(), filters[i].vector.has_value());
+    if (filters[i].vector) {
+      EXPECT_EQ((*filt)[i].vector->words(), filters[i].vector->words());
+    }
   }
 
   std::vector<Binding> matches = {{1, 2, 3, kNullTerm, 5},
@@ -374,6 +407,79 @@ TEST(WireCodecTest, ItemsWiderThanTheQueryAreRejected) {
   // A sign width inside the cap that is not the query's.
   EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 0, 1), 6).ok());
   EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(6, 0, 1), 5).ok());
+}
+
+TEST(WireCodecTest, FilterSetsCarryEveryVariableExactlyOnce) {
+  // A site's filter set must name each query variable once, in order: a
+  // set that leaves one out would drop that site's candidates from the
+  // union, and other sites would then filter away true matches. Each
+  // rejected payload sits next to an accepted control.
+  const std::vector<QVertexId> vars = {0, 1};
+  auto decodes = [](const FilterSet& set, std::span<const QVertexId> want) {
+    return DecodeFilterSet(EncodeFilterSet(set), want).ok();
+  };
+  const FilterEntry ids0 = IdEntry(0, {3, 5, 9});
+  const FilterEntry vec1 = VectorEntry(1, SteppedIds(1));
+  EXPECT_TRUE(decodes({ids0, vec1}, vars));
+  EXPECT_TRUE(decodes({}, {}));
+  EXPECT_FALSE(decodes({}, vars));  // empty
+  EXPECT_FALSE(decodes({ids0}, vars));  // missing v1
+  EXPECT_FALSE(decodes({vec1}, vars));  // missing v0
+  EXPECT_FALSE(decodes({ids0, ids0}, vars));  // v0 twice, no v1
+  EXPECT_FALSE(decodes({ids0, vec1, vec1}, vars));  // v1 twice
+  EXPECT_FALSE(decodes({vec1, ids0}, vars));  // out of order
+  EXPECT_FALSE(decodes({ids0, vec1}, std::vector<QVertexId>{0, 2}));
+}
+
+TEST(WireCodecTest, IdEntriesAreAscendingShorterAndWithinThePayload) {
+  const std::vector<QVertexId> v0 = {0};
+  auto decodes = [&](const FilterEntry& entry) {
+    return DecodeFilterSet(EncodeFilterSet({entry}), v0).ok();
+  };
+  EXPECT_TRUE(decodes(IdEntry(0, {3, 5, 9})));
+  EXPECT_TRUE(decodes(IdEntry(0, {})));
+  EXPECT_FALSE(decodes(IdEntry(0, {5, 3, 9})));  // unsorted
+  EXPECT_FALSE(decodes(IdEntry(0, {3, 3, 9})));  // repeated
+  // A 64-bit vector is one 8-byte word, so only 0 or 1 ids are shorter.
+  EXPECT_TRUE(decodes(IdEntry(0, {3}, 64)));
+  EXPECT_FALSE(decodes(IdEntry(0, {3, 5}, 64)));
+
+  // The element count word sits after the set count (4), var (4) and bits
+  // (8); its top bit marks the id form.
+  const std::vector<uint8_t> control = EncodeFilterSet({IdEntry(0, {3, 5, 9})});
+  ASSERT_EQ(control.size(), 4u + 16u + 3u * 4u);
+  for (uint32_t claimed : {4u, 31u, 0x7FFFFFFFu}) {
+    std::vector<uint8_t> forged = control;
+    const uint32_t word = (uint32_t{1} << 31) | claimed;
+    for (size_t i = 0; i < 4; ++i) {
+      forged[16 + i] = static_cast<uint8_t>(word >> (8 * i));
+    }
+    EXPECT_FALSE(DecodeFilterSet(forged, v0).ok()) << claimed;
+  }
+}
+
+TEST(WireCodecTest, NoFilterEntryEncodesLongerThanItsVector) {
+  // At the default length a vector entry is 16 + 8,192 bytes and an id
+  // entry 16 + 4 bytes per id, so the ids go while there are fewer than
+  // 2,048 of them, and MakeFilterEntry never picks the longer form.
+  const size_t bits = BitvectorFilter::kDefaultBits;
+  const size_t vector_bytes = 4 + 16 + bits / 8;
+  EXPECT_TRUE(IdsEncodeShorter(2047, bits));
+  EXPECT_FALSE(IdsEncodeShorter(2048, bits));
+  for (size_t count : {0u, 1u, 2047u, 2048u, 5000u}) {
+    std::vector<TermId> ids(count);
+    std::iota(ids.begin(), ids.end(), TermId{7});
+    const FilterEntry entry = MakeFilterEntry(0, ids, bits);
+    const size_t bytes = EncodeFilterSet({entry}).size();
+    EXPECT_LE(bytes, vector_bytes) << count;
+    EXPECT_EQ(entry.vector.has_value(), count >= 2048) << count;
+    if (!entry.vector) {
+      EXPECT_EQ(bytes, 4 + 16 + 4 * count);
+      EXPECT_EQ(entry.ids, ids);
+    } else {
+      for (TermId id : ids) EXPECT_TRUE(entry.vector->MayContain(id));
+    }
+  }
 }
 
 TEST(WireCodecTest, BitmapCountNearTwoTo32IsRejectedUpFront) {
