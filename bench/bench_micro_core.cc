@@ -248,6 +248,26 @@ void BM_CandidateExchange(benchmark::State& state) {
 }
 BENCHMARK(BM_CandidateExchange);
 
+// One fault-free kFull Run of LQ7 over the fixture's 4 hash sites. Reports
+// the bytes of the two ledger stages Alg. 2 and Alg. 3 ship (`lec_bytes`,
+// `lpm_bytes`) and the answers (`matches`), exact figures the CI gate pins:
+// a feature or LPM row that grows, or a change to what ships, fails.
+void BM_StageShipment(benchmark::State& state) {
+  MicroFixture& f = Fixture();
+  DistributedEngine engine(&f.partitioning);
+  QueryOutcome outcome;
+  for (auto _ : state) {
+    outcome = engine.Run({f.query, EngineMode::kFull});
+    benchmark::DoNotOptimize(outcome);
+  }
+  state.counters["lec_bytes"] =
+      static_cast<double>(outcome.stats.lec_shipment_bytes);
+  state.counters["lpm_bytes"] =
+      static_cast<double>(outcome.stats.lpm_shipment_bytes);
+  state.counters["matches"] = static_cast<double>(outcome.matches.size());
+}
+BENCHMARK(BM_StageShipment);
+
 void BM_CentralizedMatch(benchmark::State& state) {
   MicroFixture& f = Fixture();
   for (auto _ : state) {

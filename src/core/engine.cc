@@ -120,6 +120,9 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
   const StagePolicy policy = options_.MakeStagePolicy();
   const ShipmentLedger::StageId lec_stage_id = ledger.Intern(kLecFeatureStage);
   const ShipmentLedger::StageId lpm_stage_id = ledger.Intern(kLpmShipmentStage);
+  // A context's ledger may hold earlier queries' bytes.
+  const size_t lec_before = ledger.StageBytes(lec_stage_id);
+  const size_t lpm_before = ledger.StageBytes(lpm_stage_id);
 
   std::vector<Binding> matches;
 
@@ -379,8 +382,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
           SiteStageC& sc = stage_c[site];
           for (const WireMessage& msg : msgs) {
             if (msg.type != MessageType::kLecFeatureBatch) continue;
-            Result<std::vector<LecFeature>> decoded =
-                DecodeLecFeatureBatch(msg.payload, static_cast<uint32_t>(n));
+            Result<std::vector<LecFeature>> decoded = DecodeLecFeatureBatch(
+                msg.payload, query, partitioning_->fragments()[site].id());
             if (!decoded.ok()) {
               sc.decode_ok = false;
               break;
@@ -513,8 +516,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
         SiteStageD& sd = stage_d[site];
         for (const WireMessage& msg : msgs) {
           if (msg.type != MessageType::kLpmBatch) continue;
-          Result<std::vector<LocalPartialMatch>> decoded =
-              DecodeLpmBatch(msg.payload, static_cast<uint32_t>(n));
+          Result<std::vector<LocalPartialMatch>> decoded = DecodeLpmBatch(
+              msg.payload, query, partitioning_->fragments()[site].id());
           if (!decoded.ok()) {
             sd.decode_ok = false;
             break;
@@ -544,8 +547,8 @@ QueryOutcome DistributedEngine::RunInternal(const QueryRequest& request,
     sd.lpms.clear();
   }
   stats->num_lpms_shipped = surviving.size();
-  stats->lec_shipment_bytes = ledger.StageBytes(lec_stage_id);
-  stats->lpm_shipment_bytes = ledger.StageBytes(lpm_stage_id);
+  stats->lec_shipment_bytes = ledger.StageBytes(lec_stage_id) - lec_before;
+  stats->lpm_shipment_bytes = ledger.StageBytes(lpm_stage_id) - lpm_before;
   if (ctx.aborted(total_watch.ElapsedMillis())) return finish_aborted();
 
   // LEC assembly joins on the same worker pool the sites run on; the sites

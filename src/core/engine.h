@@ -121,9 +121,9 @@ struct QueryStats {
   /// (injected latency, blown deadlines, backoff), exec_ms is real compute.
   std::vector<SiteStageReport> partial_eval_sites;
 
-  size_t candidate_shipment_bytes = 0;  ///< Alg. 4 candidate sets
-  size_t lec_shipment_bytes = 0;        ///< LEC features to the coordinator
-  size_t lpm_shipment_bytes = 0;        ///< surviving LPMs to the coordinator
+  size_t candidate_shipment_bytes = 0;  ///< this query's Alg. 4 candidates
+  size_t lec_shipment_bytes = 0;        ///< this query's LEC features
+  size_t lpm_shipment_bytes = 0;        ///< this query's surviving LPMs
 
   size_t num_lpms = 0;             ///< local partial matches found
   size_t num_lpms_shipped = 0;     ///< after LEC pruning

@@ -58,8 +58,8 @@ LecFeatureSet ComputeLecFeatures(const std::vector<LocalPartialMatch>& lpms);
 ///
 /// Every query vertex id in the crossing maps must be below
 /// kMaxEnumerableVertices: condition 3 indexes a fixed per-vertex array, so
-/// the probe makes no allocation. The chain joins check that once per item
-/// and the wire decoders reject larger ids.
+/// the probe makes no allocation. The chain joins check that once per item,
+/// and the wire decoders take no query wider than that bound.
 bool FeaturesJoinable(LecSign sign_a,
                       const std::vector<CrossingPairMap>& cross_a,
                       LecSign sign_b,

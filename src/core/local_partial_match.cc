@@ -40,23 +40,11 @@ bool MaskConnected(const QueryGraph& q, uint32_t mask) {
 }
 
 /// Appends the partial match that `binding` forms with island `island`:
-/// the sign is the island, and the crossing mappings are the edges with
-/// exactly one island endpoint.
+/// the sign is the island.
 void EmitMatch(const Fragment& fragment, const QueryGraph& q, uint32_t island,
                const Binding& binding, std::vector<LocalPartialMatch>* out) {
-  LocalPartialMatch pm;
-  pm.fragment = fragment.id();
-  pm.binding = binding;
-  pm.sign = island;
-  for (const QueryEdge& e : q.edges()) {
-    bool from_island = InMask(island, e.from);
-    bool to_island = InMask(island, e.to);
-    if (from_island == to_island) continue;  // internal or unmatched edge
-    pm.crossing.push_back({e.from, e.to, binding[e.from], binding[e.to]});
-  }
-  std::sort(pm.crossing.begin(), pm.crossing.end());
-  pm.crossing.erase(std::unique(pm.crossing.begin(), pm.crossing.end()),
-                    pm.crossing.end());
+  LocalPartialMatch pm{fragment.id(), binding, island,
+                       CrossingMappings(q, island, binding)};
   // Condition 4: at least one crossing edge.
   GSTORED_CHECK(!pm.crossing.empty());
   out->push_back(std::move(pm));
@@ -189,6 +177,22 @@ std::string SignToString(LecSign sign, size_t n) {
   std::string out = "[";
   for (size_t v = 0; v < n; ++v) out.push_back(InMask(sign, v) ? '1' : '0');
   return out + "]";
+}
+
+std::vector<CrossingPairMap> CrossingMappings(const QueryGraph& q,
+                                              LecSign sign,
+                                              const Binding& binding) {
+  std::vector<CrossingPairMap> crossing;
+  for (const QueryEdge& e : q.edges()) {
+    // An edge with both or neither endpoint in the sign is internal or
+    // unmatched.
+    if (InMask(sign, e.from) == InMask(sign, e.to)) continue;
+    crossing.push_back({e.from, e.to, binding[e.from], binding[e.to]});
+  }
+  std::sort(crossing.begin(), crossing.end());
+  crossing.erase(std::unique(crossing.begin(), crossing.end()),
+                 crossing.end());
+  return crossing;
 }
 
 std::string LocalPartialMatch::ToString(const TermDict& dict) const {

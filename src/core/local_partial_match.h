@@ -65,6 +65,14 @@ struct LocalPartialMatch {
       default;
 };
 
+/// The crossing-edge mappings g of Def. 8 of a partial match of `q` signed
+/// `sign`: one per query edge with exactly one endpoint in `sign`, mapped by
+/// `binding` (only those endpoints are read), sorted and deduplicated. The
+/// enumerator and the feature and LPM wire decoders all derive g here.
+std::vector<CrossingPairMap> CrossingMappings(const QueryGraph& q,
+                                              LecSign sign,
+                                              const Binding& binding);
+
 class ThreadPool;
 
 /// One unit of partial-match enumeration: a connected island of query

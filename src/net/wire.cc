@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <type_traits>
 
 namespace gstored {
 
@@ -73,88 +74,72 @@ Status Truncated(const char* what) {
 /// the vector's words, with it set its low bits count the entry's ids.
 constexpr uint32_t kIdEntry = uint32_t{1} << 31;
 
-/// The one bit-vector layout on the wire, for survivor bitmaps and (through
-/// WriteSign) LPM and feature signs: a u32 bit count, then the bits
-/// LSB-first in ceil(count / 8) bytes.
-void WriteBits(WireWriter& w, const std::vector<bool>& bits) {
-  w.U32(static_cast<uint32_t>(bits.size()));
-  uint8_t acc = 0;
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) acc |= static_cast<uint8_t>(1u << (i & 7));
-    if ((i & 7) == 7) {
-      w.U8(acc);
-      acc = 0;
+/// A feature or LPM row of an n-vertex query: the sign in ceil(n / 8)
+/// bytes, LSB-first, then the non-null ids of `ids` (n wide) in vertex
+/// order. The query and the sign determine which vertices those are.
+void WriteRow(WireWriter& w, LecSign sign, const Binding& ids) {
+  for (size_t i = 0; i < ids.size(); i += 8) {
+    w.U8(static_cast<uint8_t>(sign >> i));
+  }
+  for (TermId id : ids) {
+    if (id != kNullTerm) w.U32(id);
+  }
+}
+
+/// Reads a WriteRow row of `q` (at most kMaxEnumerableVertices wide) into
+/// `sign` and `ids`: the ids of the sign's crossing endpoints and, for an
+/// LPM, of its island, kNullTerm elsewhere. A sign with no crossing edge (0,
+/// or whole components), a missing id or a kNullTerm id fails; the sign's
+/// padding bits past n are ignored.
+bool ReadRow(WireReader& r, const QueryGraph& q, bool lpm, LecSign* sign,
+             Binding* ids) {
+  const size_t n = q.num_vertices();
+  LecSign bits = 0;
+  for (size_t i = 0; i < n; i += 8) bits |= LecSign{r.U8()} << i;
+  bits &= FullSign(n);
+  uint32_t carried = 0;
+  for (const QueryEdge& e : q.edges()) {
+    if (((bits >> e.from) & 1u) != ((bits >> e.to) & 1u)) {
+      carried |= (uint32_t{1} << e.from) | (uint32_t{1} << e.to);
     }
   }
-  if (bits.size() % 8 != 0) w.U8(acc);
+  if (carried == 0) return false;
+  if (lpm) carried |= bits;
+  ids->assign(n, kNullTerm);
+  for (size_t v = 0; v < n; ++v) {
+    if (((carried >> v) & 1u) == 0) continue;
+    (*ids)[v] = r.U32();
+    if ((*ids)[v] == kNullTerm) return false;
+  }
+  *sign = bits;
+  return r.ok();
 }
 
-/// Reads WriteBits' layout. A count whose bytes are not all there fails
-/// before anything is allocated.
-bool ReadBits(WireReader& r, std::vector<bool>* out) {
+/// Decodes a batch of `fragment`'s features or LPMs of `query`, deriving
+/// each item's crossing mappings from its sign and ids.
+template <typename Item>
+Result<std::vector<Item>> DecodeRows(const std::vector<uint8_t>& payload,
+                                     const QueryGraph& query,
+                                     FragmentId fragment, const char* what) {
+  constexpr bool kLpm = std::is_same_v<Item, LocalPartialMatch>;
+  const size_t n = query.num_vertices();
+  WireReader r(payload);
   const uint32_t count = r.U32();
-  if (!r.ok() || r.remaining() < (uint64_t{count} + 7) / 8) return false;
-  std::vector<bool> bits(count);
-  uint8_t acc = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    if ((i & 7) == 0) acc = r.U8();
-    if (acc & (1u << (i & 7))) bits[i] = true;
+  // A row is at least its sign and the two ids of one crossing edge.
+  if (!r.ok() || n > kMaxEnumerableVertices ||
+      r.remaining() / ((n + 7) / 8 + 8) < count) {
+    return Truncated(what);
   }
-  if (!r.ok()) return false;
-  *out = std::move(bits);
-  return true;
-}
-
-/// A sign in WriteBits' layout: `width`, the query's vertex count (at most
-/// kMaxEnumerableVertices), then the sign's bits in ceil(width / 8) bytes.
-void WriteSign(WireWriter& w, LecSign sign, uint32_t width) {
-  w.U32(width);
-  for (uint32_t i = 0; i < width; i += 8) w.U8(static_cast<uint8_t>(sign >> i));
-}
-
-/// Reads WriteSign's layout. A width other than `width`, the query's vertex
-/// count, or above kMaxEnumerableVertices fails; the padding bits past the
-/// width are ignored, as WriteBits leaves them 0.
-bool ReadSign(WireReader& r, uint32_t width, LecSign* sign) {
-  const uint32_t stored = r.U32();
-  if (!r.ok() || stored != width || width > kMaxEnumerableVertices) {
-    return false;
+  std::vector<Item> out(count);
+  Binding ids;
+  for (Item& item : out) {
+    item.fragment = fragment;
+    if (!ReadRow(r, query, kLpm, &item.sign, &ids)) return Truncated(what);
+    item.crossing = CrossingMappings(query, item.sign, ids);
+    if constexpr (kLpm) item.binding = std::move(ids);
   }
-  LecSign bits = 0;
-  for (uint32_t i = 0; i < width; i += 8) bits |= LecSign{r.U8()} << i;
-  *sign = bits & FullSign(width);
-  return r.ok();
-}
-
-void WriteCrossing(WireWriter& w, const std::vector<CrossingPairMap>& cross) {
-  w.U32(static_cast<uint32_t>(cross.size()));
-  for (const CrossingPairMap& c : cross) {
-    w.U32(c.q_from);
-    w.U32(c.q_to);
-    w.U32(c.d_from);
-    w.U32(c.d_to);
-  }
-}
-
-/// Reads WriteCrossing's layout. A query vertex id of `width` (the query's
-/// vertex count, at most kMaxEnumerableVertices after ReadSign) or more
-/// fails: FeaturesJoinable and the joins index per-vertex arrays with it.
-bool ReadCrossing(WireReader& r, uint32_t width,
-                  std::vector<CrossingPairMap>* out) {
-  uint32_t count = r.U32();
-  if (!r.ok() || r.remaining() / 16 < count) return false;
-  out->clear();
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    CrossingPairMap c;
-    c.q_from = r.U32();
-    c.q_to = r.U32();
-    c.d_from = r.U32();
-    c.d_to = r.U32();
-    if (c.q_from >= width || c.q_to >= width) return false;
-    out->push_back(c);
-  }
-  return r.ok();
+  if (!r.AtEnd()) return Truncated(what);
+  return out;
 }
 
 }  // namespace
@@ -166,21 +151,41 @@ WireMessage MakeMessage(MessageType type, std::vector<uint8_t> payload) {
   return msg;
 }
 
+// A bitmap is a u32 bit count, then the bits LSB-first in ceil(count / 8)
+// bytes.
 std::vector<uint8_t> EncodeBitmap(const std::vector<bool>& bits) {
   std::vector<uint8_t> out;
   out.reserve(4 + bits.size() / 8 + 1);
   WireWriter w(&out);
-  WriteBits(w, bits);
+  w.U32(static_cast<uint32_t>(bits.size()));
+  uint8_t acc = 0;
+  for (size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) acc |= static_cast<uint8_t>(1u << (i & 7));
+    if ((i & 7) == 7) {
+      w.U8(acc);
+      acc = 0;
+    }
+  }
+  if (bits.size() % 8 != 0) w.U8(acc);
   return out;
 }
 
 Result<std::vector<bool>> DecodeBitmap(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
-  std::vector<bool> out;
-  if (!ReadBits(r, &out) || !r.AtEnd()) {
+  const uint32_t count = r.U32();
+  // A count whose bytes are not all there fails before anything is
+  // allocated.
+  if (!r.ok() || r.remaining() < (uint64_t{count} + 7) / 8) {
     return Truncated("bitmap");
   }
-  return out;
+  std::vector<bool> bits(count);
+  uint8_t acc = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    if ((i & 7) == 0) acc = r.U8();
+    if (acc & (1u << (i & 7))) bits[i] = true;
+  }
+  if (!r.AtEnd()) return Truncated("bitmap");
+  return bits;
 }
 
 bool IdsEncodeShorter(size_t num_ids, size_t bits) {
@@ -313,32 +318,22 @@ std::vector<uint8_t> EncodeLecFeatureBatch(
   std::vector<uint8_t> out;
   WireWriter w(&out);
   w.U32(static_cast<uint32_t>(features.size()));
+  Binding ends;
   for (const LecFeature& f : features) {
-    w.U32(static_cast<uint32_t>(f.fragment));
-    WriteSign(w, f.sign, width);
-    WriteCrossing(w, f.crossing);
+    ends.assign(width, kNullTerm);
+    for (const CrossingPairMap& c : f.crossing) {
+      ends[c.q_from] = c.d_from;
+      ends[c.q_to] = c.d_to;
+    }
+    WriteRow(w, f.sign, ends);
   }
   return out;
 }
 
 Result<std::vector<LecFeature>> DecodeLecFeatureBatch(
-    const std::vector<uint8_t>& payload, uint32_t width) {
-  WireReader r(payload);
-  uint32_t count = r.U32();
-  // fragment + sign size + crossing count = 12 bytes minimum per feature.
-  if (!r.ok() || r.remaining() / 12 < count) return Truncated("feature batch");
-  std::vector<LecFeature> out;
-  out.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    LecFeature f;
-    f.fragment = static_cast<FragmentId>(r.U32());
-    if (!ReadSign(r, width, &f.sign) || !ReadCrossing(r, width, &f.crossing)) {
-      return Truncated("feature batch");
-    }
-    out.push_back(std::move(f));
-  }
-  if (!r.AtEnd()) return Truncated("feature batch");
-  return out;
+    const std::vector<uint8_t>& payload, const QueryGraph& query,
+    FragmentId fragment) {
+  return DecodeRows<LecFeature>(payload, query, fragment, "feature batch");
 }
 
 std::vector<uint8_t> EncodeLpmBatch(const std::vector<LocalPartialMatch>& lpms,
@@ -346,43 +341,14 @@ std::vector<uint8_t> EncodeLpmBatch(const std::vector<LocalPartialMatch>& lpms,
   std::vector<uint8_t> out;
   WireWriter w(&out);
   w.U32(static_cast<uint32_t>(indices.size()));
-  for (size_t i : indices) {
-    const LocalPartialMatch& pm = lpms[i];
-    const auto width = static_cast<uint32_t>(pm.binding.size());
-    w.U32(static_cast<uint32_t>(pm.fragment));
-    w.U32(width);
-    for (TermId id : pm.binding) w.U32(id);
-    WriteSign(w, pm.sign, width);
-    WriteCrossing(w, pm.crossing);
-  }
+  for (size_t i : indices) WriteRow(w, lpms[i].sign, lpms[i].binding);
   return out;
 }
 
 Result<std::vector<LocalPartialMatch>> DecodeLpmBatch(
-    const std::vector<uint8_t>& payload, uint32_t width) {
-  WireReader r(payload);
-  uint32_t count = r.U32();
-  // fragment + binding size + sign size + crossing count = 16 bytes minimum.
-  if (!r.ok() || r.remaining() / 16 < count) return Truncated("LPM batch");
-  std::vector<LocalPartialMatch> out;
-  out.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    LocalPartialMatch pm;
-    pm.fragment = static_cast<FragmentId>(r.U32());
-    uint32_t binding_size = r.U32();
-    if (!r.ok() || binding_size != width || r.remaining() / 4 < binding_size) {
-      return Truncated("LPM batch");
-    }
-    pm.binding.reserve(binding_size);
-    for (uint32_t v = 0; v < binding_size; ++v) pm.binding.push_back(r.U32());
-    if (!ReadSign(r, width, &pm.sign) ||
-        !ReadCrossing(r, width, &pm.crossing)) {
-      return Truncated("LPM batch");
-    }
-    out.push_back(std::move(pm));
-  }
-  if (!r.AtEnd()) return Truncated("LPM batch");
-  return out;
+    const std::vector<uint8_t>& payload, const QueryGraph& query,
+    FragmentId fragment) {
+  return DecodeRows<LocalPartialMatch>(payload, query, fragment, "LPM batch");
 }
 
 std::vector<uint8_t> EncodeDoneMarker(uint32_t num_messages) {

@@ -59,12 +59,12 @@ WireMessage MakeMessage(MessageType type, std::vector<uint8_t> payload);
 // the payload bytes: any input (truncated, mutated, adversarial) either
 // decodes or returns a Status — never crashes, hangs, or over-allocates
 // (element counts are validated against the remaining byte budget before any
-// reservation). The feature and LPM decoders also keep what the joins index
-// by vertex in range: they take the query's vertex count `width`, and an
-// item whose sign width (or, for an LPM, binding width) differs from it, a
-// width above kMaxEnumerableVertices, or a crossing mapping naming a query
-// vertex at or past `width` is rejected. The filter-set decoder likewise
-// takes the query variables a set must carry.
+// reservation). A feature or LPM ships only what the query does not
+// determine: its sign and the ids the sign requires. Their decoders take the
+// query and the sending site's fragment and rebuild each item's binding and
+// crossing mappings (CrossingMappings), so no decoded item can carry a
+// mapping that contradicts its binding or names a non-edge. The filter-set
+// decoder likewise takes the query variables a set must carry.
 // ---------------------------------------------------------------------------
 
 std::vector<uint8_t> EncodeBitmap(const std::vector<bool>& bits);
@@ -115,21 +115,30 @@ std::vector<uint8_t> EncodeMatchBatch(uint64_t num_lpms, uint32_t width,
                                       const std::vector<Binding>& matches);
 Result<MatchBatch> DecodeMatchBatch(const std::vector<uint8_t>& payload);
 
-/// Encodes features whose signs span `width` query vertices, the query's
-/// vertex count.
+/// Encodes one site's features, whose signs span `width` query vertices
+/// (the query's vertex count), each as its sign in ceil(width / 8) bytes
+/// and the ids of its crossing endpoints in vertex order.
 std::vector<uint8_t> EncodeLecFeatureBatch(
     const std::vector<LecFeature>& features, uint32_t width);
+/// Rebuilds `fragment`'s features of `query`; rejects a query wider than
+/// kMaxEnumerableVertices, a sign with no crossing edge, and a missing,
+/// extra or kNullTerm id.
 Result<std::vector<LecFeature>> DecodeLecFeatureBatch(
-    const std::vector<uint8_t>& payload, uint32_t width);
+    const std::vector<uint8_t>& payload, const QueryGraph& query,
+    FragmentId fragment);
 
-/// Encodes lpms[i] for each i of `indices`, in that order; each sign spans
-/// its binding's width. Stage D ships a site's LPMs in fixed-size batches
-/// of indices into its cached LPMs, so drop/reorder faults hit individual
+/// Encodes lpms[i] for each i of `indices`, in that order, each as its sign
+/// over its binding's width and its bound ids (island and boundary) in
+/// vertex order. Stage D ships a site's LPMs in fixed-size batches of
+/// indices into its cached LPMs, so drop/reorder faults hit individual
 /// batches, not whole sites.
 std::vector<uint8_t> EncodeLpmBatch(const std::vector<LocalPartialMatch>& lpms,
                                     std::span<const size_t> indices);
+/// Rebuilds `fragment`'s LPMs of `query`, kNullTerm off the island and
+/// boundary; rejects what DecodeLecFeatureBatch rejects.
 Result<std::vector<LocalPartialMatch>> DecodeLpmBatch(
-    const std::vector<uint8_t>& payload, uint32_t width);
+    const std::vector<uint8_t>& payload, const QueryGraph& query,
+    FragmentId fragment);
 
 std::vector<uint8_t> EncodeDoneMarker(uint32_t num_messages);
 Result<uint32_t> DecodeDoneMarker(const std::vector<uint8_t>& payload);

@@ -131,20 +131,30 @@ TEST(ComputeLecFeaturesTest, DedupAndMapping) {
 }
 
 // Sec. IV-D: a feature costs O(|EQ| + |VQ|) bytes. Checked on the encoded
-// batch, whose size the shipment ledger counts: one more crossing mapping
-// adds its four ids, whatever the data ids are.
+// batch, whose size the shipment ledger counts: a feature row is its sign
+// in ceil(n / 8) bytes plus one id per crossing endpoint, since the query
+// and the sign determine the mappings, so one more endpoint adds one id,
+// whatever the data ids are.
 TEST(LecFeatureTest, EncodedSizeScalesWithQueryNotData) {
   LecFeature small;
   small.fragment = 0;
+  small.sign = Sign({0});
   small.crossing = {Map(0, 1, 10, 11)};
   const size_t small_bytes = EncodeLecFeatureBatch({small}, 5).size();
+  EXPECT_EQ(small_bytes, 4 + 1 + 2 * sizeof(TermId));  // count, sign, ids
   for (TermId d : {TermId{12}, TermId{1} << 31}) {
     LecFeature larger = small;
-    larger.crossing.push_back(Map(1, 2, d, d + 1));
+    larger.crossing.push_back(Map(0, 2, 10, d));
     EXPECT_EQ(EncodeLecFeatureBatch({larger}, 5).size() - small_bytes,
-              4 * sizeof(TermId))
+              sizeof(TermId))
         << "d=" << d;
   }
+  // A mapping between endpoints the row already carries adds nothing.
+  LecFeature same_ends = small;
+  same_ends.crossing.push_back(Map(1, 0, 11, 10));
+  EXPECT_EQ(EncodeLecFeatureBatch({same_ends}, 5).size(), small_bytes);
+  // The sign takes ceil(n / 8) bytes.
+  EXPECT_EQ(EncodeLecFeatureBatch({small}, 9).size(), small_bytes + 1);
 }
 
 TEST(PruningTest, EmptyAndSingletonInputs) {

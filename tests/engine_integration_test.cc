@@ -105,6 +105,41 @@ TEST(EngineIntegrationTest, StatsInvariants) {
             stats.lpm_shipment_bytes);
 }
 
+TEST(EngineIntegrationTest, ByteColumnsArePerQueryOnAReusedContext) {
+  // A context's ledger keeps counting across the queries it runs, but each
+  // query's three byte columns are its own: LUBM-3 LQ7 run twice over one
+  // context reads, both times, what a run on a fresh session reads.
+  LubmConfig config;
+  config.universities = 3;
+  Workload w = MakeLubmWorkload(config);
+  Partitioning p = HashPartitioner().Partition(*w.dataset, 4);
+  DistributedEngine engine(&p);
+  const QueryGraph& lq7 = w.queries[6].query;
+  const QueryStats fresh = engine.Run({lq7, EngineMode::kFull}).stats;
+  ASSERT_GT(fresh.candidate_shipment_bytes, 0u);
+  ASSERT_GT(fresh.lec_shipment_bytes, 0u);
+  ASSERT_GT(fresh.lpm_shipment_bytes, 0u);
+
+  QuerySession session(engine.num_sites());
+  QueryContext ctx;
+  ctx.ledger = &session.ledger;
+  ctx.transport = &session.transport;
+  const QueryStats first = engine.Run({lq7, EngineMode::kFull, ctx}).stats;
+  const QueryStats second = engine.Run({lq7, EngineMode::kFull, ctx}).stats;
+  for (const QueryStats* run : {&first, &second}) {
+    EXPECT_EQ(run->candidate_shipment_bytes, fresh.candidate_shipment_bytes);
+    EXPECT_EQ(run->lec_shipment_bytes, fresh.lec_shipment_bytes);
+    EXPECT_EQ(run->lpm_shipment_bytes, fresh.lpm_shipment_bytes);
+  }
+  // The session ledger holds both queries' bytes.
+  EXPECT_EQ(session.ledger.StageBytes(kCandidateStage),
+            first.candidate_shipment_bytes + second.candidate_shipment_bytes);
+  EXPECT_EQ(session.ledger.StageBytes(kLecFeatureStage),
+            first.lec_shipment_bytes + second.lec_shipment_bytes);
+  EXPECT_EQ(session.ledger.StageBytes(kLpmShipmentStage),
+            first.lpm_shipment_bytes + second.lpm_shipment_bytes);
+}
+
 TEST(EngineIntegrationTest, BasicAndLaShipEverything) {
   auto dataset = testing::BuildPaperDataset();
   Partitioning p = testing::BuildPaperPartitioning(*dataset);

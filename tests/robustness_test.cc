@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,11 +16,13 @@
 #include "core/engine.h"
 #include "core/lec_feature.h"
 #include "net/wire.h"
+#include "partition/partitioners.h"
 #include "rdf/dataset.h"
 #include "sparql/compound.h"
 #include "sparql/parser.h"
 #include "tests/test_fixtures.h"
 #include "util/rng.h"
+#include "workload/lubm.h"
 
 namespace gstored {
 namespace {
@@ -193,13 +197,26 @@ FilterSet CorpusFilterSet() {
           VectorEntry(3, SteppedIds(3))};
 }
 
+/// The Fig. 2 query, alive for the whole process: the feature and LPM
+/// decoders of the corpus read it on every call.
+const QueryGraph& PaperQuery() {
+  static const QueryGraph* query = new QueryGraph(testing::BuildPaperQuery());
+  return *query;
+}
+
+/// The Fig. 2 query's LPMs in the Fig. 1 fragment F1 (id 0): a feature or
+/// LPM batch carries one site's items, and its decoder takes their fragment.
+std::vector<LocalPartialMatch> PaperLpmsOfF1(const Dataset& dataset) {
+  Partitioning partitioning = testing::BuildPaperPartitioning(dataset);
+  const Fragment& f1 = partitioning.fragments()[0];
+  LocalStore store(&f1.graph());
+  return EnumerateLocalPartialMatches(
+      f1, store, ResolveQuery(PaperQuery(), dataset.dict()));
+}
+
 std::vector<WirePayload> BuildWireCorpus() {
   auto dataset = testing::BuildPaperDataset();
-  Partitioning partitioning = testing::BuildPaperPartitioning(*dataset);
-  QueryGraph query = testing::BuildPaperQuery();
-  ResolvedQuery rq = ResolveQuery(query, dataset->dict());
-  std::vector<LocalPartialMatch> lpms =
-      testing::EnumerateAllLpms(partitioning, rq);
+  std::vector<LocalPartialMatch> lpms = PaperLpmsOfF1(*dataset);
   LecFeatureSet lec = ComputeLecFeatures(lpms);
 
   std::vector<Binding> matches = {{1, 2, 3, kNullTerm, 5},
@@ -217,17 +234,17 @@ std::vector<WirePayload> BuildWireCorpus() {
   corpus.push_back(
       {"match_batch", EncodeMatchBatch(lpms.size(), 5, matches),
        [](const std::vector<uint8_t>& b) { return DecodeMatchBatch(b).ok(); }});
-  const auto n = static_cast<uint32_t>(query.num_vertices());
+  const auto n = static_cast<uint32_t>(PaperQuery().num_vertices());
   corpus.push_back(
       {"lec_feature_batch", EncodeLecFeatureBatch(lec.features, n),
-       [n](const std::vector<uint8_t>& b) {
-         return DecodeLecFeatureBatch(b, n).ok();
+       [](const std::vector<uint8_t>& b) {
+         return DecodeLecFeatureBatch(b, PaperQuery(), 0).ok();
        }});
   std::vector<size_t> all(lpms.size());
   std::iota(all.begin(), all.end(), size_t{0});
   corpus.push_back({"lpm_batch", EncodeLpmBatch(lpms, all),
-                    [n](const std::vector<uint8_t>& b) {
-                      return DecodeLpmBatch(b, n).ok();
+                    [](const std::vector<uint8_t>& b) {
+                      return DecodeLpmBatch(b, PaperQuery(), 0).ok();
                     }});
   corpus.push_back(
       {"done_marker", EncodeDoneMarker(7),
@@ -237,11 +254,7 @@ std::vector<WirePayload> BuildWireCorpus() {
 
 TEST(WireCodecTest, RoundTripsPreserveEveryPayloadType) {
   auto dataset = testing::BuildPaperDataset();
-  Partitioning partitioning = testing::BuildPaperPartitioning(*dataset);
-  QueryGraph query = testing::BuildPaperQuery();
-  ResolvedQuery rq = ResolveQuery(query, dataset->dict());
-  std::vector<LocalPartialMatch> lpms =
-      testing::EnumerateAllLpms(partitioning, rq);
+  std::vector<LocalPartialMatch> lpms = PaperLpmsOfF1(*dataset);
   ASSERT_GE(lpms.size(), 3u);
   LecFeatureSet lec = ComputeLecFeatures(lpms);
 
@@ -272,20 +285,22 @@ TEST(WireCodecTest, RoundTripsPreserveEveryPayloadType) {
   EXPECT_EQ(batch->width, 5u);
   EXPECT_EQ(batch->matches, matches);
 
+  const QueryGraph& query = PaperQuery();
   const auto n = static_cast<uint32_t>(query.num_vertices());
-  auto feats = DecodeLecFeatureBatch(EncodeLecFeatureBatch(lec.features, n), n);
+  auto feats =
+      DecodeLecFeatureBatch(EncodeLecFeatureBatch(lec.features, n), query, 0);
   ASSERT_TRUE(feats.ok());
   EXPECT_EQ(*feats, lec.features);
 
   std::vector<size_t> indices(lpms.size());
   std::iota(indices.begin(), indices.end(), size_t{0});
-  auto all = DecodeLpmBatch(EncodeLpmBatch(lpms, indices), n);
+  auto all = DecodeLpmBatch(EncodeLpmBatch(lpms, indices), query, 0);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(*all, lpms);
 
   // A batch carries the indexed LPMs in index order.
   indices = {2, 0};
-  auto sub = DecodeLpmBatch(EncodeLpmBatch(lpms, indices), n);
+  auto sub = DecodeLpmBatch(EncodeLpmBatch(lpms, indices), query, 0);
   ASSERT_TRUE(sub.ok());
   ASSERT_EQ(sub->size(), 2u);
   EXPECT_EQ((*sub)[0], lpms[2]);
@@ -294,6 +309,122 @@ TEST(WireCodecTest, RoundTripsPreserveEveryPayloadType) {
   auto done = DecodeDoneMarker(EncodeDoneMarker(7));
   ASSERT_TRUE(done.ok());
   EXPECT_EQ(*done, 7u);
+}
+
+/// Encodes and decodes every site's LEC features and LPMs of `query` over
+/// `partitioning`: each batch must decode to exactly what was encoded,
+/// fragment included. Returns the number of LPMs round-tripped.
+size_t ExpectSiteRowsRoundTrip(const Dataset& dataset,
+                               const Partitioning& partitioning,
+                               const QueryGraph& query) {
+  const ResolvedQuery rq = ResolveQuery(query, dataset.dict());
+  const auto n = static_cast<uint32_t>(query.num_vertices());
+  size_t round_tripped = 0;
+  for (const Fragment& fragment : partitioning.fragments()) {
+    SCOPED_TRACE(::testing::Message() << "fragment=" << fragment.id());
+    LocalStore store(&fragment.graph());
+    const std::vector<LocalPartialMatch> lpms =
+        EnumerateLocalPartialMatches(fragment, store, rq);
+    const std::vector<LecFeature> features = ComputeLecFeatures(lpms).features;
+    auto feats = DecodeLecFeatureBatch(EncodeLecFeatureBatch(features, n),
+                                       query, fragment.id());
+    EXPECT_TRUE(feats.ok());
+    if (feats.ok()) EXPECT_EQ(*feats, features);
+    std::vector<size_t> all(lpms.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    auto decoded =
+        DecodeLpmBatch(EncodeLpmBatch(lpms, all), query, fragment.id());
+    EXPECT_TRUE(decoded.ok());
+    if (decoded.ok()) EXPECT_EQ(*decoded, lpms);
+    round_tripped += lpms.size();
+  }
+  return round_tripped;
+}
+
+/// testing::RandomDataset's triples, self-loops kept: `num_edges` draws of
+/// a uniform subject, predicate and object over few vertices, so a walk of
+/// the data meets self-loops, parallel edges and cycles.
+std::unique_ptr<Dataset> LoopyDataset(Rng& rng, size_t num_vertices,
+                                      size_t num_edges,
+                                      size_t num_predicates) {
+  auto dataset = std::make_unique<Dataset>();
+  auto name = [](const char* kind, size_t i) {
+    return "<http://rnd.org/" + std::string(kind) + std::to_string(i) + ">";
+  };
+  for (size_t i = 0; i < num_edges; ++i) {
+    const size_t s = rng.Uniform(num_vertices);
+    const size_t o = rng.Uniform(num_vertices);
+    dataset->AddTripleLexical(name("v", s),
+                              name("p", rng.Uniform(num_predicates)),
+                              name("v", o));
+  }
+  dataset->Finalize();
+  return dataset;
+}
+
+TEST(WireCodecTest, RowsRoundTripOnAnswerBearingQueries) {
+  // LUBM-3's LQ1-LQ7 over 4 hash sites.
+  LubmConfig config;
+  config.universities = 3;
+  Workload lubm = MakeLubmWorkload(config);
+  Partitioning lubm_sites = HashPartitioner().Partition(*lubm.dataset, 4);
+  size_t lubm_lpms = 0;
+  for (const BenchmarkQuery& bq : lubm.queries) {
+    SCOPED_TRACE(bq.name);
+    lubm_lpms += ExpectSiteRowsRoundTrip(*lubm.dataset, lubm_sites, bq.query);
+  }
+  EXPECT_GT(lubm_lpms, 0u);
+
+  // Pivoted queries have answers, so their items cross fragments: 24 of
+  // them over 3-6 hash and random fragments. The scenarios that ship LPMs
+  // must cover cycles, parallel edges, self-loops and variable predicates,
+  // where a row's ids and the derived mappings are easiest to get wrong.
+  size_t with_lpms = 0;
+  size_t cyclic = 0;
+  size_t parallel = 0;
+  size_t self_loops = 0;
+  size_t variable_predicates = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    auto dataset = LoopyDataset(rng, 8 + seed % 9, 40 + (seed * 13) % 60,
+                                1 + seed % 3);
+    testing::Pivoted pivoted =
+        testing::PivotedQuery(rng, *dataset, 3 + seed % 4);
+    const QueryGraph& query = pivoted.query;
+    const int k = 3 + static_cast<int>(seed % 4);
+    Partitioning partitioning =
+        seed % 2 == 0
+            ? HashPartitioner().Partition(*dataset, k)
+            : BuildPartitioning(*dataset,
+                                testing::RandomAssignment(rng, *dataset, k), k,
+                                "random");
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed << " k=" << k
+                                      << " query=" << query.ToString());
+    if (ExpectSiteRowsRoundTrip(*dataset, partitioning, query) == 0) continue;
+    ++with_lpms;
+    std::set<std::pair<QVertexId, QVertexId>> pairs;
+    bool has_parallel = false;
+    bool has_loop = false;
+    bool has_variable = false;
+    for (const QueryEdge& e : query.edges()) {
+      has_loop = has_loop || e.from == e.to;
+      has_variable = has_variable || e.pred_is_variable;
+      if (e.from != e.to && !pairs.insert(std::minmax(e.from, e.to)).second) {
+        has_parallel = true;
+      }
+    }
+    // The query is connected, so as many distinct vertex pairs as vertices
+    // close a cycle through three or more of them.
+    if (pairs.size() >= query.num_vertices()) ++cyclic;
+    if (has_parallel) ++parallel;
+    if (has_loop) ++self_loops;
+    if (has_variable) ++variable_predicates;
+  }
+  EXPECT_GE(with_lpms, 12u);
+  EXPECT_GT(cyclic, 0u);
+  EXPECT_GT(parallel, 0u);
+  EXPECT_GT(self_loops, 0u);
+  EXPECT_GT(variable_predicates, 0u);
 }
 
 TEST(WireCodecTest, TruncatedAndExtendedPayloadsAreRejected) {
@@ -341,72 +472,150 @@ void PutU32(std::vector<uint8_t>* out, uint32_t v) {
   }
 }
 
-/// One crafted feature batch: a feature signed {v0} over `width` vertices
-/// with one crossing mapping (q_from, q_to) -> (10, 11).
-std::vector<uint8_t> CraftedFeatureBatch(uint32_t width, uint32_t q_from,
-                                         uint32_t q_to) {
+/// A small cyclic query: the triangle v0 -> v1 -> v2 -> v0 and the pendant
+/// edge v0 -> v3. Signed {v0, v1, v2}, an item's only crossing edge is
+/// v0 -> v3, so its feature row carries the ids of v0 and v3 and its LPM
+/// row those of v0..v3; v1 and v2 are island vertices that no crossing
+/// mapping names.
+QueryGraph TrianglePendantQuery() {
+  QueryGraph q;
+  q.AddEdge("?v0", "<p>", "?v1");
+  q.AddEdge("?v1", "<p>", "?v2");
+  q.AddEdge("?v2", "<p>", "?v0");
+  q.AddEdge("?v0", "<p>", "?v3");
+  return q;
+}
+
+/// One crafted feature or LPM batch of a query of at most 8 vertices: one
+/// row of the sign byte `sign` and the ids `ids`.
+std::vector<uint8_t> CraftedRow(uint8_t sign, std::vector<TermId> ids) {
   std::vector<uint8_t> b;
-  PutU32(&b, 1);  // one feature
-  PutU32(&b, 0);  // fragment
-  PutU32(&b, width);
-  for (uint32_t i = 0; i < width; i += 8) b.push_back(i == 0 ? 1 : 0);
-  PutU32(&b, 1);  // one crossing mapping
-  for (uint32_t v : {q_from, q_to, 10u, 11u}) PutU32(&b, v);
+  PutU32(&b, 1);  // one row
+  b.push_back(sign);
+  for (TermId id : ids) PutU32(&b, id);
   return b;
 }
 
-/// One crafted LPM batch: an LPM binding v0, v1 to 10, 11 in a binding of
-/// `binding_width`, signed `sign` (default {v0}) over `sign_width` vertices,
-/// crossing (0, 1).
-std::vector<uint8_t> CraftedLpmBatch(uint32_t binding_width,
-                                     uint32_t sign_width, LecSign sign = 1) {
-  std::vector<uint8_t> b;
-  PutU32(&b, 1);  // one LPM
-  PutU32(&b, 0);  // fragment
-  PutU32(&b, binding_width);
-  for (uint32_t v = 0; v < binding_width; ++v) {
-    PutU32(&b, v < 2 ? 10 + v : kNullTerm);
-  }
-  PutU32(&b, sign_width);
-  for (uint32_t i = 0; i < sign_width; i += 8) {
-    b.push_back(static_cast<uint8_t>(sign >> i));
-  }
-  PutU32(&b, 1);  // one crossing mapping
-  for (uint32_t v : {0u, 1u, 10u, 11u}) PutU32(&b, v);
-  return b;
+constexpr uint8_t kTriangle = 0b0111;  // {v0, v1, v2}
+
+TEST(WireCodecTest, FeatureRowsCarryExactlyTheCrossingEndpoints) {
+  const QueryGraph q = TrianglePendantQuery();
+  ASSERT_EQ(q.num_vertices(), 4u);
+  // Control: the ids of v0 and v3 rebuild the one crossing mapping, and the
+  // fragment is the sending site's.
+  auto ok = DecodeLecFeatureBatch(CraftedRow(kTriangle, {10, 13}), q, 2);
+  ASSERT_TRUE(ok.ok());
+  ASSERT_EQ(ok->size(), 1u);
+  EXPECT_EQ((*ok)[0].fragment, 2);
+  EXPECT_EQ((*ok)[0].sign, LecSign{kTriangle});
+  EXPECT_EQ((*ok)[0].crossing,
+            (std::vector<CrossingPairMap>{{0, 3, 10, 13}}));
+  // The sign's padding bits past n are ignored.
+  auto padded = DecodeLecFeatureBatch(CraftedRow(0xF0 | kTriangle, {10, 13}),
+                                      q, 2);
+  ASSERT_TRUE(padded.ok());
+  EXPECT_EQ(*padded, *ok);
+  // A sign with no crossing edge: 0, or the whole (connected) query.
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedRow(0, {}), q, 2).ok());
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedRow(0, {10, 13}), q, 2).ok());
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedRow(0b1111, {}), q, 2).ok());
+  EXPECT_FALSE(
+      DecodeLecFeatureBatch(CraftedRow(0b1111, {10, 11, 12, 13}), q, 2).ok());
+  // One id short, one id too many.
+  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedRow(kTriangle, {10}), q, 2).ok());
+  EXPECT_FALSE(
+      DecodeLecFeatureBatch(CraftedRow(kTriangle, {10, 13, 14}), q, 2).ok());
+  // A kNullTerm at a crossing endpoint.
+  EXPECT_FALSE(
+      DecodeLecFeatureBatch(CraftedRow(kTriangle, {10, kNullTerm}), q, 2).ok());
+  EXPECT_FALSE(
+      DecodeLecFeatureBatch(CraftedRow(kTriangle, {kNullTerm, 13}), q, 2).ok());
+  // Signed {v0}, every vertex is a crossing endpoint.
+  auto star = DecodeLecFeatureBatch(CraftedRow(0b0001, {10, 11, 12, 13}), q, 2);
+  ASSERT_TRUE(star.ok());
+  EXPECT_EQ((*star)[0].crossing,
+            (std::vector<CrossingPairMap>{
+                {0, 1, 10, 11}, {0, 3, 10, 13}, {2, 0, 12, 10}}));
+  EXPECT_FALSE(
+      DecodeLecFeatureBatch(CraftedRow(0b0001, {10, 11, 13}), q, 2).ok());
 }
 
-TEST(WireCodecTest, VertexIdsPastTheEnumerableBoundAreRejected) {
-  // The joins index per-vertex arrays by sign bit and by crossing endpoint,
-  // so the decoders keep both below kMaxEnumerableVertices, and an LPM's
-  // sign must span exactly its binding. Each payload is decoded at its own
-  // width and is otherwise valid.
-  EXPECT_TRUE(DecodeLecFeatureBatch(CraftedFeatureBatch(20, 0, 1), 20).ok());
-  EXPECT_TRUE(DecodeLecFeatureBatch(CraftedFeatureBatch(20, 19, 1), 20).ok());
-  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(21, 0, 1), 21).ok());
-  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 40, 1), 5).ok());
-  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 0, 20), 5).ok());
-
-  EXPECT_TRUE(DecodeLpmBatch(CraftedLpmBatch(5, 5), 5).ok());
-  EXPECT_FALSE(DecodeLpmBatch(CraftedLpmBatch(5, 6), 5).ok());
+TEST(WireCodecTest, LpmRowsCarryTheIslandAndBoundary) {
+  const QueryGraph q = TrianglePendantQuery();
+  // Control: every island and boundary vertex bound; the crossing mapping
+  // is derived from the binding, so it cannot contradict it.
+  auto ok = DecodeLpmBatch(CraftedRow(kTriangle, {10, 11, 12, 13}), q, 1);
+  ASSERT_TRUE(ok.ok());
+  ASSERT_EQ(ok->size(), 1u);
+  EXPECT_EQ((*ok)[0].fragment, 1);
+  EXPECT_EQ((*ok)[0].binding, (Binding{10, 11, 12, 13}));
+  EXPECT_EQ((*ok)[0].crossing,
+            (std::vector<CrossingPairMap>{{0, 3, 10, 13}}));
+  // Signed {v1} or {v3}, the vertices off the island and its boundary stay
+  // unbound.
+  auto middle = DecodeLpmBatch(CraftedRow(0b0010, {10, 11, 12}), q, 1);
+  ASSERT_TRUE(middle.ok());
+  EXPECT_EQ((*middle)[0].binding, (Binding{10, 11, 12, kNullTerm}));
+  auto leaf = DecodeLpmBatch(CraftedRow(0b1000, {10, 13}), q, 1);
+  ASSERT_TRUE(leaf.ok());
+  EXPECT_EQ((*leaf)[0].binding, (Binding{10, kNullTerm, kNullTerm, 13}));
+  // A sign with no crossing edge.
+  EXPECT_FALSE(DecodeLpmBatch(CraftedRow(0, {}), q, 1).ok());
+  EXPECT_FALSE(DecodeLpmBatch(CraftedRow(0b1111, {10, 11, 12, 13}), q, 1).ok());
+  // The feature row of the same item is two ids short; one id too many.
+  EXPECT_FALSE(DecodeLpmBatch(CraftedRow(kTriangle, {10, 13}), q, 1).ok());
+  EXPECT_FALSE(DecodeLpmBatch(CraftedRow(kTriangle, {10, 11, 12}), q, 1).ok());
+  EXPECT_FALSE(
+      DecodeLpmBatch(CraftedRow(kTriangle, {10, 11, 12, 13, 14}), q, 1).ok());
+  // A kNullTerm at a crossing endpoint, and at an island vertex that no
+  // crossing mapping names, which assembly would carry into a "match" with
+  // an unbound vertex.
+  EXPECT_FALSE(DecodeLpmBatch(CraftedRow(kTriangle, {10, 11, 12, kNullTerm}),
+                              q, 1)
+                   .ok());
+  EXPECT_FALSE(DecodeLpmBatch(CraftedRow(kTriangle, {10, kNullTerm, 12, 13}),
+                              q, 1)
+                   .ok());
+  EXPECT_FALSE(DecodeLpmBatch(CraftedRow(0b1000, {kNullTerm, 13}), q, 1).ok());
 }
 
-TEST(WireCodecTest, ItemsWiderThanTheQueryAreRejected) {
-  // A sign bit at or past the query's n aborts the joins (CheckedFullSign),
-  // and so does a binding wider than n (MergeBindings), so the decoders
-  // check every item against n, not only against the 20-vertex cap, and a
-  // torn batch degrades its site instead of ending the process.
-  // An LPM of binding and sign width 6, signed {v5}, at n = 5:
-  EXPECT_FALSE(DecodeLpmBatch(CraftedLpmBatch(6, 6, LecSign{1} << 5), 5).ok());
-  EXPECT_TRUE(DecodeLpmBatch(CraftedLpmBatch(6, 6, LecSign{1} << 5), 6).ok());
-  EXPECT_FALSE(DecodeLpmBatch(CraftedLpmBatch(5, 5), 6).ok());
-  // A crossing endpoint inside the cap but at or past n.
-  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 19, 1), 5).ok());
-  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 0, 5), 5).ok());
-  EXPECT_TRUE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 0, 4), 5).ok());
-  // A sign width inside the cap that is not the query's.
-  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(5, 0, 1), 6).ok());
-  EXPECT_FALSE(DecodeLecFeatureBatch(CraftedFeatureBatch(6, 0, 1), 5).ok());
+TEST(WireCodecTest, QueriesPastTheEnumerableBoundAreRejected) {
+  // The joins index per-vertex arrays by sign bit and crossing endpoint,
+  // and a sign is a 32-bit mask, so the decoders take no query of more than
+  // kMaxEnumerableVertices vertices. A path ?v0 -> ... -> ?v{n-1}, signed
+  // {v(n-1)}: its one crossing edge is v(n-2) -> v(n-1).
+  auto path = [](size_t n) {
+    QueryGraph q;
+    for (size_t v = 0; v + 1 < n; ++v) {
+      q.AddEdge("?v" + std::to_string(v), "<p>", "?v" + std::to_string(v + 1));
+    }
+    return q;
+  };
+  auto last_signed = [](size_t n) {
+    std::vector<uint8_t> b;
+    PutU32(&b, 1);
+    const LecSign sign = LecSign{1} << (n - 1);
+    for (size_t i = 0; i < n; i += 8) {
+      b.push_back(static_cast<uint8_t>(sign >> i));
+    }
+    PutU32(&b, 10);
+    PutU32(&b, 11);
+    return b;
+  };
+  const QueryGraph at_bound = path(kMaxEnumerableVertices);
+  auto ok = DecodeLecFeatureBatch(last_signed(kMaxEnumerableVertices),
+                                  at_bound, 0);
+  ASSERT_TRUE(ok.ok());
+  const auto last = static_cast<QVertexId>(kMaxEnumerableVertices - 1);
+  EXPECT_EQ((*ok)[0].crossing,
+            (std::vector<CrossingPairMap>{{last - 1, last, 10, 11}}));
+  const QueryGraph past = path(kMaxEnumerableVertices + 1);
+  EXPECT_FALSE(
+      DecodeLecFeatureBatch(last_signed(kMaxEnumerableVertices + 1), past, 0)
+          .ok());
+  EXPECT_FALSE(
+      DecodeLpmBatch(last_signed(kMaxEnumerableVertices + 1), past, 0).ok());
+  EXPECT_FALSE(DecodeLpmBatch(EncodeLpmBatch({}, {}), past, 0).ok());
 }
 
 TEST(WireCodecTest, FilterSetsCarryEveryVariableExactlyOnce) {
